@@ -12,14 +12,12 @@ from .elm import ELMConfig, ELMModel, HiddenLayer, hidden_output, pinv_solve
 from .graph import DiversityGraph, build_graph, div_topk, similar
 from .mining import (
     MiningConfig,
-    SaxConfig,
     Shapelet,
     best_split,
     entropy,
     generate_candidates,
     mine_shapelets,
     orderline,
-    sax_filter,
 )
 from .pipeline import (
     EvalConfig,
@@ -50,12 +48,10 @@ __all__ = [
     "shapelet_dist",
     "Shapelet",
     "MiningConfig",
-    "SaxConfig",
     "generate_candidates",
     "entropy",
     "orderline",
     "best_split",
-    "sax_filter",
     "mine_shapelets",
     "DiversityGraph",
     "similar",

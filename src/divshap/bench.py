@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import elm
-from .dataset import Dataset
+from .dataset import Dataset, recode_labels
 from .errors import KindMismatchError
 from .graph import build_graph, div_topk
 from .mining import mine_shapelets
@@ -85,15 +85,8 @@ def baseline_1nn(train: Dataset | FeatureMatrix, test: Dataset | FeatureMatrix) 
 
 def minmax_scale_raw(train: Dataset, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-timestep min-max scaling of raw series, fitted on train only."""
-    scaling = Scaling(mins=train.X.min(axis=0), maxs=train.X.max(axis=0))
-    span = scaling.maxs - scaling.mins
-    safe = np.where(span > 0, span, 1.0)
-
-    def apply(X: np.ndarray) -> np.ndarray:
-        out = np.clip((X - scaling.mins) / safe, 0.0, 1.0)
-        return np.where(span > 0, out, 0.0)
-
-    return apply(train.X), apply(test.X)
+    scaling = Scaling.fit(train.X)
+    return scaling.apply(train.X), scaling.apply(test.X)
 
 
 def raw_elm_accuracy(train: Dataset, test: Dataset, cfg: elm.ELMConfig) -> float:
@@ -115,9 +108,12 @@ def run_experiment(
 
     mode "compare" fills all four accuracy fields against the test split;
     mode "sweep" stops after k selection (the report carries the per-k
-    curve through the returned model's sweep report).
+    curve through the returned model's sweep report). Test labels are
+    coded against the training labels first.
     """
     cfg = cfg or PipelineConfig()
+    if test is not None:
+        test = recode_labels(test, train.label_names)
     report = ExperimentReport(dataset=train.name or "train")
     report.config = dataclasses.asdict(cfg)
     report.seeds = {"elm": cfg.elm.seed, "evaluation": cfg.evaluation.seed}

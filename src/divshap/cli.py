@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Subcommands: fit, predict, sweep, compare, mine-dump, graph-dump. Options
-may come from flags or from a key=value config file (flags win). The
-DIVSHAP_WORKERS environment variable sets the default worker count.
+Subcommands: fit, predict, sweep, compare, mine-dump, graph-dump. Each
+entry of OPTIONS is one setting. It generates one flag (--min-len; booleans
+as --x/--no-x) and one key of the key=value config file (min_len), and it
+names the PipelineConfig fields it sets. Flags win over the file, and unset
+options keep the PipelineConfig defaults. The worker count comes from
+--workers, then the file's workers key, then the DIVSHAP_WORKERS
+environment variable, then 1.
 """
 
 from __future__ import annotations
@@ -11,47 +15,81 @@ import argparse
 import dataclasses
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import bench, elm
 from .dataset import read_ucr
 from .errors import DivshapError
 from .graph import build_graph, graph_dump_rows
-from .mining import MiningConfig, SaxConfig, mine_shapelets
-from .pipeline import (
-    EvalConfig,
-    PipelineConfig,
-    fit,
-    load_pipeline,
-    predict_pipeline,
-    save_pipeline,
-)
-from .distance import DistanceConfig
+from .mining import mine_shapelets
+from .pipeline import PipelineConfig, fit, load_pipeline, predict_pipeline, save_pipeline
 
-_BOOL_KEYS = {
-    "use_sax_filter",
-    "normalize_windows",
-    "length_normalize",
-    "same_class_only",
-    "znormalize_series",
-}
-_INT_KEYS = {
-    "seed",
-    "kappa",
-    "workers",
-    "eval_folds",
-    "eval_repeats",
-    "min_len",
-    "max_len",
-    "length_stride",
-    "position_stride",
-    "sax_word_length",
-    "sax_alphabet_size",
-    "sax_projection_iterations",
-    "elm_hidden",
-}
-_FLOAT_KEYS = {"sax_keep_fraction", "elm_ridge"}
-_STR_KEYS = {"eval_mode", "elm_activation"}
+
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError(f"bad boolean {text!r}")
+    return low in ("true", "1", "yes")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting: its config-file key, the parser for its value, the
+    allowed values, and the dotted PipelineConfig fields it sets. workers
+    sets none; it goes to the run instead."""
+
+    key: str
+    parse: Callable[[str], object]
+    fields: tuple[str, ...]
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+WORKERS = Option(
+    "workers", int, (), help="parallel scoring workers (default: DIVSHAP_WORKERS, then 1)"
+)
+OPTIONS = (
+    Option("seed", int, ("elm.seed", "evaluation.seed")),
+    Option("kappa", int, ("kappa",), help="largest shapelet count the k sweep tries"),
+    WORKERS,
+    Option("eval_mode", str, ("evaluation.mode",), choices=("cv", "train")),
+    Option("eval_folds", int, ("evaluation.folds",)),
+    Option("eval_repeats", int, ("evaluation.repeats",)),
+    Option("min_len", int, ("mining.min_len",)),
+    Option("max_len", int, ("mining.max_len",)),
+    Option("length_stride", int, ("mining.length_stride",)),
+    Option("position_stride", int, ("mining.position_stride",)),
+    Option(
+        "normalize_windows",
+        _parse_bool,
+        ("distance.normalize_windows", "mining.normalize.normalize_windows"),
+        help="z-normalize the query and every window before comparing",
+    ),
+    Option(
+        "length_normalize",
+        _parse_bool,
+        ("distance.length_normalize", "mining.normalize.length_normalize"),
+        help="divide window distances by the compared length",
+    ),
+    Option(
+        "same_class_only",
+        _parse_bool,
+        ("same_class_only",),
+        help="link only same-class shapelets in the diversity graph",
+    ),
+    Option(
+        "znormalize_series",
+        _parse_bool,
+        ("znormalize_series",),
+        help="z-normalize whole series before mining",
+    ),
+    Option("elm_hidden", int, ("elm.n_hidden",)),
+    Option("elm_ridge", float, ("elm.ridge",)),
+    Option("elm_activation", str, ("elm.activation",), choices=elm.ACTIVATIONS),
+)
+_BY_KEY = {opt.key: opt for opt in OPTIONS}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -64,122 +102,61 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, val = (p.strip() for p in line.split("=", 1))
-        if key in _BOOL_KEYS:
-            if val.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                raise ValueError(f"{path}:{lineno}: bad boolean {val!r}")
-            out[key] = val.lower() in ("true", "1", "yes")
-        elif key in _INT_KEYS:
-            out[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(val)
-        elif key in _STR_KEYS:
-            out[key] = val
-        else:
+        opt = _BY_KEY.get(key)
+        if opt is None:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            value = opt.parse(val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+        if opt.choices is not None and value not in opt.choices:
+            raise ValueError(f"{path}:{lineno}: {key} must be one of {', '.join(opt.choices)}")
+        out[key] = value
     return out
 
 
+def _replace_field(obj, path: list[str], value):
+    head, *rest = path
+    if rest:
+        value = _replace_field(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
+
+
 def build_pipeline_config(opts: dict) -> PipelineConfig:
-    sax = SaxConfig(
-        word_length=opts.get("sax_word_length", 8),
-        alphabet_size=opts.get("sax_alphabet_size", 4),
-        projection_iterations=opts.get("sax_projection_iterations", 10),
-        keep_fraction=opts.get("sax_keep_fraction", 0.25),
-        seed=opts.get("seed", 0),
-    )
-    distance = DistanceConfig(
-        normalize_windows=opts.get("normalize_windows", True),
-        length_normalize=opts.get("length_normalize", True),
-    )
-    mining = MiningConfig(
-        min_len=opts.get("min_len"),
-        max_len=opts.get("max_len"),
-        length_stride=opts.get("length_stride", 1),
-        position_stride=opts.get("position_stride", 1),
-        use_sax_filter=opts.get("use_sax_filter", False),
-        sax=sax,
-        normalize=distance,
-    )
-    elm_cfg = elm.ELMConfig(
-        n_hidden=opts.get("elm_hidden"),
-        activation=opts.get("elm_activation", "sigmoid"),
-        seed=opts.get("seed", 0),
-        ridge=opts.get("elm_ridge", 1e-6),
-    )
-    evaluation = EvalConfig(
-        mode=opts.get("eval_mode", "cv"),
-        folds=opts.get("eval_folds", 5),
-        repeats=opts.get("eval_repeats", 5),
-        seed=opts.get("seed", 0),
-    )
-    return PipelineConfig(
-        kappa=opts.get("kappa", 9),
-        mining=mining,
-        distance=distance,
-        elm=elm_cfg,
-        evaluation=evaluation,
-        same_class_only=opts.get("same_class_only", True),
-        znormalize_series=opts.get("znormalize_series", False),
-    )
+    """PipelineConfig() with the fields of every option in opts set."""
+    cfg = PipelineConfig()
+    for key, value in opts.items():
+        for path in _BY_KEY[key].fields:
+            cfg = _replace_field(cfg, path.split("."), value)
+    return cfg
 
 
 def _collect_opts(args: argparse.Namespace) -> dict:
-    opts: dict = {}
-    if getattr(args, "config", None):
-        opts.update(parse_config_file(args.config))
-    for key in _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
+    opts = parse_config_file(args.config) if args.config else {}
+    for opt in OPTIONS:
+        value = getattr(args, opt.key)
+        if value is not None:
+            opts[opt.key] = value
     return opts
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--kappa", type=int)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel scoring workers (default: DIVSHAP_WORKERS or 1)",
-    )
-    p.add_argument("--eval-mode", dest="eval_mode", choices=("cv", "train"))
-    p.add_argument("--eval-folds", dest="eval_folds", type=int)
-    p.add_argument("--eval-repeats", dest="eval_repeats", type=int)
-    p.add_argument("--min-len", dest="min_len", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.add_argument("--length-stride", dest="length_stride", type=int)
-    p.add_argument("--position-stride", dest="position_stride", type=int)
-    sax = p.add_mutually_exclusive_group()
-    sax.add_argument(
-        "--sax-filter", dest="use_sax_filter", action="store_const", const=True, default=None
-    )
-    sax.add_argument(
-        "--no-sax-filter", dest="use_sax_filter", action="store_const", const=False
-    )
-    p.add_argument(
-        "--znormalize-series",
-        dest="znormalize_series",
-        action="store_const",
-        const=True,
-        default=None,
-        help="z-normalize whole series before mining",
-    )
-    p.add_argument("--elm-hidden", dest="elm_hidden", type=int)
-    p.add_argument("--elm-ridge", dest="elm_ridge", type=float)
-    p.add_argument(
-        "--elm-activation", dest="elm_activation", choices=("sigmoid", "tanh", "hardlimit")
-    )
+    for opt in OPTIONS:
+        flag = "--" + opt.key.replace("_", "-")
+        if opt.parse is _parse_bool:
+            p.add_argument(flag, dest=opt.key, action=argparse.BooleanOptionalAction, help=opt.help)
+        else:
+            p.add_argument(flag, dest=opt.key, type=opt.parse, choices=opt.choices, help=opt.help)
 
 
-def _workers(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
+def _workers(opts: dict) -> int:
+    if WORKERS.key in opts:
+        return opts[WORKERS.key]
     return int(os.environ.get("DIVSHAP_WORKERS", "1"))
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="divshap")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -216,8 +193,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--edges-out", required=True)
     p.add_argument("--top", type=int, default=200, help="graph over the best N candidates")
     _add_common(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (DivshapError, OSError, ValueError) as exc:
@@ -226,15 +206,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "fit":
-        cfg = build_pipeline_config(_collect_opts(args))
-        model = fit(read_ucr(args.train), cfg, workers=_workers(args))
-        with open(args.model_out, "w") as fh:
-            save_pipeline(model, fh)
-        print(f"selected_k: {model.selected_k}")
-        print(f"model written to {args.model_out}")
-        return 0
-
     if args.command == "predict":
         with open(args.model) as fh:
             model = load_pipeline(fh)
@@ -253,22 +224,29 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"accuracy: {acc:.17g}")
         return 0
 
+    opts = _collect_opts(args)
+    cfg = build_pipeline_config(opts)
+    workers = _workers(opts)
+    train = read_ucr(args.train)
+
+    if args.command == "fit":
+        model = fit(train, cfg, workers=workers)
+        with open(args.model_out, "w") as fh:
+            save_pipeline(model, fh)
+        print(f"selected_k: {model.selected_k}")
+        print(f"model written to {args.model_out}")
+        return 0
+
     if args.command == "sweep":
-        cfg = build_pipeline_config(_collect_opts(args))
-        train = read_ucr(args.train)
-        report, model = bench.run_experiment(
-            train, None, cfg, workers=_workers(args), mode="sweep"
-        )
+        report, model = bench.run_experiment(train, None, cfg, workers=workers, mode="sweep")
         Path(args.out).write_text(bench.sweep_csv(model))
         print(f"selected_k: {model.selected_k}")
         print(f"sweep written to {args.out}")
         return 0
 
     if args.command == "compare":
-        cfg = build_pipeline_config(_collect_opts(args))
-        train = read_ucr(args.train)
         test = read_ucr(args.test)
-        report, model = bench.run_experiment(train, test, cfg, workers=_workers(args))
+        report, model = bench.run_experiment(train, test, cfg, workers=workers)
         print(report.table())
         if args.out_prefix:
             Path(args.out_prefix + ".json").write_text(report.to_json())
@@ -276,11 +254,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "mine-dump":
-        opts = _collect_opts(args)
-        cfg = build_pipeline_config(opts)
-        train = read_ucr(args.train)
-        mining_cfg = dataclasses.replace(cfg.mining, normalize=cfg.distance)
-        shapelets = mine_shapelets(train, mining_cfg, workers=_workers(args))
+        shapelets = mine_shapelets(train, cfg.mining, workers=workers)
         if args.top:
             shapelets = shapelets[: args.top]
         with open(args.out, "w") as fh:
@@ -295,11 +269,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "graph-dump":
-        opts = _collect_opts(args)
-        cfg = build_pipeline_config(opts)
-        train = read_ucr(args.train)
-        mining_cfg = dataclasses.replace(cfg.mining, normalize=cfg.distance)
-        shapelets = mine_shapelets(train, mining_cfg, workers=_workers(args))[: args.top]
+        shapelets = mine_shapelets(train, cfg.mining, workers=workers)[: args.top]
         g = build_graph(shapelets, cfg.distance, same_class_only=cfg.same_class_only)
         vertices, edges = graph_dump_rows(g)
         with open(args.vertices_out, "w") as fh:

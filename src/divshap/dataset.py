@@ -21,6 +21,7 @@ from .errors import (
     FoldCountTooLargeError,
     NonNumericFieldError,
     RaggedRowError,
+    UnknownLabelError,
 )
 
 FLAT_STD = 1e-8
@@ -91,6 +92,15 @@ class Dataset:
         return (self.series(i) for i in range(self.n))
 
 
+def _label_value(tok: str) -> int | str:
+    """A label token's identity: its integer value if integral, else its text."""
+    try:
+        v = float(tok)
+    except ValueError:
+        return tok
+    return int(v) if np.isfinite(v) and v == int(v) else tok
+
+
 def _code_labels(tokens: list[str]) -> tuple[list[int], dict[int, str]]:
     """Map label tokens to integer codes.
 
@@ -99,21 +109,36 @@ def _code_labels(tokens: list[str]) -> tuple[list[int], dict[int, str]]:
     distinct tokens.
     """
     distinct = sorted(set(tokens))
-    as_int: dict[str, int] = {}
-    for tok in distinct:
-        try:
-            v = float(tok)
-        except ValueError:
-            break
-        if not np.isfinite(v) or v != int(v):
-            break
-        as_int[tok] = int(v)
-    if len(as_int) == len(distinct):
-        mapping = as_int
+    values = {tok: _label_value(tok) for tok in distinct}
+    if all(isinstance(v, int) for v in values.values()):
+        mapping = values
     else:
         mapping = {tok: rank for rank, tok in enumerate(distinct)}
     names = {code: tok for tok, code in mapping.items()}
     return [mapping[t] for t in tokens], names
+
+
+def recode_labels(d: Dataset, label_names: dict[int, str]) -> Dataset:
+    """d with its labels coded as in another dataset's label_names.
+
+    Codes depend on the file a dataset was parsed from, so a test file is
+    recoded against the training vocabulary before labels are compared.
+    Labels match by _label_value; one missing from label_names raises
+    UnknownLabelError.
+    """
+    if d.label_names == label_names:
+        return d
+    vocab = {_label_value(name): code for code, name in label_names.items()}
+    classes, inverse = np.unique(d.y, return_inverse=True)
+    codes = []
+    for c in classes:
+        name = d.label_names.get(int(c), str(int(c)))
+        code = vocab.get(_label_value(name))
+        if code is None:
+            raise UnknownLabelError(f"label {name!r} does not occur in the training data")
+        codes.append(code)
+    y = np.asarray(codes, dtype=np.int64)[inverse].reshape(d.y.shape)
+    return Dataset(X=d.X, y=y, label_names=dict(label_names), name=d.name)
 
 
 def parse_ucr(

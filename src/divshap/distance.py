@@ -42,6 +42,18 @@ def euclid_sq(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(d, d))
 
 
+def znorm_rows(w: np.ndarray) -> np.ndarray:
+    """Row-wise z-normalization with the flat-row-to-zeros convention of
+    znormalize."""
+    mu = w.mean(axis=1, keepdims=True)
+    sd = w.std(axis=1, keepdims=True)
+    flat = sd[:, 0] < FLAT_STD
+    out = (w - mu) / np.where(sd < FLAT_STD, 1.0, sd)
+    if flat.any():
+        out[flat] = 0.0
+    return out
+
+
 def _window_stats(t: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of every length-L window of t."""
     w = np.lib.stride_tricks.sliding_window_view(t, L)
@@ -57,14 +69,7 @@ def window_distances(t: np.ndarray, s: np.ndarray, cfg: DistanceConfig = DEFAULT
         raise ShapeletLongerThanSeriesError(f"query length {L} > series length {len(t)}")
     w = np.lib.stride_tricks.sliding_window_view(t, L)
     if cfg.normalize_windows:
-        q = znormalize(s)
-        mu = w.mean(axis=1, keepdims=True)
-        sd = w.std(axis=1, keepdims=True)
-        flat = sd[:, 0] < FLAT_STD
-        wz = (w - mu) / np.where(sd < FLAT_STD, 1.0, sd)
-        if flat.any():
-            wz = np.where(flat[:, None], 0.0, wz)
-        diff = wz - q
+        diff = znorm_rows(w) - znormalize(s)
     else:
         diff = w - s
     out = np.einsum("ij,ij->i", diff, diff)

@@ -47,3 +47,11 @@ class SingleClassTrainingError(DivshapError):
 
 class KindMismatchError(DivshapError):
     """Train and test inputs are not the same representation."""
+
+
+class UnknownLabelError(DivshapError):
+    """A test label does not occur among the training labels."""
+
+
+class ModelFormatError(DivshapError):
+    """A saved model file is not a well-formed divshap model."""

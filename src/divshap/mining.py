@@ -3,23 +3,21 @@
 Candidates are every subsequence of every training series inside a length
 band (defaults m/11 .. m/2). Each candidate is scored by the best
 information-gain split of its orderline: the sorted distances from the
-candidate to all training series. The scored, sorted list feeds the
-diversity graph.
+candidate to all training series. Every candidate is scored; there is no
+pre-filter. The scored, sorted list feeds the diversity graph.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FLAT_STD, Dataset
-from .distance import DEFAULT_CONFIG, DistanceConfig, window_distances
+from .dataset import Dataset
+from .distance import DEFAULT_CONFIG, DistanceConfig, window_distances, znorm_rows
 from .errors import BandEmptyError
-from .sax import sax_word
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,28 +63,17 @@ class Shapelet:
 
 
 @dataclass(frozen=True)
-class SaxConfig:
-    word_length: int = 8
-    alphabet_size: int = 4
-    projection_iterations: int = 10
-    keep_fraction: float = 0.25
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class MiningConfig:
-    """Candidate band, strides, and the optional SAX pre-filter.
+    """Candidate band, strides, and the window distance used for scoring.
 
     min_len/max_len default to max(3, m // 11) and m // 2 for series
-    length m.
+    length m. The pipeline sets normalize to its own distance config.
     """
 
     min_len: int | None = None
     max_len: int | None = None
     length_stride: int = 1
     position_stride: int = 1
-    use_sax_filter: bool = False
-    sax: SaxConfig = field(default_factory=SaxConfig)
     normalize: DistanceConfig = field(default_factory=DistanceConfig)
 
     def band(self, m: int) -> tuple[int, int]:
@@ -200,72 +187,18 @@ def best_split(ol: list[tuple[float, int]]) -> tuple[float, float, float]:
     return best[1], best[2], best[3]
 
 
-def sax_filter(candidates: list[Shapelet], cfg: MiningConfig) -> list[Shapelet]:
-    """Keep the candidates whose SAX words best distinguish classes.
-
-    Every candidate is discretized to a SAX word; over several rounds a
-    random subset of word positions is masked and candidates with colliding
-    projected words are bucketed. A candidate's distinguishing power is the
-    per-class imbalance of distinct source series in its bucket, summed over
-    rounds. The top keep_fraction by power survive. This is an optional
-    accelerator; mining correctness never depends on it.
-    """
-    scfg = cfg.sax
-    if not candidates or scfg.keep_fraction >= 1.0:
-        return list(candidates)
-    if scfg.alphabet_size < 2:
-        warnings.warn("SAX alphabet of size 1 cannot distinguish anything; keeping all candidates")
-        return list(candidates)
-
-    classes = sorted({c.class_label for c in candidates})
-    rng = np.random.default_rng(scfg.seed)
-    power = np.zeros(len(candidates))
-
-    by_length: dict[int, list[int]] = {}
-    for idx, c in enumerate(candidates):
-        by_length.setdefault(c.length, []).append(idx)
-
-    for length in sorted(by_length):
-        group = by_length[length]
-        words = [sax_word(candidates[i].values, scfg.word_length, scfg.alphabet_size) for i in group]
-        wlen = len(words[0])
-        n_mask = max(1, wlen // 3) if wlen > 1 else 0
-        for _ in range(scfg.projection_iterations):
-            keep = np.sort(rng.choice(wlen, size=wlen - n_mask, replace=False))
-            buckets: dict[tuple[int, ...], dict[int, set[int]]] = {}
-            projected = []
-            for i, w in zip(group, words):
-                proj = tuple(w[p] for p in keep)
-                projected.append(proj)
-                per_class = buckets.setdefault(proj, {})
-                per_class.setdefault(candidates[i].class_label, set()).add(
-                    candidates[i].source_series
-                )
-            for i, proj in zip(group, projected):
-                per_class = buckets[proj]
-                counts = np.array([len(per_class.get(c, ())) for c in classes], dtype=np.float64)
-                power[i] += np.abs(counts - counts.mean()).sum()
-
-    keep_n = int(np.ceil(scfg.keep_fraction * len(candidates)))
-    ranked = np.argsort(-power, kind="stable")[:keep_n]
-    ranked.sort()
-    return [candidates[i] for i in ranked]
-
-
 def mine_shapelets(
     train: Dataset, cfg: MiningConfig | None = None, *, workers: int = 1
 ) -> list[Shapelet]:
-    """Score every surviving candidate and sort best-first.
+    """Score every candidate and sort best-first.
 
     Scoring is the batched equivalent of best_split(orderline(c)) for each
     candidate c. The sort key is (gain desc, gap desc, length asc, source
     series asc, start asc), a total order, so output is deterministic for
-    fixed inputs and seed.
+    fixed inputs.
     """
     cfg = cfg or MiningConfig()
     candidates = generate_candidates(train, cfg)
-    if cfg.use_sax_filter:
-        candidates = sax_filter(candidates, cfg)
     if not candidates:
         return []
 
@@ -276,17 +209,6 @@ def mine_shapelets(
     ]
     scored.sort(key=lambda s: (-s.gain, -s.gap, s.length, s.source_series, s.start))
     return scored
-
-
-def _znorm_rows(w: np.ndarray) -> np.ndarray:
-    """Row-wise z-normalization with the flat-row-to-zeros convention."""
-    mu = w.mean(axis=1, keepdims=True)
-    sd = w.std(axis=1, keepdims=True)
-    flat = sd[:, 0] < FLAT_STD
-    out = (w - mu) / np.where(sd < FLAT_STD, 1.0, sd)
-    if flat.any():
-        out[flat] = 0.0
-    return out
 
 
 def _score_candidates(
@@ -324,8 +246,8 @@ def _score_candidates(
         )
         C = np.stack([candidates[i].values for i in idxs])
         if dist_cfg.normalize_windows:
-            windows = _znorm_rows(np.ascontiguousarray(windows, dtype=np.float64))
-            C = _znorm_rows(C)
+            windows = znorm_rows(np.ascontiguousarray(windows, dtype=np.float64))
+            C = znorm_rows(C)
         wn = np.einsum("ij,ij->i", windows, windows)
         cn = np.einsum("ij,ij->i", C, C)
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import elm
-from .dataset import Dataset, stratified_folds, znormalize
+from .dataset import Dataset, recode_labels, stratified_folds, znormalize
 from .distance import DistanceConfig
-from .errors import LengthMismatchError, SingleClassTrainingError
+from .errors import LengthMismatchError, ModelFormatError, SingleClassTrainingError
 from .graph import DiversityGraph, build_graph, div_topk
-from .mining import MiningConfig, SaxConfig, Shapelet, mine_shapelets
+from .mining import MiningConfig, Shapelet, mine_shapelets
 from .transform import Scaling, apply_scaling, fit_scaling, transform
 
 MODEL_FORMAT = "divshap-pipeline"
@@ -67,7 +67,7 @@ class PipelineModel:
     k_sweep_report: list[dict]
     config: PipelineConfig
     trained_m: int
-    label_names: dict[int, str] = field(default_factory=dict)
+    label_names: dict[int, str]
 
 
 def _sweep_elm_seed(base_seed: int, k: int, repeat: int) -> int:
@@ -91,8 +91,7 @@ def _evaluate_features(
     """One sweep-cell evaluation: CV mean accuracy or training accuracy."""
     elm_cfg = dataclasses.replace(cfg.elm, seed=elm_seed)
     if folds is None:
-        scaling = Scaling(mins=X.min(axis=0), maxs=X.max(axis=0))
-        Xs = _scale(X, scaling)
+        Xs = Scaling.fit(X).apply(X)
         model = elm.train(Xs, y, elm_cfg)
         return float((elm.predict(model, Xs) == y).mean())
 
@@ -102,21 +101,14 @@ def _evaluate_features(
         tr = ~val
         if not val.any() or len(np.unique(y[tr])) < 2:
             continue
-        scaling = Scaling(mins=X[tr].min(axis=0), maxs=X[tr].max(axis=0))
-        model = elm.train(_scale(X[tr], scaling), y[tr], elm_cfg)
-        pred = elm.predict(model, _scale(X[val], scaling))
+        scaling = Scaling.fit(X[tr])
+        model = elm.train(scaling.apply(X[tr]), y[tr], elm_cfg)
+        pred = elm.predict(model, scaling.apply(X[val]))
         accs.append(float((pred == y[val]).mean()))
     if not accs:
         warnings.warn("no usable CV folds; falling back to training accuracy")
         return _evaluate_features(X, y, None, cfg, elm_seed)
     return float(np.mean(accs))
-
-
-def _scale(X: np.ndarray, scaling: Scaling) -> np.ndarray:
-    span = scaling.maxs - scaling.mins
-    safe = np.where(span > 0, span, 1.0)
-    out = np.clip((X - scaling.mins) / safe, 0.0, 1.0)
-    return np.where(span > 0, out, 0.0)
 
 
 def select_k(
@@ -206,8 +198,10 @@ def _fit_from_graph(graph: DiversityGraph, train: Dataset, cfg: PipelineConfig) 
 def predict_pipeline(model: PipelineModel, test: Dataset) -> tuple[np.ndarray, float | None]:
     """Transform test data with the fitted shapelets and classify.
 
-    Returns integer-coded predictions and the accuracy against the test
-    labels, or None when the test set is empty.
+    Returns predictions in the model's label codes and the accuracy against
+    the test labels, or None when the test set is empty. Test labels are
+    matched to training labels by name; an unseen one raises
+    UnknownLabelError.
     """
     if test.m != model.trained_m:
         raise LengthMismatchError(
@@ -215,29 +209,25 @@ def predict_pipeline(model: PipelineModel, test: Dataset) -> tuple[np.ndarray, f
         )
     if test.n == 0:
         return np.asarray([], dtype=np.int64), None
-    test = prepare_series(test, model.config)
+    test = prepare_series(recode_labels(test, model.label_names), model.config)
     feats = apply_scaling(transform(test, model.shapelets, model.config.distance), model.scaling)
     pred = elm.predict(model.elm_model, feats.X)
     return pred, float((pred == test.y).mean())
 
 
-def _config_to_dict(cfg: PipelineConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def _config_from_dict(d: dict) -> PipelineConfig:
-    mining = dict(d["mining"])
-    mining["sax"] = SaxConfig(**mining["sax"])
-    mining["normalize"] = DistanceConfig(**mining["normalize"])
-    return PipelineConfig(
-        kappa=d["kappa"],
-        mining=MiningConfig(**mining),
-        distance=DistanceConfig(**d["distance"]),
-        elm=elm.ELMConfig(**d["elm"]),
-        evaluation=EvalConfig(**d["evaluation"]),
-        same_class_only=d["same_class_only"],
-        znormalize_series=d.get("znormalize_series", False),
-    )
+def _config_from_dict(cls, d: dict):
+    """Rebuild config dataclass cls, nested configs included, from its asdict
+    form. Every field must be present; keys naming no field are ignored, so
+    files written before an option was removed still load."""
+    defaults = cls()
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        default = getattr(defaults, f.name)
+        value = d[f.name]
+        kwargs[f.name] = (
+            _config_from_dict(type(default), value) if dataclasses.is_dataclass(default) else value
+        )
+    return cls(**kwargs)
 
 
 def save_pipeline(model: PipelineModel, stream) -> None:
@@ -247,7 +237,7 @@ def save_pipeline(model: PipelineModel, stream) -> None:
         "version": MODEL_VERSION,
         "selected_k": model.selected_k,
         "trained_m": model.trained_m,
-        "config": _config_to_dict(model.config),
+        "config": dataclasses.asdict(model.config),
         "label_names": {str(k): v for k, v in model.label_names.items()},
         "shapelets": [
             {
@@ -270,11 +260,36 @@ def save_pipeline(model: PipelineModel, stream) -> None:
 
 
 def load_pipeline(stream) -> PipelineModel:
-    blob = json.load(stream)
-    if blob.get("format") != MODEL_FORMAT:
-        raise ValueError("not a divshap pipeline model file")
+    """Read a model written by save_pipeline.
+
+    A file that is not a complete, self-consistent model raises
+    ModelFormatError.
+    """
+    try:
+        blob = json.load(stream)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"model file is not JSON: {exc}") from exc
+    if not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT:
+        raise ModelFormatError("not a divshap pipeline model file")
     if blob.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {blob.get('version')}")
+        raise ModelFormatError(f"unsupported model version {blob.get('version')}")
+    try:
+        model = _model_from_blob(blob)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelFormatError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
+    k = model.selected_k
+    W, beta = model.elm_model.hidden.W, model.elm_model.beta
+    if not (
+        len(model.shapelets) == k == len(model.scaling.mins) == len(model.scaling.maxs)
+        and W.ndim == beta.ndim == 2
+        and W.shape[1] == k
+        and beta.shape == (W.shape[0], len(model.elm_model.codebook))
+    ):
+        raise ModelFormatError("model file sizes disagree: shapelets, scaling and ELM weights")
+    return model
+
+
+def _model_from_blob(blob: dict) -> PipelineModel:
     shapelets = [
         Shapelet(
             values=np.asarray(s["values"], dtype=np.float64),
@@ -301,7 +316,7 @@ def load_pipeline(stream) -> PipelineModel:
         ),
         elm_model=elm.model_from_dict(blob["elm"]),
         k_sweep_report=sweep,
-        config=_config_from_dict(blob["config"]),
+        config=_config_from_dict(PipelineConfig, blob["config"]),
         trained_m=int(blob["trained_m"]),
-        label_names={int(k): v for k, v in blob.get("label_names", {}).items()},
+        label_names={int(k): v for k, v in blob["label_names"].items()},
     )

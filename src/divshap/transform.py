@@ -7,9 +7,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, znormalize
-from .distance import DEFAULT_CONFIG, DistanceConfig
+from .distance import DEFAULT_CONFIG, DistanceConfig, znorm_rows
 from .errors import ShapeletLongerThanSeriesError
-from .mining import Shapelet, _znorm_rows
+from .mining import Shapelet
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,18 @@ class Scaling:
 
     mins: np.ndarray
     maxs: np.ndarray
+
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "Scaling":
+        """Column min/max of X."""
+        return cls(mins=X.min(axis=0), maxs=X.max(axis=0))
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Scale columns to [0, 1] with clamping; degenerate columns map to 0."""
+        span = self.maxs - self.mins
+        safe = np.where(span > 0, span, 1.0)
+        scaled = np.clip((X - self.mins) / safe, 0.0, 1.0)
+        return np.where(span > 0, scaled, 0.0)
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,7 @@ def transform(
         w = np.lib.stride_tricks.sliding_window_view(d.X, L, axis=1)
         if cfg.normalize_windows:
             n, wcount, _ = w.shape
-            w = _znorm_rows(np.ascontiguousarray(w, dtype=np.float64).reshape(n * wcount, L)).reshape(
+            w = znorm_rows(np.ascontiguousarray(w, dtype=np.float64).reshape(n * wcount, L)).reshape(
                 n, wcount, L
             )
         for j in cols:
@@ -74,16 +86,12 @@ def transform(
 
 def fit_scaling(fm: FeatureMatrix) -> Scaling:
     """Column min/max from a training feature matrix."""
-    return Scaling(mins=fm.X.min(axis=0), maxs=fm.X.max(axis=0))
+    return Scaling.fit(fm.X)
 
 
 def apply_scaling(fm: FeatureMatrix, scaling: Scaling) -> FeatureMatrix:
-    """Scale columns to [0, 1] with clamping; degenerate columns map to 0."""
-    span = scaling.maxs - scaling.mins
-    safe = np.where(span > 0, span, 1.0)
-    scaled = np.clip((fm.X - scaling.mins) / safe, 0.0, 1.0)
-    scaled = np.where(span > 0, scaled, 0.0)
-    return replace(fm, X=scaled, scaling=scaling)
+    """fm with its columns scaled by scaling.apply."""
+    return replace(fm, X=scaling.apply(fm.X), scaling=scaling)
 
 
 def write_features(fm: FeatureMatrix, stream) -> None:

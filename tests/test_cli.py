@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from divshap.cli import main, parse_config_file
+from divshap import cli
+from divshap.cli import OPTIONS, _collect_opts, _parse_bool, build_parser, build_pipeline_config, main, parse_config_file
 from divshap.dataset import write_ucr
+from divshap.pipeline import PipelineConfig
 
 from conftest import bump_dataset
 
@@ -161,3 +163,150 @@ def test_cli_workers_env(data_files, tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--train", str(train), "--out", str(out), *FAST_ARGS]) == 0
     assert out.is_file()
+
+
+# One value per option, as it would be written in a config file; every value
+# differs from the PipelineConfig default so each option visibly sets its
+# fields.
+OPTION_SAMPLES = {
+    "seed": "7",
+    "kappa": "3",
+    "workers": "2",
+    "eval_mode": "train",
+    "eval_folds": "3",
+    "eval_repeats": "2",
+    "min_len": "4",
+    "max_len": "6",
+    "length_stride": "2",
+    "position_stride": "2",
+    "normalize_windows": "false",
+    "length_normalize": "false",
+    "same_class_only": "false",
+    "znormalize_series": "true",
+    "elm_hidden": "12",
+    "elm_ridge": "0.5",
+    "elm_activation": "tanh",
+}
+FIT_ARGS = ["fit", "--train", "t.txt", "--model-out", "m.json"]
+
+
+def _flag_args(opt, text):
+    flag = opt.key.replace("_", "-")
+    if opt.parse is _parse_bool:
+        return ["--" + flag] if text == "true" else ["--no-" + flag]
+    return ["--" + flag, text]
+
+
+def test_every_option_same_from_flag_and_file(tmp_path):
+    assert set(OPTION_SAMPLES) == {o.key for o in OPTIONS}
+    for opt in OPTIONS:
+        text = OPTION_SAMPLES[opt.key]
+        cfg_file = tmp_path / f"{opt.key}.cfg"
+        cfg_file.write_text(f"{opt.key} = {text}\n")
+        from_file = _collect_opts(build_parser().parse_args([*FIT_ARGS, "--config", str(cfg_file)]))
+        from_flag = _collect_opts(build_parser().parse_args([*FIT_ARGS, *_flag_args(opt, text)]))
+        assert from_file == from_flag == {opt.key: from_flag[opt.key]}
+        cfg = build_pipeline_config(from_flag)
+        assert cfg == build_pipeline_config(from_file)
+        assert (cfg != PipelineConfig()) == bool(opt.fields), opt.key
+
+
+def test_no_options_give_default_config():
+    assert build_pipeline_config({}) == PipelineConfig()
+    assert build_pipeline_config(_collect_opts(build_parser().parse_args(FIT_ARGS))) == PipelineConfig()
+
+
+def test_seed_sets_elm_and_evaluation_seeds():
+    cfg = build_pipeline_config({"seed": 7})
+    assert cfg.elm.seed == cfg.evaluation.seed == 7
+
+
+def test_parse_config_rejects_value_outside_choices(tmp_path, data_files, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("eval_mode = bogus\n")
+    with pytest.raises(ValueError, match="eval_mode"):
+        parse_config_file(cfg)
+    train, _ = data_files
+    rc = main(["sweep", "--train", str(train), "--out", str(tmp_path / "s.csv"), "--config", str(cfg)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_workers_precedence(data_files, tmp_path, monkeypatch):
+    """--workers beats the config file, which beats DIVSHAP_WORKERS, then 1."""
+    train, _ = data_files
+    seen = []
+
+    def record(train, cfg, *, workers):
+        seen.append(workers)
+        return []
+
+    monkeypatch.setattr(cli, "mine_shapelets", record)
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("workers = 2\n")
+    base = ["mine-dump", "--train", str(train), "--out", str(tmp_path / "c.csv")]
+    monkeypatch.delenv("DIVSHAP_WORKERS", raising=False)
+    assert main(base) == 0
+    monkeypatch.setenv("DIVSHAP_WORKERS", "3")
+    assert main(base) == 0
+    assert main([*base, "--config", str(cfg)]) == 0
+    assert main([*base, "--config", str(cfg), "--workers", "4"]) == 0
+    assert seen == [1, 3, 2, 4]
+
+
+def _write_labelled(path, labels, seed):
+    """Series whose text label picks an upward bump (a), a downward bump (b)
+    or none (c)."""
+    rng = np.random.default_rng(seed)
+    bump = np.array([0.0, 1.5, 2.5, 1.5, 0.0])
+    shapes = {"a": bump, "b": -bump, "c": 0.0 * bump}
+    with open(path, "w") as fh:
+        for label in labels:
+            row = rng.normal(0.0, 0.2, 24)
+            off = rng.integers(2, 17)
+            row[off : off + 5] += shapes[label]
+            fh.write(",".join([label] + [format(v, ".17g") for v in row]) + "\n")
+
+
+def test_cli_text_labels_coded_against_training(tmp_path, capsys):
+    """A test file holding a subset of the training labels is scored by label
+    name, not by the codes its own label set would get."""
+    train, test, model = tmp_path / "train.txt", tmp_path / "test.txt", tmp_path / "m.json"
+    _write_labelled(train, ["a", "b", "c"] * 6, seed=0)
+    _write_labelled(test, ["b", "c"] * 6, seed=1)
+    assert main(["fit", "--train", str(train), "--model-out", str(model), *FAST_ARGS]) == 0
+    capsys.readouterr()
+
+    pred_csv = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(model), "--test", str(test), "--out", str(pred_csv)]) == 0
+    reported = float(capsys.readouterr().out.split("accuracy:")[1])
+    rows = [line.split(",") for line in pred_csv.read_text().splitlines()[1:]]
+    assert {r[2] for r in rows} == {"b", "c"}
+    true_acc = sum(r[1] == r[2] for r in rows) / len(rows)
+    assert reported == true_acc
+
+    prefix = tmp_path / "cmp"
+    assert main(
+        ["compare", "--train", str(train), "--test", str(test), "--out-prefix", str(prefix), *FAST_ARGS]
+    ) == 0
+    assert json.loads((tmp_path / "cmp.json").read_text())["accuracies"]["divshap_elm"] == true_acc
+
+
+def test_cli_unseen_test_label_errors(tmp_path, capsys):
+    train, test, model = tmp_path / "train.txt", tmp_path / "test.txt", tmp_path / "m.json"
+    _write_labelled(train, ["a", "b"] * 6, seed=0)
+    _write_labelled(test, ["a", "c"] * 3, seed=1)
+    assert main(["fit", "--train", str(train), "--model-out", str(model), *FAST_ARGS]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--test", str(test)]) == 1
+    assert "'c'" in capsys.readouterr().err
+    assert main(["compare", "--train", str(train), "--test", str(test), *FAST_ARGS]) == 1
+    assert "'c'" in capsys.readouterr().err
+
+
+def test_cli_predict_malformed_model_errors(data_files, tmp_path, capsys):
+    _, test = data_files
+    model = tmp_path / "m.json"
+    model.write_text('{"format": "divshap-pipeline", "version": 1}')
+    assert main(["predict", "--model", str(model), "--test", str(test)]) == 1
+    assert "error: malformed model file" in capsys.readouterr().err

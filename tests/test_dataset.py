@@ -7,6 +7,7 @@ import pytest
 from divshap.dataset import (
     Dataset,
     parse_ucr,
+    recode_labels,
     stratified_folds,
     write_ucr,
     znormalize,
@@ -16,6 +17,7 @@ from divshap.errors import (
     FoldCountTooLargeError,
     NonNumericFieldError,
     RaggedRowError,
+    UnknownLabelError,
 )
 
 
@@ -65,6 +67,26 @@ def test_text_labels_coded_by_sort_order():
     assert list(d.classes) == [0, 1]
     assert d.label_names == {0: "run", 1: "walk"}
     assert list(d.y) == [1, 0, 1]
+
+
+def test_recode_labels_matches_training_names():
+    train = parse_ucr("a,0\nb,0\nc,0")
+    test = parse_ucr("c,0\nb,0\nc,0")
+    assert list(test.y) == [1, 0, 1]
+    recoded = recode_labels(test, train.label_names)
+    assert list(recoded.y) == [2, 1, 2]
+    assert recoded.label_names == train.label_names
+    assert np.array_equal(recoded.X, test.X)
+
+
+def test_recode_labels_matches_integral_labels_by_value():
+    train = parse_ucr("1,0\n2,0")
+    assert list(recode_labels(parse_ucr("2.0,0\n1,0"), train.label_names).y) == [2, 1]
+
+
+def test_recode_labels_rejects_unseen_label():
+    with pytest.raises(UnknownLabelError):
+        recode_labels(parse_ucr("a,0\nd,0"), parse_ucr("a,0\nb,0").label_names)
 
 
 def test_roundtrip_identity():

@@ -7,14 +7,12 @@ from divshap.dataset import Dataset
 from divshap.errors import BandEmptyError
 from divshap.mining import (
     MiningConfig,
-    SaxConfig,
     Shapelet,
     best_split,
     entropy,
     generate_candidates,
     mine_shapelets,
     orderline,
-    sax_filter,
 )
 from divshap.distance import subsequence_dist
 
@@ -239,45 +237,6 @@ def test_mine_invariant_to_training_order(toy_train):
     b = mine_shapelets(shuffled, MiningConfig(min_len=4, max_len=6))
     key = lambda s: (round(s.gain, 9), round(s.gap, 9), s.values.tobytes())
     assert sorted(map(key, a)) == sorted(map(key, b))
-
-
-def _toy_candidates(n=40):
-    rng = np.random.default_rng(8)
-    out = []
-    for i in range(n):
-        vals = rng.normal(size=8)
-        out.append(
-            Shapelet(values=vals, source_series=i % 6, start=0, length=8, class_label=i % 2)
-        )
-    return out
-
-
-def test_sax_filter_noop_fraction():
-    cands = _toy_candidates()
-    cfg = MiningConfig(sax=SaxConfig(keep_fraction=1.0))
-    assert sax_filter(cands, cfg) == cands
-
-
-def test_sax_filter_degenerate_alphabet_warns():
-    cands = _toy_candidates()
-    cfg = MiningConfig(sax=SaxConfig(alphabet_size=1, keep_fraction=0.5))
-    with pytest.warns(UserWarning):
-        out = sax_filter(cands, cfg)
-    assert out == cands
-
-
-def test_sax_filter_cardinality():
-    cands = _toy_candidates(n=41)
-    cfg = MiningConfig(sax=SaxConfig(keep_fraction=0.5))
-    out = sax_filter(cands, cfg)
-    assert len(out) == math.ceil(0.5 * 41)
-    assert all(c in cands for c in out)
-
-
-def test_sax_filter_deterministic():
-    cands = _toy_candidates()
-    cfg = MiningConfig(sax=SaxConfig(keep_fraction=0.3, seed=5))
-    assert sax_filter(cands, cfg) == sax_filter(cands, cfg)
 
 
 def test_mine_gain_bounded_by_class_entropy(toy_train):

@@ -1,12 +1,13 @@
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
 
 from divshap import elm
 from divshap.dataset import Dataset
-from divshap.errors import LengthMismatchError, SingleClassTrainingError
+from divshap.errors import LengthMismatchError, ModelFormatError, SingleClassTrainingError
 from divshap.graph import build_graph, similar
 from divshap.mining import MiningConfig, mine_shapelets
 from divshap.pipeline import (
@@ -132,6 +133,51 @@ def test_model_roundtrip_identical_predictions(fitted, toy_test):
     assert acc_a == acc_b
     assert loaded.shapelets == fitted.shapelets
     assert loaded.config == fitted.config
+
+
+def _saved_blob(model):
+    buf = io.StringIO()
+    save_pipeline(model, buf)
+    return json.loads(buf.getvalue())
+
+
+def _load_blob(blob):
+    return load_pipeline(io.StringIO(json.dumps(blob)))
+
+
+def test_load_ignores_keys_of_removed_options(fitted, toy_test):
+    """Files written by versions with since-removed mining options carry
+    extra keys in the mining config; they load and predict unchanged."""
+    blob = _saved_blob(fitted)
+    blob["config"]["mining"]["removed_flag"] = False
+    blob["config"]["mining"]["removed_section"] = {"word_length": 8, "seed": 0}
+    loaded = _load_blob(blob)
+    assert loaded.config == fitted.config
+    assert np.array_equal(predict_pipeline(loaded, toy_test)[0], predict_pipeline(fitted, toy_test)[0])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda b: {"format": b["format"], "version": b["version"]},
+        lambda b: {**b, "format": "other"},
+        lambda b: {**b, "version": 99},
+        lambda b: {**b, "config": {k: v for k, v in b["config"].items() if k != "kappa"}},
+        lambda b: {**b, "shapelets": b["shapelets"][1:]},
+        lambda b: {**b, "scaling": {"mins": [], "maxs": []}},
+        lambda b: {**b, "elm": {**b["elm"], "codebook": [0]}},
+        lambda b: {**b, "shapelets": 3},
+        lambda b: [],
+    ],
+)
+def test_load_rejects_malformed_model(fitted, corrupt):
+    with pytest.raises(ModelFormatError):
+        _load_blob(corrupt(_saved_blob(fitted)))
+
+
+def test_load_rejects_non_json():
+    with pytest.raises(ModelFormatError):
+        load_pipeline(io.StringIO("not json"))
 
 
 def test_selected_set_is_pairwise_dissimilar(fitted):
