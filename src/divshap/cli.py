@@ -37,30 +37,44 @@ def _parse_bool(text: str) -> bool:
 @dataclass(frozen=True)
 class Option:
     """One setting: its config-file key, the parser for its value, the
-    allowed values, and the dotted PipelineConfig fields it sets. workers
-    sets none; it goes to the run instead."""
+    allowed values or the smallest one, and the dotted PipelineConfig fields
+    it sets. workers sets none; it goes to the run instead."""
 
     key: str
     parse: Callable[[str], object]
     fields: tuple[str, ...]
     choices: tuple[str, ...] | None = None
+    minimum: int | None = None
     help: str | None = None
+
+    def __call__(self, text: str):
+        """Parse a flag or file value; a malformed value, or one outside choices
+        or below minimum, raises argparse.ArgumentTypeError (argparse's type)."""
+        try:
+            value = self.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+        if self.choices is not None and value not in self.choices:
+            raise argparse.ArgumentTypeError(f"must be one of {', '.join(self.choices)}")
+        if self.minimum is not None and value < self.minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {self.minimum}")
+        return value
 
 
 WORKERS = Option(
-    "workers", int, (), help="parallel scoring workers (default: DIVSHAP_WORKERS, then 1)"
+    "workers", int, (), minimum=1, help="parallel scoring workers (default: DIVSHAP_WORKERS, then 1)"
 )
 OPTIONS = (
     Option("seed", int, ("elm.seed", "evaluation.seed")),
-    Option("kappa", int, ("kappa",), help="largest shapelet count the k sweep tries"),
+    Option("kappa", int, ("kappa",), minimum=1, help="largest shapelet count the k sweep tries"),
     WORKERS,
     Option("eval_mode", str, ("evaluation.mode",), choices=("cv", "train")),
     Option("eval_folds", int, ("evaluation.folds",)),
-    Option("eval_repeats", int, ("evaluation.repeats",)),
-    Option("min_len", int, ("mining.min_len",)),
-    Option("max_len", int, ("mining.max_len",)),
-    Option("length_stride", int, ("mining.length_stride",)),
-    Option("position_stride", int, ("mining.position_stride",)),
+    Option("eval_repeats", int, ("evaluation.repeats",), minimum=1),
+    Option("min_len", int, ("mining.min_len",), minimum=2),
+    Option("max_len", int, ("mining.max_len",), minimum=2),
+    Option("length_stride", int, ("mining.length_stride",), minimum=1),
+    Option("position_stride", int, ("mining.position_stride",), minimum=1),
     Option(
         "normalize_windows",
         _parse_bool,
@@ -90,6 +104,8 @@ OPTIONS = (
     Option("elm_activation", str, ("elm.activation",), choices=elm.ACTIVATIONS),
 )
 _BY_KEY = {opt.key: opt for opt in OPTIONS}
+# --top of mine-dump and graph-dump: a flag only, with no config-file key
+TOP = Option("top", int, (), minimum=1)
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -106,12 +122,9 @@ def parse_config_file(path: str | Path) -> dict:
         if opt is None:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            value = opt.parse(val)
-        except ValueError as exc:
+            out[key] = opt(val)
+        except argparse.ArgumentTypeError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-        if opt.choices is not None and value not in opt.choices:
-            raise ValueError(f"{path}:{lineno}: {key} must be one of {', '.join(opt.choices)}")
-        out[key] = value
     return out
 
 
@@ -147,13 +160,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         if opt.parse is _parse_bool:
             p.add_argument(flag, dest=opt.key, action=argparse.BooleanOptionalAction, help=opt.help)
         else:
-            p.add_argument(flag, dest=opt.key, type=opt.parse, choices=opt.choices, help=opt.help)
+            p.add_argument(flag, dest=opt.key, type=opt, choices=opt.choices, help=opt.help)
 
 
 def _workers(opts: dict) -> int:
     if WORKERS.key in opts:
         return opts[WORKERS.key]
-    return int(os.environ.get("DIVSHAP_WORKERS", "1"))
+    try:
+        return WORKERS(os.environ.get("DIVSHAP_WORKERS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"DIVSHAP_WORKERS: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine-dump", help="dump scored candidates as CSV")
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--top", type=int, help="keep only the best N candidates")
+    p.add_argument("--top", type=TOP, help="keep only the best N candidates")
     _add_common(p)
 
     p = sub.add_parser("graph-dump", help="dump diversity-graph vertices and edges")
     p.add_argument("--train", required=True)
     p.add_argument("--vertices-out", required=True)
     p.add_argument("--edges-out", required=True)
-    p.add_argument("--top", type=int, default=200, help="graph over the best N candidates")
+    p.add_argument("--top", type=TOP, default=200, help="graph over the best N candidates")
     _add_common(p)
     return parser
 
@@ -255,7 +271,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "mine-dump":
         shapelets = mine_shapelets(train, cfg.mining, workers=workers)
-        if args.top:
+        if args.top is not None:
             shapelets = shapelets[: args.top]
         with open(args.out, "w") as fh:
             fh.write("source_series,start,length,gain,threshold,values\n")

@@ -9,6 +9,7 @@ with the ones already kept.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .distance import DEFAULT_CONFIG, DistanceConfig, shapelet_dist
@@ -37,7 +38,7 @@ class DiversityGraph:
     is_edge identically. Vertex order must be the mining output order.
     """
 
-    vertices: list[Shapelet]
+    vertices: Sequence[Shapelet]
     cfg: DistanceConfig = field(default_factory=DistanceConfig)
     same_class_only: bool = True
     adjacency: list[set[int]] | None = None
@@ -70,7 +71,7 @@ class DiversityGraph:
 
 
 def build_graph(
-    all_shapelets: list[Shapelet],
+    all_shapelets: Sequence[Shapelet],
     cfg: DistanceConfig = DEFAULT_CONFIG,
     *,
     same_class_only: bool = True,
@@ -80,9 +81,10 @@ def build_graph(
 
     The eager build runs the O(n^2) pair scan and stores symmetric
     adjacency sets. The lazy build defers edge evaluation to queries, which
-    keeps huge candidate lists tractable; query results are identical.
+    keeps huge candidate lists tractable; query results are identical. The
+    graph reads the given sequence by index and does not copy it.
     """
-    g = DiversityGraph(vertices=list(all_shapelets), cfg=cfg, same_class_only=same_class_only)
+    g = DiversityGraph(vertices=all_shapelets, cfg=cfg, same_class_only=same_class_only)
     if lazy:
         return g
     n = g.n

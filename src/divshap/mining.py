@@ -4,12 +4,15 @@ Candidates are every subsequence of every training series inside a length
 band (defaults m/11 .. m/2). Each candidate is scored by the best
 information-gain split of its orderline: the sorted distances from the
 candidate to all training series. Every candidate is scored; there is no
-pre-filter. The scored, sorted list feeds the diversity graph.
+pre-filter. Generation, scoring and the best-first ordering work on the
+columns of a CandidateTable; a Shapelet object is built only when its row
+is read, so the greedy scan of the diversity graph builds just the prefix
+it reads.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -82,6 +85,8 @@ class MiningConfig:
         hi = self.max_len if self.max_len is not None else m // 2
         if lo < 2:
             raise ValueError(f"min_len must be at least 2, got {lo}")
+        if min(self.length_stride, self.position_stride) < 1:
+            raise ValueError("length_stride and position_stride must be at least 1")
         if hi > m:
             raise ValueError(f"max_len {hi} exceeds series length {m}")
         if lo > hi:
@@ -89,35 +94,65 @@ class MiningConfig:
         return lo, hi
 
 
-def generate_candidates(train: Dataset, cfg: MiningConfig) -> list[Shapelet]:
+class CandidateTable(Sequence[Shapelet]):
+    """Candidates over one training set, stored as parallel columns.
+
+    Row r is the window X[source[r], start[r] : start[r] + length[r]] of
+    class y[source[r]], with its split threshold, gain and gap (zeros until
+    scored). The table is a read-only sequence of Shapelet: a row's Shapelet
+    is built when the row is first read and kept, so a row always gives the
+    same object and rows never read are never built. A slice is a list of
+    those objects; == compares element by element.
+    """
+
+    def __init__(self, train: Dataset, source, start, length, threshold, gain, gap):
+        self.columns = (source, start, length, threshold, gain, gap)
+        for column in self.columns:
+            column.flags.writeable = False
+        self.source, self.start, self.length, self.threshold, self.gain, self.gap = self.columns
+        self._train = train
+        self._built: dict[int, Shapelet] = {}
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __getitem__(self, index):
+        r = range(len(self))[index]
+        if isinstance(r, range):
+            return [self[i] for i in r]
+        if r not in self._built:
+            src, st, L = int(self.source[r]), int(self.start[r]), int(self.length[r])
+            values = self._train.X[src, st : st + L].copy()
+            scores = (float(self.threshold[r]), float(self.gain[r]), float(self.gap[r]))
+            self._built.setdefault(r, Shapelet(values, src, st, L, int(self._train.y[src]), *scores))
+        return self._built[r]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def generate_candidates(train: Dataset, cfg: MiningConfig) -> CandidateTable:
     """Enumerate all candidate subsequences, dropping exact duplicates.
 
     Lengths step by length_stride through the band, start positions by
-    position_stride; the first occurrence of duplicate value lists wins.
+    position_stride. Rows are in (length, source series, start) order, and
+    of windows with identical bytes only the first is kept. No Shapelet is
+    built here; see CandidateTable.
     """
     lo, hi = cfg.band(train.m)
-    seen: set[bytes] = set()
-    out: list[Shapelet] = []
+    ps = cfg.position_stride
+    columns = []
     for L in range(lo, hi + 1, cfg.length_stride):
-        for i in range(train.n):
-            row = train.X[i]
-            label = int(train.y[i])
-            for start in range(0, train.m - L + 1, cfg.position_stride):
-                vals = row[start : start + L]
-                key = vals.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(
-                    Shapelet(
-                        values=vals.copy(),
-                        source_series=i,
-                        start=start,
-                        length=L,
-                        class_label=label,
-                    )
-                )
-    return out
+        windows = np.lib.stride_tricks.sliding_window_view(train.X, L, axis=1)[:, ::ps]
+        n, w = windows.shape[:2]
+        rows = np.ascontiguousarray(windows).reshape(n * w, L)
+        first = np.sort(np.unique(rows.view(np.dtype((np.void, rows.strides[0]))), return_index=True)[1])
+        source, slot = np.divmod(first, w)
+        columns.append((source, slot * ps, np.full(len(first), L)))
+    source, start, length = (np.concatenate(c) for c in zip(*columns))
+    return CandidateTable(train, source, start, length, *np.zeros((3, len(source))))
 
 
 def entropy(counts) -> float:
@@ -189,36 +224,34 @@ def best_split(ol: list[tuple[float, int]]) -> tuple[float, float, float]:
 
 def mine_shapelets(
     train: Dataset, cfg: MiningConfig | None = None, *, workers: int = 1
-) -> list[Shapelet]:
-    """Score every candidate and sort best-first.
+) -> CandidateTable:
+    """Score every candidate and order the table best-first.
 
     Scoring is the batched equivalent of best_split(orderline(c)) for each
-    candidate c. The sort key is (gain desc, gap desc, length asc, source
+    candidate c. The order is (gain desc, gap desc, length asc, source
     series asc, start asc), a total order, so output is deterministic for
-    fixed inputs.
+    fixed inputs. Scoring and ordering work on the table's columns; a
+    Shapelet is built only when a caller reads its row, so a greedy scan
+    that stops early builds only the prefix it read.
     """
     cfg = cfg or MiningConfig()
-    candidates = generate_candidates(train, cfg)
-    if not candidates:
-        return []
-
-    thr, gain, gap = _score_candidates(train, candidates, cfg.normalize, workers=workers)
-    scored = [
-        dataclasses.replace(c, split_threshold=float(thr[i]), gain=float(gain[i]), gap=float(gap[i]))
-        for i, c in enumerate(candidates)
-    ]
-    scored.sort(key=lambda s: (-s.gain, -s.gap, s.length, s.source_series, s.start))
-    return scored
+    table = generate_candidates(train, cfg)
+    if not len(table):
+        return table
+    thr, gain, gap = _score_candidates(train, table, cfg.normalize, workers=workers)
+    order = np.lexsort((table.start, table.source, table.length, -gap, -gain))
+    return CandidateTable(train, *(c[order] for c in (*table.columns[:3], thr, gain, gap)))
 
 
 def _score_candidates(
     train: Dataset,
-    candidates: list[Shapelet],
+    table: CandidateTable,
     dist_cfg: DistanceConfig,
     *,
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched orderline + best-split scoring for all candidates.
+) -> np.ndarray:
+    """Batched orderline + best-split scoring: rows threshold, gain and gap,
+    one column per row of the table.
 
     Distances use the dot-product expansion, so one matrix product covers a
     whole block of candidates against every window of every series. Results
@@ -230,26 +263,18 @@ def _score_candidates(
     single_class = len(classes) == 1
     h0 = 0.0 if single_class else entropy(onehot_series.sum(axis=0))
 
-    thr = np.zeros(len(candidates))
-    gain = np.zeros(len(candidates))
-    gap = np.zeros(len(candidates))
-
-    by_length: dict[int, list[int]] = {}
-    for idx, c in enumerate(candidates):
-        by_length.setdefault(c.length, []).append(idx)
+    scores = np.zeros((3, len(table)))
 
     def run_length(L: int) -> None:
-        idxs = by_length[L]
+        idxs = np.flatnonzero(table.length == L)
         wcount = m - L + 1
-        windows = np.lib.stride_tricks.sliding_window_view(train.X, L, axis=1).reshape(
-            n * wcount, L
-        )
-        C = np.stack([candidates[i].values for i in idxs])
+        windows = np.lib.stride_tricks.sliding_window_view(train.X, L, axis=1).reshape(n * wcount, L)
         if dist_cfg.normalize_windows:
-            windows = znorm_rows(np.ascontiguousarray(windows, dtype=np.float64))
-            C = znorm_rows(C)
+            windows = znorm_rows(windows)
         wn = np.einsum("ij,ij->i", windows, windows)
-        cn = np.einsum("ij,ij->i", C, C)
+        # every candidate is one of the windows
+        rows = table.source[idxs] * wcount + table.start[idxs]
+        C, cn = windows[rows], wn[rows]
 
         block = max(1, min(int(4e6 / max(1, n * wcount)), int(2e6 / max(1, n * len(classes))), len(idxs)))
         for lo in range(0, len(idxs), block):
@@ -264,20 +289,16 @@ def _score_candidates(
             np.clip(dist, 0.0, None, out=dist)
             if dist_cfg.length_normalize:
                 dist /= L
-            t, g, gp = _batch_best_split(dist, onehot_series, h0, single_class)
-            picked = idxs[lo : lo + len(cb)]
-            thr[picked] = t
-            gain[picked] = g
-            gap[picked] = gp
+            scores[:, idxs[sel]] = _batch_best_split(dist, onehot_series, h0, single_class)
 
-    lengths = sorted(by_length)
+    lengths = np.unique(table.length).tolist()
     if workers > 1 and len(lengths) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_length, lengths))
     else:
         for L in lengths:
             run_length(L)
-    return thr, gain, gap
+    return scores
 
 
 def _batch_best_split(

@@ -232,7 +232,59 @@ def test_parse_config_rejects_value_outside_choices(tmp_path, data_files, capsys
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_workers_precedence(data_files, tmp_path, monkeypatch):
+def test_integer_options_below_minimum_rejected(tmp_path, data_files, capsys):
+    """A flag or file value below an option's minimum is refused by name; a
+    stride of 0 used to end in range()'s own error."""
+    train, _ = data_files
+    base = ["mine-dump", "--train", str(train), "--out", str(tmp_path / "c.csv")]
+    bounded = {o.key: o.minimum for o in OPTIONS if o.minimum is not None}
+    assert bounded == {
+        "kappa": 1,
+        "workers": 1,
+        "eval_repeats": 1,
+        "min_len": 2,
+        "max_len": 2,
+        "length_stride": 1,
+        "position_stride": 1,
+    }
+    for key, minimum in bounded.items():
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([*base, flag, str(minimum - 1)])
+        assert exc.value.code == 2
+        assert f"{flag}: must be at least {minimum}" in capsys.readouterr().err
+
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"# low\n{key} = {minimum - 1}\n")
+        assert main([*base, "--config", str(cfg)]) == 1
+        assert f"error: {cfg}:2: {key}: must be at least {minimum}" in capsys.readouterr().err
+
+
+def test_cli_top_must_be_positive(data_files, tmp_path, capsys):
+    train, _ = data_files
+    out = tmp_path / "c.csv"
+    mine = ["mine-dump", "--train", str(train), "--out", str(out), *FAST_ARGS]
+    graph = [
+        "graph-dump",
+        "--train",
+        str(train),
+        "--vertices-out",
+        str(tmp_path / "v.csv"),
+        "--edges-out",
+        str(tmp_path / "e.csv"),
+        *FAST_ARGS,
+    ]
+    for args in (mine, graph):
+        for top in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main([*args, "--top", top])
+            assert exc.value.code == 2
+            assert "--top: must be at least 1" in capsys.readouterr().err
+    assert main([*mine, "--top", "1"]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_cli_workers_precedence(data_files, tmp_path, monkeypatch, capsys):
     """--workers beats the config file, which beats DIVSHAP_WORKERS, then 1."""
     train, _ = data_files
     seen = []
@@ -252,6 +304,9 @@ def test_cli_workers_precedence(data_files, tmp_path, monkeypatch):
     assert main([*base, "--config", str(cfg)]) == 0
     assert main([*base, "--config", str(cfg), "--workers", "4"]) == 0
     assert seen == [1, 3, 2, 4]
+    monkeypatch.setenv("DIVSHAP_WORKERS", "0")
+    assert main(base) == 1
+    assert "error: DIVSHAP_WORKERS: must be at least 1" in capsys.readouterr().err
 
 
 def _write_labelled(path, labels, seed):
