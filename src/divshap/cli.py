@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -32,6 +33,13 @@ def _parse_bool(text: str) -> bool:
     if low not in ("true", "false", "1", "0", "yes", "no"):
         raise ValueError(f"bad boolean {text!r}")
     return low in ("true", "1", "yes")
+
+
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,11 +73,11 @@ WORKERS = Option(
     "workers", int, (), minimum=1, help="parallel scoring workers (default: DIVSHAP_WORKERS, then 1)"
 )
 OPTIONS = (
-    Option("seed", int, ("elm.seed", "evaluation.seed")),
+    Option("seed", int, ("elm.seed", "evaluation.seed"), minimum=0),
     Option("kappa", int, ("kappa",), minimum=1, help="largest shapelet count the k sweep tries"),
     WORKERS,
     Option("eval_mode", str, ("evaluation.mode",), choices=("cv", "train")),
-    Option("eval_folds", int, ("evaluation.folds",)),
+    Option("eval_folds", int, ("evaluation.folds",), minimum=2),
     Option("eval_repeats", int, ("evaluation.repeats",), minimum=1),
     Option("min_len", int, ("mining.min_len",), minimum=2),
     Option("max_len", int, ("mining.max_len",), minimum=2),
@@ -99,8 +107,8 @@ OPTIONS = (
         ("znormalize_series",),
         help="z-normalize whole series before mining",
     ),
-    Option("elm_hidden", int, ("elm.n_hidden",)),
-    Option("elm_ridge", float, ("elm.ridge",)),
+    Option("elm_hidden", int, ("elm.n_hidden",), minimum=1),
+    Option("elm_ridge", _parse_finite, ("elm.ridge",), minimum=0),
     Option("elm_activation", str, ("elm.activation",), choices=elm.ACTIVATIONS),
 )
 _BY_KEY = {opt.key: opt for opt in OPTIONS}

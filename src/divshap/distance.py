@@ -4,6 +4,12 @@ All shapelet machinery rests on one measure: the minimum squared euclidean
 distance between a query and every aligned window of a series, optionally
 z-normalizing both sides and dividing by the compared length so distances
 of different-length queries share a per-point scale.
+
+nearest_window_dists is the batched kernel behind mining and transform: a
+matrix product finds each query's nearest window in each series, and direct
+squared differences measure it. window_distances is the per-pair scan
+behind shapelet_dist and the orderline oracle; subsequence_dist, an
+early-abandoning scalar loop, is the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -54,10 +60,43 @@ def znorm_rows(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_stats(t: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std of every length-L window of t."""
-    w = np.lib.stride_tricks.sliding_window_view(t, L)
-    return w.mean(axis=1), w.std(axis=1)
+def window_matrix(X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Every length-L window of every row of X, one per row, in (row, start)
+    order, z-normalized when cfg.normalize_windows. Rows of length L give
+    one window each, so a stack of queries is prepared the same way."""
+    X = np.asarray(X, dtype=np.float64)
+    n, m = X.shape
+    if L > m:
+        raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
+    if L < m:
+        X = np.lib.stride_tricks.sliding_window_view(X, L, axis=1).reshape(n * (m - L + 1), L)
+    return znorm_rows(X) if cfg.normalize_windows else X
+
+
+def nearest_window_dists(
+    Q: np.ndarray, W: np.ndarray, n: int, cfg: DistanceConfig = DEFAULT_CONFIG
+) -> np.ndarray:
+    """(queries, n) minimum window distances from each row of Q to each of
+    n series, whose windows W holds series by series. Q and W come from
+    window_matrix with the same cfg.
+
+    Within a series, q.w - |w|^2/2 is largest at the window nearest to q, so
+    one matrix product picks it; the picked window is then measured by
+    direct squared differences.
+    """
+    k, L = Q.shape
+    wcount = len(W) // n
+    score = Q @ W.T
+    score -= 0.5 * np.einsum("ij,ij->i", W, W)
+    nearest = score.reshape(k, n, wcount).argmax(axis=2)
+    del score
+    diff = W[nearest + wcount * np.arange(n)]
+    diff -= Q[:, None]
+    diff = diff.reshape(k * n, L)
+    out = np.einsum("ij,ij->i", diff, diff).reshape(k, n)
+    if cfg.length_normalize:
+        out /= L
+    return out
 
 
 def window_distances(t: np.ndarray, s: np.ndarray, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -78,13 +117,7 @@ def window_distances(t: np.ndarray, s: np.ndarray, cfg: DistanceConfig = DEFAULT
     return out
 
 
-def subsequence_dist(
-    t: np.ndarray,
-    s: np.ndarray,
-    cfg: DistanceConfig = DEFAULT_CONFIG,
-    *,
-    early_abandon: bool = True,
-) -> float:
+def subsequence_dist(t: np.ndarray, s: np.ndarray, cfg: DistanceConfig = DEFAULT_CONFIG) -> float:
     """Minimum window distance of query s slid along series t.
 
     The early-abandoning scan drops a window as soon as its running sum
@@ -95,45 +128,31 @@ def subsequence_dist(
     L = len(s)
     if L > len(t):
         raise ShapeletLongerThanSeriesError(f"query length {L} > series length {len(t)}")
-    if not early_abandon:
-        return float(window_distances(t, s, cfg).min())
 
+    wcount = len(t) - L + 1
     if cfg.normalize_windows:
         q = znormalize(s)
-        mus, sds = _window_stats(t, L)
+        w = np.lib.stride_tricks.sliding_window_view(t, L)
+        mus, sds = w.mean(axis=1), w.std(axis=1)
     else:
-        q = s
-        mus = sds = None
+        q, mus, sds = s, np.zeros(wcount), np.ones(wcount)
 
-    scale = L if cfg.length_normalize else 1
     q_sq = float(np.dot(q, q))
     best = np.inf
-    for start in range(len(t) - L + 1):
-        if cfg.normalize_windows:
-            sd = sds[start]
-            if sd < FLAT_STD:
-                # flat window z-normalizes to zeros
-                total = q_sq
-                if total < best:
-                    best = total
-                continue
-            mu = mus[start]
-            total = 0.0
-            for i in range(L):
-                diff = (t[start + i] - mu) / sd - q[i]
-                total += diff * diff
-                if total >= best:
-                    break
-        else:
-            total = 0.0
-            for i in range(L):
-                diff = t[start + i] - q[i]
-                total += diff * diff
-                if total >= best:
-                    break
-        if total < best:
-            best = total
-    return best / scale
+    for start in range(wcount):
+        mu, sd = mus[start], sds[start]
+        if sd < FLAT_STD:
+            # flat window z-normalizes to zeros
+            best = min(best, q_sq)
+            continue
+        total = 0.0
+        for i in range(L):
+            diff = (t[start + i] - mu) / sd - q[i]
+            total += diff * diff
+            if total >= best:
+                break
+        best = min(best, total)
+    return best / L if cfg.length_normalize else best
 
 
 def shapelet_dist(s1, s2, cfg: DistanceConfig = DEFAULT_CONFIG) -> float:

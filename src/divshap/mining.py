@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .distance import DEFAULT_CONFIG, DistanceConfig, window_distances, znorm_rows
+from .distance import DEFAULT_CONFIG, DistanceConfig, nearest_window_dists, window_distances, window_matrix
 from .errors import BandEmptyError
 
 
@@ -253,9 +253,9 @@ def _score_candidates(
     """Batched orderline + best-split scoring: rows threshold, gain and gap,
     one column per row of the table.
 
-    Distances use the dot-product expansion, so one matrix product covers a
-    whole block of candidates against every window of every series. Results
-    match the pairwise kernels to summation-order accuracy.
+    Each length's windows are prepared once, every candidate is gathered
+    from them, and distance.nearest_window_dists scores a whole block of
+    candidates against every series in one call.
     """
     n, m = train.n, train.m
     classes = np.unique(train.y)
@@ -268,27 +268,14 @@ def _score_candidates(
     def run_length(L: int) -> None:
         idxs = np.flatnonzero(table.length == L)
         wcount = m - L + 1
-        windows = np.lib.stride_tricks.sliding_window_view(train.X, L, axis=1).reshape(n * wcount, L)
-        if dist_cfg.normalize_windows:
-            windows = znorm_rows(windows)
-        wn = np.einsum("ij,ij->i", windows, windows)
+        windows = window_matrix(train.X, L, dist_cfg)
         # every candidate is one of the windows
-        rows = table.source[idxs] * wcount + table.start[idxs]
-        C, cn = windows[rows], wn[rows]
+        C = windows[table.source[idxs] * wcount + table.start[idxs]]
 
         block = max(1, min(int(4e6 / max(1, n * wcount)), int(2e6 / max(1, n * len(classes))), len(idxs)))
         for lo in range(0, len(idxs), block):
-            sel = slice(lo, min(lo + block, len(idxs)))
-            cb = C[sel]
-            d2 = cb @ windows.T
-            d2 *= -2.0
-            d2 += cn[sel][:, None]
-            d2 += wn[None, :]
-            # clipping after the min is equivalent (clip is nondecreasing)
-            dist = d2.reshape(len(cb), n, wcount).min(axis=2)
-            np.clip(dist, 0.0, None, out=dist)
-            if dist_cfg.length_normalize:
-                dist /= L
+            sel = slice(lo, lo + block)
+            dist = nearest_window_dists(C[sel], windows, n, dist_cfg)
             scores[:, idxs[sel]] = _batch_best_split(dist, onehot_series, h0, single_class)
 
     lengths = np.unique(table.length).tolist()

@@ -6,9 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, znormalize
-from .distance import DEFAULT_CONFIG, DistanceConfig, znorm_rows
-from .errors import ShapeletLongerThanSeriesError
+from .dataset import Dataset
+from .distance import DEFAULT_CONFIG, DistanceConfig, nearest_window_dists, window_matrix
 from .mining import Shapelet
 
 
@@ -52,33 +51,14 @@ def transform(
     """Map each series to its vector of subsequence distances to shapelets.
 
     Entry (i, j) is the minimum window distance from series i to shapelet j.
-    Shapelets are grouped by length so each group shares one pass over the
-    series windows.
+    Shapelets of one length go through distance.nearest_window_dists in one
+    call against the windows of every series.
     """
-    for s in shapelets:
-        if s.length > d.m:
-            raise ShapeletLongerThanSeriesError(
-                f"shapelet length {s.length} > series length {d.m}"
-            )
     out = np.zeros((d.n, len(shapelets)))
-    by_length: dict[int, list[int]] = {}
-    for j, s in enumerate(shapelets):
-        by_length.setdefault(s.length, []).append(j)
-
-    for L, cols in by_length.items():
-        w = np.lib.stride_tricks.sliding_window_view(d.X, L, axis=1)
-        if cfg.normalize_windows:
-            n, wcount, _ = w.shape
-            w = znorm_rows(np.ascontiguousarray(w, dtype=np.float64).reshape(n * wcount, L)).reshape(
-                n, wcount, L
-            )
-        for j in cols:
-            q = shapelets[j].values
-            if cfg.normalize_windows:
-                q = znormalize(q)
-            diff = w - q
-            dist = np.einsum("nwl,nwl->nw", diff, diff).min(axis=1)
-            out[:, j] = dist / L if cfg.length_normalize else dist
+    for L in {s.length for s in shapelets}:
+        cols = [j for j, s in enumerate(shapelets) if s.length == L]
+        queries = window_matrix([shapelets[j].values for j in cols], L, cfg)
+        out[:, cols] = nearest_window_dists(queries, window_matrix(d.X, L, cfg), d.n, cfg).T
     return FeatureMatrix(
         X=out, labels=d.y.copy(), shapelet_ids=[s.id for s in shapelets], scaling=None
     )

@@ -234,19 +234,28 @@ def test_parse_config_rejects_value_outside_choices(tmp_path, data_files, capsys
 
 def test_integer_options_below_minimum_rejected(tmp_path, data_files, capsys):
     """A flag or file value below an option's minimum is refused by name; a
-    stride of 0 used to end in range()'s own error."""
+    stride of 0 used to end in range()'s own error, and a ridge of -1 or nan
+    silently chose the unregularized solve."""
     train, _ = data_files
     base = ["mine-dump", "--train", str(train), "--out", str(tmp_path / "c.csv")]
     bounded = {o.key: o.minimum for o in OPTIONS if o.minimum is not None}
     assert bounded == {
+        "seed": 0,
         "kappa": 1,
         "workers": 1,
+        "eval_folds": 2,
         "eval_repeats": 1,
         "min_len": 2,
         "max_len": 2,
         "length_stride": 1,
         "position_stride": 1,
+        "elm_hidden": 1,
+        "elm_ridge": 0,
     }
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--elm-ridge", "nan"])
+    assert exc.value.code == 2
+    assert "--elm-ridge: invalid value 'nan': not a finite number" in capsys.readouterr().err
     for key, minimum in bounded.items():
         flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,11 @@ import pytest
 from divshap.distance import (
     DistanceConfig,
     euclid_sq,
+    nearest_window_dists,
     shapelet_dist,
     subsequence_dist,
     window_distances,
+    window_matrix,
 )
 from divshap.errors import LengthMismatchError, ShapeletLongerThanSeriesError
 
@@ -83,8 +85,58 @@ def test_subsequence_matches_naive_scan(normalize, length_normalize):
         want = naive_subsequence_dist(t, s, normalize, length_normalize)
         got = subsequence_dist(t, s, cfg)
         assert got == pytest.approx(want, rel=1e-9)
-        fast = subsequence_dist(t, s, cfg, early_abandon=False)
+        fast = window_distances(t, s, cfg).min()
         assert fast == pytest.approx(want, rel=1e-9)
+
+
+def series_with_flat_stretches(rng, n, m):
+    """Random series, each with a constant stretch long enough to hold flat
+    windows of every length the kernel tests use."""
+    X = rng.normal(size=(n, m))
+    for row in X:
+        start = int(rng.integers(0, m - 8))
+        row[start : start + 8] = row[start]
+    return X
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("length_normalize", [True, False])
+def test_nearest_window_dists_matches_naive_scan(normalize, length_normalize):
+    rng = np.random.default_rng(3)
+    cfg = DistanceConfig(normalize_windows=normalize, length_normalize=length_normalize)
+    X = series_with_flat_stretches(rng, 6, 24)
+    for L in (3, 5, 8):
+        queries = np.vstack([rng.normal(size=(4, L)), np.full((1, L), 2.5), X[2, 4 : 4 + L]])
+        got = nearest_window_dists(window_matrix(queries, L, cfg), window_matrix(X, L, cfg), len(X), cfg)
+        assert got.shape == (len(queries), len(X))
+        for j, q in enumerate(queries):
+            for i, t in enumerate(X):
+                want = naive_subsequence_dist(t, q, normalize, length_normalize)
+                assert got[j, i] == pytest.approx(want, rel=1e-9, abs=1e-12), (L, j, i)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_nearest_window_dists_window_query_is_exactly_zero(normalize):
+    rng = np.random.default_rng(11)
+    cfg = DistanceConfig(normalize_windows=normalize)
+    X = series_with_flat_stretches(rng, 5, 30)
+    for L in (4, 9):
+        W = window_matrix(X, L, cfg)
+        rows = np.arange(0, len(W), 7)
+        got = nearest_window_dists(W[rows], W, len(X), cfg)
+        series = rows // (X.shape[1] - L + 1)
+        assert (got[np.arange(len(rows)), series] == 0.0).all()
+
+
+def test_nearest_window_dists_batch_equals_single_queries():
+    rng = np.random.default_rng(12)
+    X = series_with_flat_stretches(rng, 7, 40)
+    for cfg in (DistanceConfig(), DistanceConfig(normalize_windows=False, length_normalize=False)):
+        W = window_matrix(X, 6, cfg)
+        Q = np.vstack([window_matrix(rng.normal(size=(9, 6)), 6, cfg), W[::25]])
+        batch = nearest_window_dists(Q, W, len(X), cfg)
+        single = np.vstack([nearest_window_dists(Q[j : j + 1], W, len(X), cfg) for j in range(len(Q))])
+        assert np.array_equal(batch, single)
 
 
 def test_window_distances_matches_scan():

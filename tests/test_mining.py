@@ -283,6 +283,17 @@ def test_mine_batch_scores_match_scalar_path():
         assert s.split_threshold == pytest.approx(thr, abs=1e-9)
 
 
+def test_mine_thresholds_and_gains_equal_scalar_path_exactly():
+    # distances are measured as orderline measures them, so the split point is
+    # the same float; gaps are means summed in another order
+    d = bump_dataset(seed=3, per_class=4, m=24)
+    mined = mine_shapelets(d, MiningConfig(min_len=3, max_len=8))
+    assert len(mined) > 500
+    for s in mined:
+        thr, gain, _ = best_split(orderline(s, d))
+        assert (s.split_threshold, s.gain) == (thr, gain), s.id
+
+
 def test_mine_single_class_all_zero_gain():
     rng = np.random.default_rng(1)
     d = Dataset(X=rng.normal(size=(4, 12)), y=np.zeros(4, dtype=int))
@@ -351,12 +362,6 @@ def test_mined_order_and_gains_independent_of_blas_threads(mined_by_blas_threads
     assert [(r[0], r[2]) for r in one] == [(r[0], r[2]) for r in two]
 
 
-@pytest.mark.xfail(
-    reason="OpenBLAS computes some edge tiles of the scoring matmul in another "
-    "summation order when it splits the product over two threads, so a few "
-    "thresholds and gaps differ in their last bits (not strict: with one CPU "
-    "or another BLAS the product may not be split at all)",
-)
 def test_mined_thresholds_and_gaps_independent_of_blas_threads(mined_by_blas_threads):
     one, two = (runs[0] for runs in mined_by_blas_threads.values())
     assert one == two

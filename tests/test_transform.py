@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from divshap.dataset import Dataset
-from divshap.distance import subsequence_dist
 from divshap.errors import ShapeletLongerThanSeriesError
 from divshap.mining import MiningConfig, Shapelet, generate_candidates
 from divshap.transform import (
@@ -15,6 +14,8 @@ from divshap.transform import (
     transform,
     write_features,
 )
+
+from test_distance import naive_subsequence_dist
 
 
 def make_shapelet(values, label=0, idx=0, start=0):
@@ -46,7 +47,7 @@ def test_transform_matches_entrywise_recomputation():
     fm = transform(d, shapelets)
     for i in range(d.n):
         for j, s in enumerate(shapelets):
-            want = subsequence_dist(d.X[i], s.values, early_abandon=False)
+            want = naive_subsequence_dist(d.X[i], s.values)
             assert fm.X[i, j] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
