@@ -6,7 +6,7 @@ represents each series by its distances to the survivors, and classifies
 with an analytically trained single-hidden-layer network.
 """
 
-from .dataset import Dataset, TimeSeries, parse_ucr, read_ucr, stratified_folds, write_ucr, znormalize
+from .dataset import Dataset, parse_ucr, read_ucr, stratified_folds, write_ucr, znormalize
 from .distance import DistanceConfig, euclid_sq, shapelet_dist, subsequence_dist, window_distances
 from .elm import ELMConfig, ELMModel, HiddenLayer, hidden_output, pinv_solve
 from .graph import DiversityGraph, build_graph, div_topk, similar
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "TimeSeries",
     "parse_ucr",
     "read_ucr",
     "write_ucr",

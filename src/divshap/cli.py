@@ -24,8 +24,7 @@ from . import bench, elm
 from .dataset import read_ucr
 from .errors import DivshapError
 from .graph import build_graph, graph_dump_rows
-from .mining import mine_shapelets
-from .pipeline import PipelineConfig, fit, load_pipeline, predict_pipeline, save_pipeline
+from .pipeline import PipelineConfig, fit, load_pipeline, mine_graph, predict_pipeline, save_pipeline
 
 
 def _parse_bool(text: str) -> bool:
@@ -262,7 +261,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "sweep":
-        report, model = bench.run_experiment(train, None, cfg, workers=workers, mode="sweep")
+        model = fit(train, cfg, workers=workers)
         Path(args.out).write_text(bench.sweep_csv(model))
         print(f"selected_k: {model.selected_k}")
         print(f"sweep written to {args.out}")
@@ -278,7 +277,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "mine-dump":
-        shapelets = mine_shapelets(train, cfg.mining, workers=workers)
+        shapelets = mine_graph(train, cfg, workers=workers)[1].vertices
         if args.top is not None:
             shapelets = shapelets[: args.top]
         with open(args.out, "w") as fh:
@@ -293,7 +292,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "graph-dump":
-        shapelets = mine_shapelets(train, cfg.mining, workers=workers)[: args.top]
+        shapelets = mine_graph(train, cfg, workers=workers)[1].vertices[: args.top]
         g = build_graph(shapelets, cfg.distance, same_class_only=cfg.same_class_only)
         vertices, edges = graph_dump_rows(g)
         with open(args.vertices_out, "w") as fh:

@@ -12,7 +12,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -25,15 +25,6 @@ from .errors import (
 )
 
 FLAT_STD = 1e-8
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """One labeled series: sample values, integer class code, ordinal id."""
-
-    values: np.ndarray
-    label: int
-    id: int
 
 
 @dataclass(frozen=True)
@@ -82,14 +73,8 @@ class Dataset:
     def classes(self) -> np.ndarray:
         return np.unique(self.y)
 
-    def series(self, i: int) -> TimeSeries:
-        return TimeSeries(values=self.X[i], label=int(self.y[i]), id=i)
-
     def __len__(self) -> int:
         return self.n
-
-    def __iter__(self) -> Iterator[TimeSeries]:
-        return (self.series(i) for i in range(self.n))
 
 
 def _label_value(tok: str) -> int | str:
@@ -211,9 +196,9 @@ def write_ucr(d: Dataset, stream: TextIO, *, delimiter: str = ",") -> None:
     Values are written with 17 significant digits, so parse_ucr(write_ucr(d))
     reproduces d exactly.
     """
-    for ts in d:
-        tok = d.label_names.get(ts.label, str(ts.label))
-        fields = [tok] + [format(v, ".17g") for v in ts.values]
+    for row, label in zip(d.X, d.y):
+        tok = d.label_names.get(int(label), str(int(label)))
+        fields = [tok] + [format(v, ".17g") for v in row]
         stream.write(delimiter.join(fields) + "\n")
 
 

@@ -8,7 +8,6 @@ target matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,11 +156,3 @@ def model_from_dict(d: dict) -> ELMModel:
         codebook=np.asarray(d["codebook"], dtype=np.int64),
         ridge=float(d["ridge"]),
     )
-
-
-def save_model(model: ELMModel, stream) -> None:
-    json.dump({"format": "divshap-elm", "version": 1, **model_to_dict(model)}, stream)
-
-
-def load_model(stream) -> ELMModel:
-    return model_from_dict(json.load(stream))

@@ -60,11 +60,6 @@ class DiversityGraph:
             self._cache[key] = hit
         return hit
 
-    def neighbors(self, i: int) -> set[int]:
-        if self.adjacency is not None:
-            return set(self.adjacency[i])
-        return {j for j in range(self.n) if j != i and self.is_edge(i, j)}
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) with i < j, materializing lazily if needed."""
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.is_edge(i, j)]

@@ -157,6 +157,22 @@ def select_k(
     return best_k, pool[:best_k], report
 
 
+def mine_graph(
+    train: Dataset, cfg: PipelineConfig, *, workers: int = 1
+) -> tuple[Dataset, DiversityGraph]:
+    """Candidate selection, the first stage of fit: prepare the series, mine
+    every candidate under the pipeline's distance settings, and wrap them in
+    the lazy diversity graph. Returns the prepared training set and the graph.
+    """
+    train = prepare_series(train, cfg)
+    mining_cfg = dataclasses.replace(cfg.mining, normalize=cfg.distance)
+    all_shapelets = mine_shapelets(train, mining_cfg, workers=workers)
+    graph = build_graph(
+        all_shapelets, cfg.distance, same_class_only=cfg.same_class_only, lazy=True
+    )
+    return train, graph
+
+
 def fit(train: Dataset, cfg: PipelineConfig | None = None, *, workers: int = 1) -> PipelineModel:
     """Mine, build the diversity graph, select k, and train the final ELM.
 
@@ -166,18 +182,13 @@ def fit(train: Dataset, cfg: PipelineConfig | None = None, *, workers: int = 1) 
     cfg = cfg or PipelineConfig()
     if len(train.classes) < 2:
         raise SingleClassTrainingError("pipeline training needs at least two classes")
-    train = prepare_series(train, cfg)
-    mining_cfg = dataclasses.replace(cfg.mining, normalize=cfg.distance)
-    all_shapelets = mine_shapelets(train, mining_cfg, workers=workers)
-    graph = build_graph(
-        all_shapelets, cfg.distance, same_class_only=cfg.same_class_only, lazy=True
-    )
+    train, graph = mine_graph(train, cfg, workers=workers)
     return _fit_from_graph(graph, train, cfg)
 
 
 def _fit_from_graph(graph: DiversityGraph, train: Dataset, cfg: PipelineConfig) -> PipelineModel:
-    """Selection and final training given an already-built graph (lets
-    benchmarks reuse one mining pass across seeds)."""
+    """Diversified selection, the second stage of fit: sweep k over the
+    graph of mine_graph and train the final ELM on the prepared train set."""
     k, shapelets, report = select_k(graph, train, cfg)
     feats = transform(train, shapelets, cfg.distance)
     scaling = fit_scaling(feats)

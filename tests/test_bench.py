@@ -16,7 +16,7 @@ from divshap.dataset import Dataset
 from divshap.elm import ELMConfig
 from divshap.errors import KindMismatchError
 from divshap.mining import MiningConfig
-from divshap.pipeline import EvalConfig, PipelineConfig
+from divshap.pipeline import EvalConfig, PipelineConfig, fit, predict_pipeline
 from divshap.transform import FeatureMatrix
 
 from conftest import bump_dataset
@@ -93,9 +93,13 @@ def test_run_experiment_compare_fields(toy_train, toy_test):
     assert set(report.accuracies) == {"divshap_elm", "raw_elm", "raw_1nn", "transformed_1nn"}
     for v in report.accuracies.values():
         assert 0.0 <= v <= 1.0
-    for key in ("candidate_selection", "diversified_selection", "transform", "classify"):
+    for key in ("candidate_selection", "diversified_selection", "classify"):
         assert report.timings[key] >= 0.0
     assert 1 <= report.selected_k <= 9
+    fitted = fit(toy_train, fast_cfg())
+    assert report.selected_k == fitted.selected_k
+    assert [s.id for s in model.shapelets] == [s.id for s in fitted.shapelets]
+    assert report.accuracies["divshap_elm"] == predict_pipeline(fitted, toy_test)[1]
 
 
 def test_run_experiment_deterministic_accuracies(toy_train, toy_test):
@@ -119,7 +123,7 @@ def test_run_experiment_znormalize_series_flag(toy_train, toy_test):
 
 
 def test_sweep_csv_one_row_per_k(toy_train):
-    _, model = run_experiment(toy_train, None, fast_cfg(), mode="sweep")
+    model = fit(toy_train, fast_cfg())
     lines = sweep_csv(model).strip().splitlines()
     assert lines[0] == "k,mean_accuracy,n_shapelets"
     assert len(lines) - 1 == len(model.k_sweep_report)

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from divshap import cli
+from divshap import pipeline
 from divshap.cli import OPTIONS, _collect_opts, _parse_bool, build_parser, build_pipeline_config, main, parse_config_file
-from divshap.dataset import write_ucr
-from divshap.pipeline import PipelineConfig
+from divshap.bench import sweep_csv
+from divshap.dataset import Dataset, read_ucr, write_ucr
+from divshap.pipeline import PipelineConfig, fit, mine_graph
 
 from conftest import bump_dataset
 
@@ -25,6 +26,7 @@ def data_files(tmp_path):
 
 
 FAST_ARGS = ["--min-len", "4", "--max-len", "6", "--eval-repeats", "2"]
+FAST_OPTS = {"min_len": 4, "max_len": 6, "eval_repeats": 2}
 
 
 def test_cli_fit_and_predict(data_files, tmp_path, capsys):
@@ -49,6 +51,7 @@ def test_cli_sweep(data_files, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,mean_accuracy,n_shapelets"
     assert len(lines) >= 2
+    assert out.read_text() == sweep_csv(fit(read_ucr(train), build_pipeline_config(FAST_OPTS)))
 
 
 def test_cli_compare_reports(data_files, tmp_path, capsys):
@@ -107,6 +110,32 @@ def test_cli_graph_dump(data_files, tmp_path):
     ) == 0
     assert v_out.read_text().startswith("index,gain,threshold,class")
     assert e_out.read_text().startswith("i,j")
+
+
+def test_cli_dumps_mine_as_fit_does(tmp_path):
+    """mine-dump and graph-dump write the candidates of fit's own mining, so
+    whole-series z-normalization reaches them as well."""
+    d = bump_dataset(seed=0)
+    rng = np.random.default_rng(5)
+    X = d.X * rng.uniform(0.5, 4.0, (d.n, 1)) + rng.uniform(-5.0, 5.0, (d.n, 1))
+    path = tmp_path / "shifted_TRAIN.txt"
+    with open(path, "w") as fh:
+        write_ucr(Dataset(X=X, y=d.y), fh)
+    flags = ["--train", str(path), *FAST_ARGS, "--znormalize-series", "--no-normalize-windows"]
+    cands, v_out, e_out = tmp_path / "cands.csv", tmp_path / "v.csv", tmp_path / "e.csv"
+    assert main(["mine-dump", "--out", str(cands), *flags]) == 0
+    assert main(["graph-dump", "--vertices-out", str(v_out), "--edges-out", str(e_out), "--top", "20", *flags]) == 0
+
+    cfg = build_pipeline_config({**FAST_OPTS, "znormalize_series": True, "normalize_windows": False})
+    mined = mine_graph(read_ucr(path), cfg)[1].vertices
+    rows = [line.split(",") for line in cands.read_text().splitlines()[1:]]
+    assert [f"s{r[0]}_{r[1]}_{r[2]}" for r in rows] == [s.id for s in mined]
+    assert [float(r[4]) for r in rows] == [s.split_threshold for s in mined]
+    for r, s in zip(rows, mined):
+        assert np.array_equal(np.array(r[5].split(), dtype=float), s.values)
+    rows = [line.split(",") for line in v_out.read_text().splitlines()[1:]]
+    assert [f"s{r[4]}_{r[5]}_{r[6]}" for r in rows] == [s.id for s in mined[:20]]
+    assert [float(r[2]) for r in rows] == [s.split_threshold for s in mined[:20]]
 
 
 def test_cli_config_file(data_files, tmp_path):
@@ -302,7 +331,7 @@ def test_cli_workers_precedence(data_files, tmp_path, monkeypatch, capsys):
         seen.append(workers)
         return []
 
-    monkeypatch.setattr(cli, "mine_shapelets", record)
+    monkeypatch.setattr(pipeline, "mine_shapelets", record)
     cfg = tmp_path / "w.cfg"
     cfg.write_text("workers = 2\n")
     base = ["mine-dump", "--train", str(train), "--out", str(tmp_path / "c.csv")]
