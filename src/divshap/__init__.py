@@ -7,7 +7,7 @@ with an analytically trained single-hidden-layer network.
 """
 
 from .dataset import Dataset, parse_ucr, read_ucr, stratified_folds, write_ucr, znormalize
-from .distance import DistanceConfig, euclid_sq, shapelet_dist, subsequence_dist, window_distances
+from .distance import DistanceConfig, shapelet_dist, subsequence_dist, window_distances
 from .elm import ELMConfig, ELMModel, HiddenLayer, hidden_output, pinv_solve
 from .graph import DiversityGraph, build_graph, div_topk, similar
 from .mining import (
@@ -41,7 +41,6 @@ __all__ = [
     "znormalize",
     "stratified_folds",
     "DistanceConfig",
-    "euclid_sq",
     "subsequence_dist",
     "window_distances",
     "shapelet_dist",

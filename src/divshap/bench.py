@@ -158,12 +158,3 @@ def sweep_csv(model: PipelineModel) -> str:
             f"{row['k']},{format(row['mean_accuracy'], '.17g')},{row['n_shapelets']}"
         )
     return "\n".join(lines) + "\n"
-
-
-def time_predict(model: elm.ELMModel, X: np.ndarray, repetitions: int = 100) -> float:
-    """Total wall-clock seconds for repeated predict calls on fixed inputs."""
-    elm.predict(model, X)  # warm up
-    t0 = time.perf_counter()
-    for _ in range(repetitions):
-        elm.predict(model, X)
-    return time.perf_counter() - t0

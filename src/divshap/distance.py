@@ -6,9 +6,13 @@ z-normalizing both sides and dividing by the compared length so distances
 of different-length queries share a per-point scale.
 
 nearest_window_dists is the batched kernel behind mining and transform: a
-matrix product finds each query's nearest window in each series, and direct
-squared differences measure it. window_distances is the per-pair scan
-behind shapelet_dist and the orderline oracle; subsequence_dist, an
+matrix product picks each query's nearest window in each series, and direct
+squared differences measure it, so distances are exact. The two callers
+differ only in the Windows they pass. Mining scans its z-normalized window
+matrix, since every window is also a query. Transform scans the plain
+windows, weighted by 1/sd from prefix sums (SeriesSums), and z-normalizes
+only the windows it picks. window_distances is the per-pair scan behind
+shapelet_dist and the orderline oracle; subsequence_dist, an
 early-abandoning scalar loop, is the oracle both are checked against.
 """
 
@@ -38,16 +42,6 @@ class DistanceConfig:
 DEFAULT_CONFIG = DistanceConfig()
 
 
-def euclid_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared euclidean distance between equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatchError(f"lengths {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.dot(d, d))
-
-
 def znorm_rows(w: np.ndarray) -> np.ndarray:
     """Row-wise z-normalization with the flat-row-to-zeros convention of
     znormalize."""
@@ -73,24 +67,128 @@ def window_matrix(X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -
     return znorm_rows(X) if cfg.normalize_windows else X
 
 
+@dataclass(frozen=True)
+class Windows:
+    """The length-L windows of n series, as nearest_window_dists reads them.
+
+    scan holds one row per window, series by series. The pick scores query
+    q against window i as (q . scan[i]) * scale[i] - offset[i], with scale
+    None meaning 1, and keeps each series' top score. A picked window is
+    measured as its scan row when series is None, and otherwise as the
+    z-normalization of its values in series, the raw (n, m) series.
+    """
+
+    scan: np.ndarray
+    n: int
+    offset: np.ndarray
+    scale: np.ndarray | None = None
+    series: np.ndarray | None = None
+
+    @classmethod
+    def of_matrix(cls, W: np.ndarray, n: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> "Windows":
+        """Windows that are measured as they are scanned: W comes from
+        window_matrix with the same cfg. The offset is |w|^2/2, which is L/2
+        for a z-normalized row and 0 for a flat one (all zeros)."""
+        if cfg.normalize_windows:
+            offset = np.where(W.any(axis=1), 0.5 * W.shape[1], 0.0)
+        else:
+            offset = 0.5 * np.einsum("ij,ij->i", W, W)
+        return cls(W, n, offset)
+
+    def measured(self, nearest: np.ndarray) -> np.ndarray:
+        """(k, n, L) rows of the picked windows, a fresh array; nearest[j, i]
+        is the start of query j's pick in series i."""
+        L = self.scan.shape[1]
+        if self.series is None:
+            return self.scan[nearest + (len(self.scan) // self.n) * np.arange(self.n)]
+        k = len(nearest)
+        rows = np.lib.stride_tricks.sliding_window_view(self.series, L, axis=1)[np.arange(self.n), nearest]
+        return znorm_rows(rows.reshape(k * self.n, L)).reshape(k, self.n, L)
+
+
+# A window variance taken from prefix sums is trusted only when it exceeds
+# this many times the sums' rounding bound; below that the window is
+# z-normalized directly.
+RUNNING_VAR_MARGIN = 1e8
+
+
+@dataclass(frozen=True)
+class SeriesSums:
+    """Prefix sums of each series' mean-centred values and of their squares.
+
+    Built once per batch, they give the standard deviation of every window,
+    at any length, without z-normalizing the windows.
+    """
+
+    series: np.ndarray
+    centered: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> "SeriesSums":
+        """The sums of the rows of X, each with a leading zero."""
+        X = np.asarray(X, dtype=np.float64)
+        centered = X - X.mean(axis=1, keepdims=True)
+        s1, s2 = np.zeros((2, len(X), X.shape[1] + 1))
+        np.cumsum(centered, axis=1, out=s1[:, 1:])
+        np.cumsum(centered * centered, axis=1, out=s2[:, 1:])
+        return cls(X, centered, s1, s2)
+
+    def windows(self, L: int) -> Windows:
+        """The length-L windows for a z-normalized pick.
+
+        A z-normalized query q sums to zero, so for a non-flat window w,
+        q . z(w) = (q . w) / sd(w) and |z(w)|^2 = L: the scan holds the
+        centred windows, scale is 1/sd and offset L/2. A window whose
+        running variance could be off by more than 1/RUNNING_VAR_MARGIN of
+        itself, or which is close to flat, is z-normalized directly instead
+        (scale 1, offset L/2 or 0 when flat), as window_matrix would.
+        """
+        n, m = self.series.shape
+        if L > m:
+            raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
+        wcount = m - L + 1
+        mean = (self.s1[:, L:] - self.s1[:, :wcount]) / L
+        var = (self.s2[:, L:] - self.s2[:, :wcount]) / L - mean * mean
+        # each prefix sum may be off by about m*eps of the series' sum of
+        # squares; the squared mean can add a further sqrt(m/L) of that
+        bound = 3 * m * np.finfo(np.float64).eps * self.s2[:, -1:] * np.sqrt(m / L) / L
+        direct = (var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)).ravel()
+        scan = np.lib.stride_tricks.sliding_window_view(self.centered, L, axis=1).reshape(n * wcount, L)
+        scale = 1.0 / np.sqrt(np.where(direct, 1.0, var.ravel()))
+        offset = np.full(n * wcount, 0.5 * L)
+        if direct.any():
+            idx = np.flatnonzero(direct)
+            if wcount == 1:  # the reshape above was a view of centered
+                scan = scan.copy()
+            raw = np.lib.stride_tricks.sliding_window_view(self.series, L, axis=1)[idx // wcount, idx % wcount]
+            scan[idx] = znorm_rows(raw)
+            scale[idx] = 1.0
+            offset[idx] = np.where(scan[idx].any(axis=1), 0.5 * L, 0.0)
+        return Windows(scan, n, offset, scale, self.series)
+
+
 def nearest_window_dists(
-    Q: np.ndarray, W: np.ndarray, n: int, cfg: DistanceConfig = DEFAULT_CONFIG
+    Q: np.ndarray, windows: Windows, cfg: DistanceConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """(queries, n) minimum window distances from each row of Q to each of
-    n series, whose windows W holds series by series. Q and W come from
-    window_matrix with the same cfg.
+    """(queries, n) minimum window distances from each row of Q, a
+    window_matrix made with cfg, to each of the n series of windows.
 
     Within a series, q.w - |w|^2/2 is largest at the window nearest to q, so
-    one matrix product picks it; the picked window is then measured by
-    direct squared differences.
+    one matrix product picks it (see Windows for how the scan is scaled and
+    offset); the picked window is then measured by direct squared
+    differences, so the distance is exact.
     """
     k, L = Q.shape
-    wcount = len(W) // n
-    score = Q @ W.T
-    score -= 0.5 * np.einsum("ij,ij->i", W, W)
-    nearest = score.reshape(k, n, wcount).argmax(axis=2)
+    n = windows.n
+    score = Q @ windows.scan.T
+    if windows.scale is not None:
+        score *= windows.scale
+    score -= windows.offset
+    nearest = score.reshape(k, n, len(windows.scan) // n).argmax(axis=2)
     del score
-    diff = W[nearest + wcount * np.arange(n)]
+    diff = windows.measured(nearest)
     diff -= Q[:, None]
     diff = diff.reshape(k * n, L)
     out = np.einsum("ij,ij->i", diff, diff).reshape(k, n)

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .distance import DEFAULT_CONFIG, DistanceConfig, nearest_window_dists, window_distances, window_matrix
+from .distance import (
+    DEFAULT_CONFIG,
+    DistanceConfig,
+    Windows,
+    nearest_window_dists,
+    window_distances,
+    window_matrix,
+)
 from .errors import BandEmptyError
 
 
@@ -268,14 +275,14 @@ def _score_candidates(
     def run_length(L: int) -> None:
         idxs = np.flatnonzero(table.length == L)
         wcount = m - L + 1
-        windows = window_matrix(train.X, L, dist_cfg)
+        windows = Windows.of_matrix(window_matrix(train.X, L, dist_cfg), n, dist_cfg)
         # every candidate is one of the windows
-        C = windows[table.source[idxs] * wcount + table.start[idxs]]
+        C = windows.scan[table.source[idxs] * wcount + table.start[idxs]]
 
         block = max(1, min(int(4e6 / max(1, n * wcount)), int(2e6 / max(1, n * len(classes))), len(idxs)))
         for lo in range(0, len(idxs), block):
             sel = slice(lo, lo + block)
-            dist = nearest_window_dists(C[sel], windows, n, dist_cfg)
+            dist = nearest_window_dists(C[sel], windows, dist_cfg)
             scores[:, idxs[sel]] = _batch_best_split(dist, onehot_series, h0, single_class)
 
     lengths = np.unique(table.length).tolist()

@@ -7,7 +7,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset
-from .distance import DEFAULT_CONFIG, DistanceConfig, nearest_window_dists, window_matrix
+from .distance import (
+    DEFAULT_CONFIG,
+    DistanceConfig,
+    SeriesSums,
+    Windows,
+    nearest_window_dists,
+    window_matrix,
+)
 from .mining import Shapelet
 
 
@@ -52,13 +59,23 @@ def transform(
 
     Entry (i, j) is the minimum window distance from series i to shapelet j.
     Shapelets of one length go through distance.nearest_window_dists in one
-    call against the windows of every series.
+    call against the windows of every series. With z-normalization on, the
+    windows are not z-normalized to pick the nearest: each window's standard
+    deviation comes from prefix sums built once per call (SeriesSums), and
+    only the picked windows are z-normalized, for the exact measurement.
     """
+    sums = SeriesSums.of(d.X) if cfg.normalize_windows else None
+
+    def windows(L: int) -> Windows:
+        if sums is None:
+            return Windows.of_matrix(window_matrix(d.X, L, cfg), d.n, cfg)
+        return sums.windows(L)
+
     out = np.zeros((d.n, len(shapelets)))
     for L in {s.length for s in shapelets}:
         cols = [j for j, s in enumerate(shapelets) if s.length == L]
         queries = window_matrix([shapelets[j].values for j in cols], L, cfg)
-        out[:, cols] = nearest_window_dists(queries, window_matrix(d.X, L, cfg), d.n, cfg).T
+        out[:, cols] = nearest_window_dists(queries, windows(L), cfg).T
     return FeatureMatrix(
         X=out, labels=d.y.copy(), shapelet_ids=[s.id for s in shapelets], scaling=None
     )

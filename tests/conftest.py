@@ -1,13 +1,15 @@
-"""Shared fixtures: synthetic datasets and UCR file resolution."""
+"""Shared fixtures: synthetic datasets, UCR file resolution and predict timing."""
 
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from divshap import elm
 from divshap.dataset import Dataset, read_ucr
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +53,15 @@ def xor_dataset(seed: int = 0, per_cell: int = 4, m: int = 36, noise: float = 0.
         rows.append(rng.normal(0.0, noise, m))
         labels.append(2)
     return Dataset(X=np.array(rows), y=np.array(labels), name="xor")
+
+
+def time_predict(model: elm.ELMModel, X: np.ndarray, repetitions: int = 100) -> float:
+    """Total wall-clock seconds for repeated predict calls on fixed inputs."""
+    elm.predict(model, X)  # warm up
+    t0 = time.perf_counter()
+    for _ in range(repetitions):
+        elm.predict(model, X)
+    return time.perf_counter() - t0
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from divshap.bench import (
     minmax_scale_raw,
     raw_elm_accuracy,
     sweep_csv,
-    time_predict,
 )
 from divshap.cli import main as cli_main
 from divshap.dataset import Dataset, write_ucr
@@ -28,7 +27,7 @@ from divshap.mining import MiningConfig, best_split, mine_shapelets, orderline
 from divshap.pipeline import EvalConfig, PipelineConfig, _fit_from_graph, fit as pipeline_fit
 from divshap.transform import apply_scaling, transform
 
-from conftest import bump_dataset, load_ucr_split, xor_dataset
+from conftest import bump_dataset, load_ucr_split, time_predict, xor_dataset
 from test_distance import naive_subsequence_dist
 from test_mining import brute_force_split
 
@@ -298,6 +297,11 @@ def test_criterion_9_classification_time_direction():
         t_raw = time_predict(raw_model, raw_te, repetitions=reps)
         print(f"predict time over {reps} reps: transformed {t_feat:.4f}s vs raw {t_raw:.4f}s")
         assert t_feat <= t_raw
+
+
+def test_time_predict_positive(toy_train):
+    model = elm.train(toy_train.X, toy_train.y, elm.ELMConfig(seed=0))
+    assert time_predict(model, toy_train.X, repetitions=5) > 0.0
 
 
 def test_criterion_10_compare_determinism(tmp_path):

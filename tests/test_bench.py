@@ -10,7 +10,6 @@ from divshap.bench import (
     raw_elm_accuracy,
     run_experiment,
     sweep_csv,
-    time_predict,
 )
 from divshap.dataset import Dataset
 from divshap.elm import ELMConfig
@@ -139,10 +138,3 @@ def test_report_serialization_roundtrip(toy_train, toy_test):
     assert csv.startswith("dataset,")
     table = report.table()
     assert "selected_k" in table
-
-
-def test_time_predict_positive(toy_train):
-    from divshap import elm
-
-    model = elm.train(toy_train.X, toy_train.y, ELMConfig(seed=0))
-    assert time_predict(model, toy_train.X, repetitions=5) > 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from divshap.distance import (
     DistanceConfig,
-    euclid_sq,
+    Windows,
     nearest_window_dists,
     shapelet_dist,
     subsequence_dist,
@@ -39,25 +39,6 @@ def naive_subsequence_dist(t, s, normalize=True, length_normalize=True):
             total += (a - b) ** 2
         best = min(best, total)
     return best / L if length_normalize else best
-
-
-def test_euclid_sq_examples():
-    assert euclid_sq([1, 2], [1, 2]) == 0.0
-    assert euclid_sq([0, 0], [3, 4]) == 25.0
-    assert euclid_sq([1], [4]) == 9.0
-
-
-def test_euclid_sq_mismatch():
-    with pytest.raises(LengthMismatchError):
-        euclid_sq([1, 2], [1, 2, 3])
-
-
-def test_euclid_sq_symmetric_nonnegative():
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        a = rng.normal(size=8)
-        b = rng.normal(size=8)
-        assert euclid_sq(a, b) == euclid_sq(b, a) >= 0.0
 
 
 def test_subsequence_exact_window_is_zero():
@@ -107,7 +88,8 @@ def test_nearest_window_dists_matches_naive_scan(normalize, length_normalize):
     X = series_with_flat_stretches(rng, 6, 24)
     for L in (3, 5, 8):
         queries = np.vstack([rng.normal(size=(4, L)), np.full((1, L), 2.5), X[2, 4 : 4 + L]])
-        got = nearest_window_dists(window_matrix(queries, L, cfg), window_matrix(X, L, cfg), len(X), cfg)
+        windows = Windows.of_matrix(window_matrix(X, L, cfg), len(X), cfg)
+        got = nearest_window_dists(window_matrix(queries, L, cfg), windows, cfg)
         assert got.shape == (len(queries), len(X))
         for j, q in enumerate(queries):
             for i, t in enumerate(X):
@@ -123,7 +105,7 @@ def test_nearest_window_dists_window_query_is_exactly_zero(normalize):
     for L in (4, 9):
         W = window_matrix(X, L, cfg)
         rows = np.arange(0, len(W), 7)
-        got = nearest_window_dists(W[rows], W, len(X), cfg)
+        got = nearest_window_dists(W[rows], Windows.of_matrix(W, len(X), cfg), cfg)
         series = rows // (X.shape[1] - L + 1)
         assert (got[np.arange(len(rows)), series] == 0.0).all()
 
@@ -133,9 +115,10 @@ def test_nearest_window_dists_batch_equals_single_queries():
     X = series_with_flat_stretches(rng, 7, 40)
     for cfg in (DistanceConfig(), DistanceConfig(normalize_windows=False, length_normalize=False)):
         W = window_matrix(X, 6, cfg)
+        windows = Windows.of_matrix(W, len(X), cfg)
         Q = np.vstack([window_matrix(rng.normal(size=(9, 6)), 6, cfg), W[::25]])
-        batch = nearest_window_dists(Q, W, len(X), cfg)
-        single = np.vstack([nearest_window_dists(Q[j : j + 1], W, len(X), cfg) for j in range(len(Q))])
+        batch = nearest_window_dists(Q, windows, cfg)
+        single = np.vstack([nearest_window_dists(Q[j : j + 1], windows, cfg) for j in range(len(Q))])
         assert np.array_equal(batch, single)
 
 

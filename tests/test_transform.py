@@ -1,11 +1,14 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from divshap.dataset import Dataset
+from divshap.dataset import FLAT_STD, Dataset, znormalize
+from divshap.distance import DistanceConfig, SeriesSums, Windows, nearest_window_dists, window_matrix
 from divshap.errors import ShapeletLongerThanSeriesError
 from divshap.mining import MiningConfig, Shapelet, generate_candidates
+from divshap.pipeline import EvalConfig, PipelineConfig, fit
 from divshap.transform import (
     FeatureMatrix,
     Scaling,
@@ -15,7 +18,8 @@ from divshap.transform import (
     write_features,
 )
 
-from test_distance import naive_subsequence_dist
+from conftest import bump_dataset, xor_dataset
+from test_distance import naive_subsequence_dist, series_with_flat_stretches
 
 
 def make_shapelet(values, label=0, idx=0, start=0):
@@ -49,6 +53,135 @@ def test_transform_matches_entrywise_recomputation():
         for j, s in enumerate(shapelets):
             want = naive_subsequence_dist(d.X[i], s.values)
             assert fm.X[i, j] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def assert_matches_naive_scan(X, shapelets):
+    d = Dataset(X=X, y=np.arange(len(X)) % 2)
+    fm = transform(d, shapelets)
+    for i in range(d.n):
+        for j, s in enumerate(shapelets):
+            want = naive_subsequence_dist(X[i], s.values)
+            assert fm.X[i, j] == pytest.approx(want, rel=1e-9, abs=1e-12), (i, j)
+
+
+def edge_queries(rng, X, lengths):
+    """Random queries, a rescaled and shifted copy of a window of X, and a
+    flat query, for each length."""
+    out = []
+    for L in lengths:
+        out += [make_shapelet(rng.normal(size=L)) for _ in range(2)]
+        out.append(make_shapelet(3.0 * X[0, 2 : 2 + L] - 7.0))
+        out.append(make_shapelet(np.full(L, 4.0)))
+    return out
+
+
+def all_constant_row(rng, n, m):
+    X = series_with_flat_stretches(rng, n, m)
+    X[-1] = 2.5
+    return X
+
+
+EDGE_SERIES = {
+    "offset+1e3": lambda rng, n, m: rng.normal(size=(n, m)) + 1e3,
+    "offset-1e3": lambda rng, n, m: rng.normal(size=(n, m)) - 1e3,
+    "offset+1e6": lambda rng, n, m: rng.normal(size=(n, m)) + 1e6,
+    "scale1e-3": lambda rng, n, m: 1e-3 * rng.normal(size=(n, m)),
+    "flat-stretches": all_constant_row,
+    "drift-walk": lambda rng, n, m: np.cumsum(rng.normal(100.0, 1.0, size=(n, m)), axis=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_SERIES))
+def test_transform_pick_matches_naive_scan_on_edge_series(kind):
+    rng = np.random.default_rng(sorted(EDGE_SERIES).index(kind))
+    X = EDGE_SERIES[kind](rng, 5, 36)
+    assert_matches_naive_scan(X, edge_queries(rng, X, (3, 8, 17)))
+
+
+@pytest.mark.parametrize("offset", [-1e3, 1e3, 1e6])
+def test_offset_series_windows_take_their_std_from_prefix_sums(offset):
+    """Prefix sums of the mean-centred series keep full precision under a
+    large offset, so no window falls back to direct z-normalization (which
+    sets its scale to exactly 1)."""
+    X = np.random.default_rng(34).normal(size=(5, 36)) + offset
+    for L in (3, 8, 17):
+        scale = SeriesSums.of(X).windows(L).scale
+        assert np.count_nonzero(scale == 1.0) == 0, L
+
+
+def test_transform_pick_single_series_full_length_query():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(1, 14))
+    shapelets = edge_queries(rng, X, (5, 14)) + [make_shapelet(X[0])]
+    assert_matches_naive_scan(X, shapelets)
+    assert transform(Dataset(X=X, y=np.array([0])), shapelets).X[0, -1] == 0.0
+
+
+def test_transform_near_flat_window_in_offset_series():
+    """A window whose std sits just above FLAT_STD, inside a series offset
+    by 1e3, is a shape and not a flat window. Its variance from prefix sums
+    is lost in their rounding (about 1e-14 against 2e-16), so the pick must
+    z-normalize it directly."""
+    rng = np.random.default_rng(32)
+    L, start = 12, 10
+    shape = znormalize(rng.normal(size=L))
+    X = 1e3 + rng.normal(size=(3, 40))
+    X[1, start : start + L] = 1e3 + 1.5e-8 * shape
+    X[2, start : start + L] = 1e3 + 0.5e-8 * shape
+    assert FLAT_STD < X[1, start : start + L].std() < 2 * FLAT_STD
+    assert X[2, start : start + L].std() < FLAT_STD
+    wcount = X.shape[1] - L + 1
+    offset = SeriesSums.of(X).windows(L).offset
+    assert offset[wcount + start] == L / 2 and offset[2 * wcount + start] == 0.0
+    query = make_shapelet(shape + 0.3 * rng.normal(size=L))
+    assert_matches_naive_scan(X, [query, make_shapelet(rng.normal(size=L))])
+    # the query is nearer the near-flat window than a flat window could be
+    assert transform(Dataset(X=X, y=np.arange(3) % 2), [query]).X[1, 0] < 0.5
+
+
+@pytest.mark.parametrize("make", [bump_dataset, xor_dataset])
+def test_transform_equals_znormalized_window_kernel_bit_for_bit(make):
+    cfg = PipelineConfig(mining=MiningConfig(min_len=5, max_len=12), evaluation=EvalConfig(repeats=2))
+    model = fit(make(seed=0), cfg)
+    for d in (make(seed=0), make(seed=1)):
+        got = transform(d, model.shapelets, cfg.distance).X
+        for L in {s.length for s in model.shapelets}:
+            cols = [j for j, s in enumerate(model.shapelets) if s.length == L]
+            Q = window_matrix([model.shapelets[j].values for j in cols], L)
+            want = nearest_window_dists(Q, Windows.of_matrix(window_matrix(d.X, L), d.n), cfg.distance)
+            assert np.array_equal(got[:, cols], want.T), L
+
+
+def test_transform_peak_memory_within_window_copy_budget():
+    d = xor_dataset(seed=5, per_cell=125, m=80)
+    lengths = (10, 15, 21, 26, 26, 27)
+    shapelets = [make_shapelet(d.X[j, 3 : 3 + L], start=3) for j, L in enumerate(lengths)]
+    n, m, k = d.n, d.m, len(shapelets)
+    assert n == 500
+    transform(d, shapelets)  # warm up
+    tracemalloc.start()
+    try:
+        transform(d, shapelets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one length's plain window copy, plus the prefix sums and a few series-
+    # and score-sized arrays; z-normalizing every window would add about two
+    # more window copies
+    budget = 8 * (max(n * (m - L + 1) * L for L in lengths) + 6 * n * m + 2 * k * n * m)
+    assert peak < budget, (peak, budget)
+
+
+def test_transform_without_window_normalization_matches_naive_scan():
+    rng = np.random.default_rng(33)
+    d = Dataset(X=series_with_flat_stretches(rng, 4, 20), y=np.arange(4) % 2)
+    shapelets = edge_queries(rng, d.X, (4, 20))
+    for cfg in (DistanceConfig(normalize_windows=False), DistanceConfig(False, False)):
+        fm = transform(d, shapelets, cfg)
+        for i in range(d.n):
+            for j, s in enumerate(shapelets):
+                want = naive_subsequence_dist(d.X[i], s.values, False, cfg.length_normalize)
+                assert fm.X[i, j] == pytest.approx(want, rel=1e-9, abs=1e-12), (i, j)
 
 
 def test_transform_column_independence():
