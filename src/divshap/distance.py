@@ -7,11 +7,12 @@ of different-length queries share a per-point scale.
 
 nearest_window_dists is the batched kernel behind mining and transform: a
 matrix product picks each query's nearest window in each series, and direct
-squared differences measure it, so distances are exact. The two callers
+squared differences measure the picked window exactly. The two callers
 differ only in the Windows they pass. Mining scans its z-normalized window
 matrix, since every window is also a query. Transform scans the plain
 windows, weighted by 1/sd from prefix sums (SeriesSums), and z-normalizes
-only the windows it picks. window_distances is the per-pair scan behind
+only the windows it picks; its pick is approximate within the bound given
+at RUNNING_VAR_MARGIN. window_distances is the per-pair scan behind
 shapelet_dist and the orderline oracle; subsequence_dist, an
 early-abandoning scalar loop, is the oracle both are checked against.
 """
@@ -54,6 +55,12 @@ def znorm_rows(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def znorm_offset(rows: np.ndarray) -> np.ndarray:
+    """|w|^2/2 for each z-normalized row w: L/2, or 0 for a flat row (all
+    zeros)."""
+    return np.where(rows.any(axis=1), 0.5 * rows.shape[1], 0.0)
+
+
 def window_matrix(X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Every length-L window of every row of X, one per row, in (row, start)
     order, z-normalized when cfg.normalize_windows. Rows of length L give
@@ -87,10 +94,9 @@ class Windows:
     @classmethod
     def of_matrix(cls, W: np.ndarray, n: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> "Windows":
         """Windows that are measured as they are scanned: W comes from
-        window_matrix with the same cfg. The offset is |w|^2/2, which is L/2
-        for a z-normalized row and 0 for a flat one (all zeros)."""
+        window_matrix with the same cfg. The offset is |w|^2/2."""
         if cfg.normalize_windows:
-            offset = np.where(W.any(axis=1), 0.5 * W.shape[1], 0.0)
+            offset = znorm_offset(W)
         else:
             offset = 0.5 * np.einsum("ij,ij->i", W, W)
         return cls(W, n, offset)
@@ -108,7 +114,12 @@ class Windows:
 
 # A window variance taken from prefix sums is trusted only when it exceeds
 # this many times the sums' rounding bound; below that the window is
-# z-normalized directly.
+# z-normalized directly. A trusted variance is thus off by at most
+# 1/RUNNING_VAR_MARGIN of itself, which moves a pick score q . z(w) by at most
+# L/(2 RUNNING_VAR_MARGIN). The picked window is measured exactly, but it may
+# be one whose squared distance exceeds the minimum by up to
+# 2 L/RUNNING_VAR_MARGIN (2/RUNNING_VAR_MARGIN per point when length
+# normalized), beyond the rounding of the matrix product itself.
 RUNNING_VAR_MARGIN = 1e8
 
 
@@ -160,12 +171,12 @@ class SeriesSums:
         offset = np.full(n * wcount, 0.5 * L)
         if direct.any():
             idx = np.flatnonzero(direct)
-            if wcount == 1:  # the reshape above was a view of centered
+            if not scan.flags.writeable:  # the reshape above kept a view of centered
                 scan = scan.copy()
             raw = np.lib.stride_tricks.sliding_window_view(self.series, L, axis=1)[idx // wcount, idx % wcount]
             scan[idx] = znorm_rows(raw)
             scale[idx] = 1.0
-            offset[idx] = np.where(scan[idx].any(axis=1), 0.5 * L, 0.0)
+            offset[idx] = znorm_offset(scan[idx])
         return Windows(scan, n, offset, scale, self.series)
 
 
@@ -178,7 +189,9 @@ def nearest_window_dists(
     Within a series, q.w - |w|^2/2 is largest at the window nearest to q, so
     one matrix product picks it (see Windows for how the scan is scaled and
     offset); the picked window is then measured by direct squared
-    differences, so the distance is exact.
+    differences. The distance is exact for the picked window; with scale
+    set, the pick itself is exact only up to the bound at
+    RUNNING_VAR_MARGIN.
     """
     k, L = Q.shape
     n = windows.n

@@ -62,7 +62,8 @@ def transform(
     call against the windows of every series. With z-normalization on, the
     windows are not z-normalized to pick the nearest: each window's standard
     deviation comes from prefix sums built once per call (SeriesSums), and
-    only the picked windows are z-normalized, for the exact measurement.
+    only the picked windows are z-normalized and measured exactly. The pick
+    is approximate within the bound at distance.RUNNING_VAR_MARGIN.
     """
     sums = SeriesSums.of(d.X) if cfg.normalize_windows else None
 

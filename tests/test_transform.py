@@ -117,6 +117,20 @@ def test_transform_pick_single_series_full_length_query():
     assert transform(Dataset(X=X, y=np.array([0])), shapelets).X[0, -1] == 0.0
 
 
+@pytest.mark.parametrize("n, lengths", [(1, (1, 2, 3)), (3, (1,))])
+def test_transform_direct_windows_in_a_window_view(n, lengths):
+    """With one series, or with L = 1, the centred windows are a read-only
+    view of the series; flat windows, z-normalized directly, still go in."""
+    rng = np.random.default_rng(35)
+    X = rng.normal(size=(n, 80))
+    X[:, 10:20] = 1.5
+    X[:, 40:42] = X[:, 40:41] + 1e-10
+    shapelets = [make_shapelet(rng.normal(size=L)) for L in lengths]
+    for L in lengths:
+        assert np.count_nonzero(SeriesSums.of(X).windows(L).scale == 1.0) > 0, L
+    assert_matches_naive_scan(X, shapelets)
+
+
 def test_transform_near_flat_window_in_offset_series():
     """A window whose std sits just above FLAT_STD, inside a series offset
     by 1e3, is a shape and not a flat window. Its variance from prefix sums
