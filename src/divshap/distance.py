@@ -9,11 +9,14 @@ nearest_window_dists is the batched kernel behind mining and transform: a
 matrix product picks each query's nearest window in each series, and direct
 squared differences measure the picked window exactly. The two callers
 differ only in the Windows they pass. Mining scans its z-normalized window
-matrix, since every window is also a query. Transform scans the plain
-windows, weighted by 1/sd from prefix sums (SeriesSums), and z-normalizes
-only the windows it picks; its pick is approximate within the bound given
-at RUNNING_VAR_MARGIN. window_distances is the per-pair scan behind
-shapelet_dist and the orderline oracle; subsequence_dist, an
+matrix (Windows.of_series), since every window is also a query; each row
+carries the window's offset |w|^2/2 in one extra column, so the product
+itself yields the pick score. Transform scans the plain windows, weighted
+by 1/sd from prefix sums (SeriesSums), and z-normalizes only the windows it
+picks; its pick is approximate within the bound given at
+RUNNING_VAR_MARGIN. Transform without window normalization scans
+Windows.of_series as mining does. window_distances is the per-pair scan
+behind shapelet_dist and the orderline oracle; subsequence_dist, an
 early-abandoning scalar loop, is the oracle both are checked against.
 """
 
@@ -43,13 +46,14 @@ class DistanceConfig:
 DEFAULT_CONFIG = DistanceConfig()
 
 
-def znorm_rows(w: np.ndarray) -> np.ndarray:
+def znorm_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise z-normalization with the flat-row-to-zeros convention of
-    znormalize."""
+    znormalize, into out if given (which may be w itself)."""
     mu = w.mean(axis=1, keepdims=True)
     sd = w.std(axis=1, keepdims=True)
     flat = sd[:, 0] < FLAT_STD
-    out = (w - mu) / np.where(sd < FLAT_STD, 1.0, sd)
+    out = np.subtract(w, mu, out=out)
+    out /= np.where(sd < FLAT_STD, 1.0, sd)
     if flat.any():
         out[flat] = 0.0
     return out
@@ -78,35 +82,47 @@ def window_matrix(X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -
 class Windows:
     """The length-L windows of n series, as nearest_window_dists reads them.
 
-    scan holds one row per window, series by series. The pick scores query
-    q against window i as (q . scan[i]) * scale[i] - offset[i], with scale
-    None meaning 1, and keeps each series' top score. A picked window is
-    measured as its scan row when series is None, and otherwise as the
-    z-normalization of its values in series, the raw (n, m) series.
+    scan holds one row per window, series by series, and the pick keeps
+    each series' top score. Without scale, a scan row is a window w followed
+    by its offset |w|^2/2; the kernel gives each query q a last entry of -1,
+    so the matrix product itself scores q . w - |w|^2/2, and a picked window
+    is measured as its scan row. With scale, a scan row is the window alone,
+    the pick scores (q . scan[i]) * scale[i] - offset[i], and a picked
+    window is measured as the z-normalization of its values in series, the
+    raw (n, m) series.
     """
 
     scan: np.ndarray
     n: int
-    offset: np.ndarray
     scale: np.ndarray | None = None
+    offset: np.ndarray | None = None
     series: np.ndarray | None = None
 
     @classmethod
-    def of_matrix(cls, W: np.ndarray, n: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> "Windows":
-        """Windows that are measured as they are scanned: W comes from
-        window_matrix with the same cfg. The offset is |w|^2/2."""
+    def of_series(cls, X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> "Windows":
+        """The length-L windows of the rows of X, measured as they are
+        scanned: the first L columns of scan are window_matrix(X, L, cfg),
+        written in place, and the last is the offset."""
+        X = np.asarray(X, dtype=np.float64)
+        n, m = X.shape
+        if L > m:
+            raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
+        scan = np.empty((n * (m - L + 1), L + 1))
+        scan.reshape(n, m - L + 1, L + 1)[:, :, :L] = np.lib.stride_tricks.sliding_window_view(X, L, axis=1)
+        W = scan[:, :L]
         if cfg.normalize_windows:
-            offset = znorm_offset(W)
+            znorm_rows(W, out=W)
+            scan[:, L] = znorm_offset(W)
         else:
-            offset = 0.5 * np.einsum("ij,ij->i", W, W)
-        return cls(W, n, offset)
+            scan[:, L] = 0.5 * np.einsum("ij,ij->i", W, W)
+        return cls(scan, n)
 
     def measured(self, nearest: np.ndarray) -> np.ndarray:
         """(k, n, L) rows of the picked windows, a fresh array; nearest[j, i]
         is the start of query j's pick in series i."""
-        L = self.scan.shape[1]
         if self.series is None:
-            return self.scan[nearest + (len(self.scan) // self.n) * np.arange(self.n)]
+            return self.scan[:, :-1][nearest + (len(self.scan) // self.n) * np.arange(self.n)]
+        L = self.scan.shape[1]
         k = len(nearest)
         rows = np.lib.stride_tricks.sliding_window_view(self.series, L, axis=1)[np.arange(self.n), nearest]
         return znorm_rows(rows.reshape(k * self.n, L)).reshape(k, self.n, L)
@@ -177,7 +193,7 @@ class SeriesSums:
             scan[idx] = znorm_rows(raw)
             scale[idx] = 1.0
             offset[idx] = znorm_offset(scan[idx])
-        return Windows(scan, n, offset, scale, self.series)
+        return Windows(scan, n, scale, offset, self.series)
 
 
 def nearest_window_dists(
@@ -187,18 +203,23 @@ def nearest_window_dists(
     window_matrix made with cfg, to each of the n series of windows.
 
     Within a series, q.w - |w|^2/2 is largest at the window nearest to q, so
-    one matrix product picks it (see Windows for how the scan is scaled and
-    offset); the picked window is then measured by direct squared
-    differences. The distance is exact for the picked window; with scale
-    set, the pick itself is exact only up to the bound at
-    RUNNING_VAR_MARGIN.
+    one matrix product picks it (see Windows for how the scan carries the
+    offset, or is scaled and offset after the product); the picked window is
+    then measured by direct squared differences. The distance is exact for
+    the picked window; with scale set, the pick itself is exact only up to
+    the bound at RUNNING_VAR_MARGIN.
     """
     k, L = Q.shape
     n = windows.n
-    score = Q @ windows.scan.T
-    if windows.scale is not None:
+    if windows.scale is None:
+        Qx = np.empty((k, L + 1))
+        Qx[:, :L] = Q
+        Qx[:, L] = -1.0
+        score = Qx @ windows.scan.T
+    else:
+        score = Q @ windows.scan.T
         score *= windows.scale
-    score -= windows.offset
+        score -= windows.offset
     nearest = score.reshape(k, n, len(windows.scan) // n).argmax(axis=2)
     del score
     diff = windows.measured(nearest)

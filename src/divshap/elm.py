@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -89,19 +88,22 @@ def pinv_solve(H: np.ndarray, T: np.ndarray, ridge: float = 0.0) -> np.ndarray:
 
     ridge == 0 gives the minimum-norm solution through a rank-revealing SVD
     (the Moore-Penrose pseudoinverse applied to T); ridge > 0 solves the
-    regularized normal equations instead.
+    regularized normal equations instead. A non-finite entry in H or T
+    raises NumericalFailureError on either path.
     """
     H = np.asarray(H, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
     if H.shape[0] != T.shape[0]:
         raise DimensionMismatchError(f"H has {H.shape[0]} rows, T has {T.shape[0]}")
+    if not (np.isfinite(H).all() and np.isfinite(T).all()):
+        raise NumericalFailureError("H and T must be finite")
     try:
         if ridge > 0.0:
             A = H.T @ H + ridge * np.eye(H.shape[1])
-            return scipy.linalg.solve(A, H.T @ T, assume_a="pos")
+            return np.linalg.solve(A, H.T @ T)
         beta, *_ = np.linalg.lstsq(H, T, rcond=None)
         return beta
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(str(exc)) from exc
 
 

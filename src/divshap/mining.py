@@ -4,10 +4,12 @@ Candidates are every subsequence of every training series inside a length
 band (defaults m/11 .. m/2). Each candidate is scored by the best
 information-gain split of its orderline: the sorted distances from the
 candidate to all training series. Every candidate is scored; there is no
-pre-filter. Generation, scoring and the best-first ordering work on the
-columns of a CandidateTable; a Shapelet object is built only when its row
-is read, so the greedy scan of the diversity graph builds just the prefix
-it reads.
+pre-filter. The batched split reads each split's entropy from a table of
+p log2 p terms over integer class counts (ClassCounts), so it takes no
+logarithm per candidate. Generation, scoring and the best-first ordering
+work on the columns of a CandidateTable; a Shapelet object is built only
+when its row is read, so the greedy scan of the diversity graph builds
+just the prefix it reads.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .distance import (
     Windows,
     nearest_window_dists,
     window_distances,
-    window_matrix,
 )
 from .errors import BandEmptyError
 
@@ -163,13 +164,17 @@ def generate_candidates(train: Dataset, cfg: MiningConfig) -> CandidateTable:
 
 
 def entropy(counts) -> float:
-    """Shannon entropy in bits of a per-class count vector."""
+    """Shannon entropy in bits of a per-class count vector.
+
+    The terms are added in class order, as the batched split adds them;
+    numpy's sum would group eight or more of them pairwise.
+    """
     c = np.asarray(counts, dtype=np.float64)
     total = c.sum()
     if total <= 0:
         raise ValueError("entropy needs at least one observation")
     p = c[c > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return float(-np.add.accumulate(p * np.log2(p))[-1])
 
 
 def orderline(
@@ -190,7 +195,8 @@ def best_split(ol: list[tuple[float, int]]) -> tuple[float, float, float]:
     """Optimal orderline split: (threshold, information gain, gap).
 
     Thresholds are midpoints between consecutive distinct distances. Ties on
-    gain go to the larger gap (mean distance above minus mean below), then
+    gain go to the larger gap (mean distance above minus mean below, both
+    taken from one cumulative sum, as the batched kernel takes them), then
     to the smaller threshold. A single-class orderline is degenerate and
     yields gain 0 at the midpoint of the distance range.
     """
@@ -210,6 +216,7 @@ def best_split(ol: list[tuple[float, int]]) -> tuple[float, float, float]:
 
     best = None
     left = np.zeros(len(classes))
+    ps = np.cumsum(d)
     for i in range(n - 1):
         left += onehot[i]
         if d[i + 1] <= d[i]:
@@ -218,7 +225,7 @@ def best_split(ol: list[tuple[float, int]]) -> tuple[float, float, float]:
         nr = n - nl
         gain = h0 - (nl / n) * entropy(left) - (nr / n) * entropy(total - left)
         thr = (d[i] + d[i + 1]) / 2
-        gap = float(d[i + 1 :].mean() - d[: i + 1].mean())
+        gap = float((ps[-1] - ps[i]) / nr - ps[i] / nl)
         key = (gain, gap, -thr)
         if best is None or key > best[0]:
             best = (key, thr, gain, gap)
@@ -250,6 +257,17 @@ def mine_shapelets(
     return CandidateTable(train, *(c[order] for c in (*table.columns[:3], thr, gain, gap)))
 
 
+# Bytes one scoring thread may hold for a candidate length: the window
+# matrix (offset column included) plus, per block candidate, its query row
+# and -1 extension, score row and measured windows, counted together though
+# the kernel frees the score row before it gathers. The best split holds at
+# most SPLIT_ROWS arrays of one row per candidate and series. A block gets
+# at least half the budget, so only a window matrix above the other half
+# makes a thread exceed it.
+SCORING_BUDGET = 16 * 2**20
+SPLIT_ROWS = 16
+
+
 def _score_candidates(
     train: Dataset,
     table: CandidateTable,
@@ -260,30 +278,28 @@ def _score_candidates(
     """Batched orderline + best-split scoring: rows threshold, gain and gap,
     one column per row of the table.
 
-    Each length's windows are prepared once, every candidate is gathered
-    from them, and distance.nearest_window_dists scores a whole block of
-    candidates against every series in one call.
+    Each length's windows are prepared once, each block of candidates is
+    gathered from them, and distance.nearest_window_dists scores the block
+    against every series in one call. Blocks are sized so that each thread
+    stays within SCORING_BUDGET.
     """
     n, m = train.n, train.m
-    classes = np.unique(train.y)
-    onehot_series = (train.y[:, None] == classes[None, :]).astype(np.float64)
-    single_class = len(classes) == 1
-    h0 = 0.0 if single_class else entropy(onehot_series.sum(axis=0))
-
+    counts = ClassCounts.of(train.y)
     scores = np.zeros((3, len(table)))
 
     def run_length(L: int) -> None:
         idxs = np.flatnonzero(table.length == L)
         wcount = m - L + 1
-        windows = Windows.of_matrix(window_matrix(train.X, L, dist_cfg), n, dist_cfg)
+        windows = Windows.of_series(train.X, L, dist_cfg)
         # every candidate is one of the windows
-        C = windows.scan[table.source[idxs] * wcount + table.start[idxs]]
-
-        block = max(1, min(int(4e6 / max(1, n * wcount)), int(2e6 / max(1, n * len(classes))), len(idxs)))
+        rows = table.source[idxs] * wcount + table.start[idxs]
+        free = max(SCORING_BUDGET - windows.scan.nbytes, SCORING_BUDGET // 2)
+        per_candidate = 8 * (2 * L + 1 + n * max(wcount + L, SPLIT_ROWS))
+        block = int(np.clip(free // per_candidate, 1, len(idxs)))
         for lo in range(0, len(idxs), block):
             sel = slice(lo, lo + block)
-            dist = nearest_window_dists(C[sel], windows, dist_cfg)
-            scores[:, idxs[sel]] = _batch_best_split(dist, onehot_series, h0, single_class)
+            dist = nearest_window_dists(windows.scan[rows[sel], :L], windows, dist_cfg)
+            scores[:, idxs[sel]] = _batch_best_split(dist, counts)
 
     lengths = np.unique(table.length).tolist()
     if workers > 1 and len(lengths) > 1:
@@ -295,36 +311,73 @@ def _score_candidates(
     return scores
 
 
+@dataclass(frozen=True)
+class ClassCounts:
+    """Training labels as _batch_best_split reads them.
+
+    label[i] is the class index of series i and total[k] the size of class
+    k. h[s, a] is -p log2 p for p = a / s: the entropy term of a class that
+    holds a of the s series on one side of a split. Every split's entropy is
+    a sum of these terms, one per class, so a block gathers them instead of
+    taking logarithms.
+    """
+
+    label: np.ndarray
+    total: np.ndarray
+    h: np.ndarray
+
+    @classmethod
+    def of(cls, y: np.ndarray) -> "ClassCounts":
+        _, label, total = np.unique(y, return_inverse=True, return_counts=True)
+        a = np.arange(len(y) + 1, dtype=np.float64)
+        p = a[None, :] / np.maximum(a, 1.0)[:, None]
+        h = -(p * np.log2(np.where(p > 0, p, 1.0)))
+        return cls(label.ravel(), total, h)
+
+
 def _batch_best_split(
-    dist: np.ndarray, onehot_series: np.ndarray, h0: float, single_class: bool
+    dist: np.ndarray, counts: ClassCounts
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized best_split over rows of a (candidates, series) distance matrix."""
+    """Vectorized best_split over rows of a (candidates, series) distance
+    matrix.
+
+    The class counts left of each split are integer cumulative sums over
+    the sorted labels (the last class is what the others leave), and each
+    side's entropy is the sum, in class order, of the h terms gathered for
+    its size and counts.
+    """
     c, n = dist.shape
     order = np.argsort(dist, axis=1, kind="stable")
     sd = np.take_along_axis(dist, order, axis=1)
     midrange = (sd[:, 0] + sd[:, -1]) / 2
-    if single_class or n < 2:
+    if len(counts.total) == 1 or n < 2:
         zero = np.zeros(c)
         return midrange, zero, zero.copy()
 
-    sorted_onehot = onehot_series[order]  # (c, n, classes)
-    left = np.cumsum(sorted_onehot, axis=1)[:, :-1, :]  # counts at split i
-    total = onehot_series.sum(axis=0)
-    right = total[None, None, :] - left
-    nl = np.arange(1, n, dtype=np.float64)
+    nl = np.arange(1, n)
     nr = n - nl
+    h = counts.h.ravel()
+    left_base, right_base = nl * (n + 1), nr * (n + 1)
+    labels = counts.label[order[:, :-1]]  # split i falls after sorted entry i
+    rest = nl
+    for k, total in enumerate(counts.total):
+        if k < len(counts.total) - 1:
+            left = np.cumsum(labels == k, axis=1)
+            rest = rest - left
+        else:
+            left = rest
+        h_left_k = h.take(left_base + left)
+        h_right_k = h.take((right_base + total) - left)
+        if k == 0:
+            h_left, h_right = h_left_k, h_right_k
+        else:
+            h_left += h_left_k
+            h_right += h_right_k
 
-    def ent(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        p = counts / sizes[None, :, None]
-        logp = np.log2(np.where(p > 0, p, 1.0))
-        return -(p * logp).sum(axis=2)
-
-    gains = h0 - (nl / n) * ent(left, nl) - (nr / n) * ent(right, nr)
+    gains = entropy(counts.total) - (nl / n) * h_left - (nr / n) * h_right
     thr = (sd[:, :-1] + sd[:, 1:]) / 2
     ps = np.cumsum(sd, axis=1)
-    mean_left = ps[:, :-1] / nl
-    mean_right = (ps[:, -1:] - ps[:, :-1]) / nr
-    gaps = mean_right - mean_left
+    gaps = (ps[:, -1:] - ps[:, :-1]) / nr - ps[:, :-1] / nl
     valid = sd[:, 1:] > sd[:, :-1]
 
     masked_gain = np.where(valid, gains, -np.inf)

@@ -69,7 +69,7 @@ def transform(
 
     def windows(L: int) -> Windows:
         if sums is None:
-            return Windows.of_matrix(window_matrix(d.X, L, cfg), d.n, cfg)
+            return Windows.of_series(d.X, L, cfg)
         return sums.windows(L)
 
     out = np.zeros((d.n, len(shapelets)))

@@ -11,6 +11,7 @@ from divshap.distance import (
     subsequence_dist,
     window_distances,
     window_matrix,
+    znorm_offset,
 )
 from divshap.errors import LengthMismatchError, ShapeletLongerThanSeriesError
 
@@ -88,7 +89,7 @@ def test_nearest_window_dists_matches_naive_scan(normalize, length_normalize):
     X = series_with_flat_stretches(rng, 6, 24)
     for L in (3, 5, 8):
         queries = np.vstack([rng.normal(size=(4, L)), np.full((1, L), 2.5), X[2, 4 : 4 + L]])
-        windows = Windows.of_matrix(window_matrix(X, L, cfg), len(X), cfg)
+        windows = Windows.of_series(X, L, cfg)
         got = nearest_window_dists(window_matrix(queries, L, cfg), windows, cfg)
         assert got.shape == (len(queries), len(X))
         for j, q in enumerate(queries):
@@ -105,9 +106,22 @@ def test_nearest_window_dists_window_query_is_exactly_zero(normalize):
     for L in (4, 9):
         W = window_matrix(X, L, cfg)
         rows = np.arange(0, len(W), 7)
-        got = nearest_window_dists(W[rows], Windows.of_matrix(W, len(X), cfg), cfg)
+        got = nearest_window_dists(W[rows], Windows.of_series(X, L, cfg), cfg)
         series = rows // (X.shape[1] - L + 1)
         assert (got[np.arange(len(rows)), series] == 0.0).all()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_windows_of_series_is_window_matrix_and_offset_column(normalize):
+    rng = np.random.default_rng(13)
+    cfg = DistanceConfig(normalize_windows=normalize)
+    X = series_with_flat_stretches(rng, 4, 30)
+    for L in (4, 9, 30):
+        W = window_matrix(X, L, cfg)
+        scan = Windows.of_series(X, L, cfg).scan
+        assert np.array_equal(scan[:, :L], W)
+        offset = znorm_offset(W) if normalize else 0.5 * np.einsum("ij,ij->i", W, W)
+        assert np.array_equal(scan[:, L], offset)
 
 
 def test_nearest_window_dists_batch_equals_single_queries():
@@ -115,7 +129,7 @@ def test_nearest_window_dists_batch_equals_single_queries():
     X = series_with_flat_stretches(rng, 7, 40)
     for cfg in (DistanceConfig(), DistanceConfig(normalize_windows=False, length_normalize=False)):
         W = window_matrix(X, 6, cfg)
-        windows = Windows.of_matrix(W, len(X), cfg)
+        windows = Windows.of_series(X, 6, cfg)
         Q = np.vstack([window_matrix(rng.normal(size=(9, 6)), 6, cfg), W[::25]])
         batch = nearest_window_dists(Q, windows, cfg)
         single = np.vstack([nearest_window_dists(Q[j : j + 1], windows, cfg) for j in range(len(Q))])

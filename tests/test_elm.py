@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from divshap import elm
-from divshap.errors import DimensionMismatchError, SingleClassTrainingError
+from divshap.errors import DimensionMismatchError, NumericalFailureError, SingleClassTrainingError
 
 
 def test_hidden_output_zero_weights_sigmoid():
@@ -85,6 +85,18 @@ def test_pinv_ridge_shrinks_solution():
     norms = [np.linalg.norm(elm.pinv_solve(H, T, lam)) for lam in lams]
     for small, large in zip(norms, norms[1:]):
         assert small >= large - 1e-12
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-6])
+def test_pinv_non_finite_input_raises_typed_error(ridge, capfd):
+    # ridge 0 used to reach LAPACK, which printed DLASCL errors before failing
+    rng = np.random.default_rng(3)
+    H = rng.normal(size=(6, 4))
+    T = rng.normal(size=(6, 2))
+    for bad_H, bad_T in ((np.where(np.eye(6, 4) > 0, np.nan, H), T), (H, np.where(np.eye(6, 2) > 0, np.inf, T))):
+        with pytest.raises(NumericalFailureError, match="finite"):
+            elm.pinv_solve(bad_H, bad_T, ridge)
+    assert capfd.readouterr().err == ""
 
 
 def test_train_interpolates_two_points():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,11 @@ from divshap.dataset import Dataset
 from divshap.errors import BandEmptyError
 from divshap.graph import build_graph, div_topk
 from divshap.mining import (
+    SCORING_BUDGET,
+    ClassCounts,
     MiningConfig,
     Shapelet,
+    _batch_best_split,
     best_split,
     entropy,
     generate_candidates,
@@ -90,6 +94,41 @@ def brute_force_split(pairs):
     if best is None:
         return (dists[0] + dists[-1]) / 2, 0.0, 0.0
     return best[1], best[2], best[3]
+
+
+def motif_dataset(sizes, m=20, seed=0):
+    """Up to four classes, class k of sizes[k] series. Classes 0-2 carry
+    their own motif at a random offset; class 3 carries none."""
+    rng = np.random.default_rng(seed)
+    bump = np.array([0.0, 1.5, 2.5, 1.5, 0.0])
+    motifs = (bump, -bump, np.array([0.0, 2.0, 0.0, -2.0, 0.0]), np.zeros(5))
+    y = np.repeat(np.arange(len(sizes)), sizes)
+    X = rng.normal(0.0, 0.2, (len(y), m))
+    for row, label in zip(X, y):
+        off = rng.integers(2, m - 7)
+        row[off : off + 5] += motifs[label]
+    return Dataset(X=X, y=y)
+
+
+def float_split_gains(dist, y):
+    """Every split's gain as _batch_best_split computed it before its table:
+    one-hot class counts summed as floats, and entropies from log2 over the
+    (candidates, splits, classes) class proportions."""
+    classes = np.unique(y)
+    onehot = (y[:, None] == classes[None, :]).astype(np.float64)
+    h0 = entropy(onehot.sum(axis=0))
+    n = dist.shape[1]
+    order = np.argsort(dist, axis=1, kind="stable")
+    left = np.cumsum(onehot[order], axis=1)[:, :-1, :]
+    right = onehot.sum(axis=0)[None, None, :] - left
+    nl = np.arange(1, n, dtype=np.float64)
+    nr = n - nl
+
+    def ent(counts, sizes):
+        p = counts / sizes[None, :, None]
+        return -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=2)
+
+    return h0 - (nl / n) * ent(left, nl) - (nr / n) * ent(right, nr)
 
 
 def random_orderline(rng, n_max=12, n_classes=2):
@@ -283,15 +322,82 @@ def test_mine_batch_scores_match_scalar_path():
         assert s.split_threshold == pytest.approx(thr, abs=1e-9)
 
 
+def assert_mined_equal_scalar_path(d, cfg):
+    """Every mined (threshold, gain, gap) is best_split(orderline(c)), and
+    the mined order is the scalar path's (gain desc, gap desc, then length
+    and provenance): distances are measured as orderline measures them, and
+    both take the gap from one cumulative sum."""
+    mined = mine_shapelets(d, cfg)
+    scalar = [best_split(orderline(s, d)) for s in mined]
+    for s, want in zip(mined, scalar):
+        assert (s.split_threshold, s.gain, s.gap) == want, s.id
+    keys = [(-g, -gap, s.length, s.source_series, s.start) for s, (_, g, gap) in zip(mined, scalar)]
+    assert keys == sorted(keys)
+    return mined
+
+
 def test_mine_thresholds_and_gains_equal_scalar_path_exactly():
-    # distances are measured as orderline measures them, so the split point is
-    # the same float; gaps are means summed in another order
     d = bump_dataset(seed=3, per_class=4, m=24)
-    mined = mine_shapelets(d, MiningConfig(min_len=3, max_len=8))
-    assert len(mined) > 500
-    for s in mined:
-        thr, gain, _ = best_split(orderline(s, d))
-        assert (s.split_threshold, s.gain) == (thr, gain), s.id
+    assert len(assert_mined_equal_scalar_path(d, MiningConfig(min_len=3, max_len=8))) > 500
+
+
+@pytest.mark.parametrize("sizes", [(4, 4, 4), (2, 5, 3, 6)])
+def test_mine_multiclass_scores_equal_scalar_path_exactly(sizes):
+    d = motif_dataset(sizes, seed=len(sizes))
+    mined = assert_mined_equal_scalar_path(d, MiningConfig(min_len=3, max_len=6))
+    assert len(mined) == 66 * sum(sizes)
+
+
+def random_split_block(n_classes, rows=400):
+    """Labels of 21 + n_classes series, each class present, and a block of
+    distances to them with ties, three rows of which hold no split."""
+    rng = np.random.default_rng(n_classes)
+    y = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, size=21)])
+    dist = rng.integers(0, 9, size=(rows, len(y))) / 7
+    dist[:3] = 1.0
+    return dist, y
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 4, 7])
+def test_batch_best_split_gains_equal_float_formula(n_classes):
+    # the table's terms are the float formula's, added in the same class
+    # order (numpy adds fewer than eight terms in order)
+    dist, y = random_split_block(n_classes)
+    gain = _batch_best_split(dist, ClassCounts.of(y))[1]
+    sd = np.sort(dist, axis=1)
+    valid = sd[:, 1:] > sd[:, :-1]
+    want = np.where(valid, float_split_gains(dist, y), -np.inf).max(axis=1)
+    if n_classes == 1:
+        want[:] = 0.0
+    want[~valid.any(axis=1)] = 0.0
+    assert np.array_equal(gain, want)
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 9, 12])
+def test_batch_best_split_equals_scalar_best_split(n_classes):
+    # with eight or more classes too: entropy adds its terms in class order
+    dist, y = random_split_block(n_classes)
+    got = zip(*_batch_best_split(dist, ClassCounts.of(y)))
+    for row, scores in zip(dist, got):
+        assert scores == best_split(list(zip(row.tolist(), y.tolist())))
+
+
+def test_mine_peak_memory_within_scoring_budget():
+    # more and longer series than any benchmark workload; the strides keep
+    # the candidate count, and so the time, small
+    d = bump_dataset(seed=1, per_class=40, m=96)
+    cfg = MiningConfig(length_stride=8, position_stride=2)
+    n_cands = len(generate_candidates(d, cfg))
+    tracemalloc.start()
+    try:
+        mine_shapelets(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the unscored table's six columns and the three score rows grow with
+    # the candidate count whatever the block size; the budget is the rest
+    working = peak - 9 * 8 * n_cands
+    assert SCORING_BUDGET / 2 < working <= SCORING_BUDGET
 
 
 def test_mine_single_class_all_zero_gain():

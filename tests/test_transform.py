@@ -162,7 +162,7 @@ def test_transform_equals_znormalized_window_kernel_bit_for_bit(make):
         for L in {s.length for s in model.shapelets}:
             cols = [j for j, s in enumerate(model.shapelets) if s.length == L]
             Q = window_matrix([model.shapelets[j].values for j in cols], L)
-            want = nearest_window_dists(Q, Windows.of_matrix(window_matrix(d.X, L), d.n), cfg.distance)
+            want = nearest_window_dists(Q, Windows.of_series(d.X, L), cfg.distance)
             assert np.array_equal(got[:, cols], want.T), L
 
 
