@@ -37,9 +37,9 @@ for i, s in enumerate(top):
     )
 
 g = build_graph(top)
-vertices_with_edges = sum(1 for i in range(g.n) if g.adjacency[i])
-print(f"\ndiversity graph: {g.n} vertices, {len(g.edges())} edges")
-print(f"{vertices_with_edges} vertices have at least one 'similar' neighbor")
+edges = g.edges()
+print(f"\ndiversity graph: {g.n} vertices, {len(edges)} edges")
+print(f"{len({v for e in edges for v in e})} vertices have at least one 'similar' neighbor")
 
 for k in (1, 2, 3, 5):
     picked = div_topk(g, k)

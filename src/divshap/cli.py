@@ -23,8 +23,16 @@ from typing import Callable
 from . import bench, elm
 from .dataset import read_ucr
 from .errors import DivshapError
-from .graph import build_graph, graph_dump_rows
-from .pipeline import PipelineConfig, fit, load_pipeline, mine_graph, predict_pipeline, save_pipeline
+from .graph import graph_dump_rows
+from .pipeline import (
+    EVAL_MODES,
+    PipelineConfig,
+    fit,
+    load_pipeline,
+    mine_graph,
+    predict_pipeline,
+    save_pipeline,
+)
 
 
 def _parse_bool(text: str) -> bool:
@@ -75,7 +83,7 @@ OPTIONS = (
     Option("seed", int, ("elm.seed", "evaluation.seed"), minimum=0),
     Option("kappa", int, ("kappa",), minimum=1, help="largest shapelet count the k sweep tries"),
     WORKERS,
-    Option("eval_mode", str, ("evaluation.mode",), choices=("cv", "train")),
+    Option("eval_mode", str, ("evaluation.mode",), choices=EVAL_MODES),
     Option("eval_folds", int, ("evaluation.folds",), minimum=2),
     Option("eval_repeats", int, ("evaluation.repeats",), minimum=1),
     Option("min_len", int, ("mining.min_len",), minimum=2),
@@ -292,9 +300,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "graph-dump":
-        shapelets = mine_graph(train, cfg, workers=workers)[1].vertices[: args.top]
-        g = build_graph(shapelets, cfg.distance, same_class_only=cfg.same_class_only)
-        vertices, edges = graph_dump_rows(g)
+        graph = mine_graph(train, cfg, workers=workers)[1]
+        top = dataclasses.replace(graph, vertices=graph.vertices[: args.top])
+        vertices, edges = graph_dump_rows(top)
         with open(args.vertices_out, "w") as fh:
             fh.write("index,gain,threshold,class,source_series,start,length\n")
             for v in vertices:

@@ -65,19 +65,6 @@ def znorm_offset(rows: np.ndarray) -> np.ndarray:
     return np.where(rows.any(axis=1), 0.5 * rows.shape[1], 0.0)
 
 
-def window_matrix(X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Every length-L window of every row of X, one per row, in (row, start)
-    order, z-normalized when cfg.normalize_windows. Rows of length L give
-    one window each, so a stack of queries is prepared the same way."""
-    X = np.asarray(X, dtype=np.float64)
-    n, m = X.shape
-    if L > m:
-        raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
-    if L < m:
-        X = np.lib.stride_tricks.sliding_window_view(X, L, axis=1).reshape(n * (m - L + 1), L)
-    return znorm_rows(X) if cfg.normalize_windows else X
-
-
 @dataclass(frozen=True)
 class Windows:
     """The length-L windows of n series, as nearest_window_dists reads them.
@@ -101,8 +88,9 @@ class Windows:
     @classmethod
     def of_series(cls, X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> "Windows":
         """The length-L windows of the rows of X, measured as they are
-        scanned: the first L columns of scan are window_matrix(X, L, cfg),
-        written in place, and the last is the offset."""
+        scanned: the first L columns of scan are every length-L window of
+        every row, in (row, start) order, z-normalized in place when
+        cfg.normalize_windows, and the last is the offset."""
         X = np.asarray(X, dtype=np.float64)
         n, m = X.shape
         if L > m:
@@ -170,7 +158,7 @@ class SeriesSums:
         centred windows, scale is 1/sd and offset L/2. A window whose
         running variance could be off by more than 1/RUNNING_VAR_MARGIN of
         itself, or which is close to flat, is z-normalized directly instead
-        (scale 1, offset L/2 or 0 when flat), as window_matrix would.
+        (scale 1, offset L/2 or 0 when flat), as Windows.of_series would.
         """
         n, m = self.series.shape
         if L > m:
@@ -199,8 +187,9 @@ class SeriesSums:
 def nearest_window_dists(
     Q: np.ndarray, windows: Windows, cfg: DistanceConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """(queries, n) minimum window distances from each row of Q, a
-    window_matrix made with cfg, to each of the n series of windows.
+    """(queries, n) minimum window distances from each row of Q to each of
+    the n series of windows; the rows are z-normalized (znorm_rows) when
+    cfg.normalize_windows.
 
     Within a series, q.w - |w|^2/2 is largest at the window nearest to q, so
     one matrix product picks it (see Windows for how the scan carries the

@@ -55,3 +55,7 @@ class UnknownLabelError(DivshapError):
 
 class ModelFormatError(DivshapError):
     """A saved model file is not a well-formed divshap model."""
+
+
+class InvalidConfigError(DivshapError):
+    """A configuration value is outside the values it may take."""

@@ -4,13 +4,15 @@ Two same-class shapelets are "similar" when their mutual distance is at
 most the smaller of their two split thresholds; similar pairs become
 undirected edges. The diversified top-k is the greedy independent set taken
 in score order, so every selection is the best-scored candidate compatible
-with the ones already kept.
+with the ones already kept. The graph is an immutable record of vertices
+and distance settings; it stores no edges and asks similar for each pair a
+query needs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distance import DEFAULT_CONFIG, DistanceConfig, shapelet_dist
 from .mining import Shapelet
@@ -29,40 +31,33 @@ def similar(
     return shapelet_dist(si, sj, cfg) <= min(si.split_threshold, sj.split_threshold)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiversityGraph:
-    """Score-ordered shapelet vertices with "similar" edges.
+    """Score-ordered shapelet vertices whose edges are the "similar" predicate.
 
-    adjacency is either materialized (eager build) or None, in which case
-    edges are evaluated on demand from the predicate; both modes answer
-    is_edge identically. Vertex order must be the mining output order.
+    The graph stores no edges: div_topk and edges ask similar once for each
+    pair they need, so building one costs nothing. Vertex order must be the
+    mining output order; the graph reads the given sequence by index and
+    does not copy it.
     """
 
     vertices: Sequence[Shapelet]
-    cfg: DistanceConfig = field(default_factory=DistanceConfig)
+    cfg: DistanceConfig = DEFAULT_CONFIG
     same_class_only: bool = True
-    adjacency: list[set[int]] | None = None
-    _cache: dict[tuple[int, int], bool] = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    def is_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        if self.adjacency is not None:
-            return j in self.adjacency[i]
-        key = (i, j) if i < j else (j, i)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = similar(self.vertices[i], self.vertices[j], self.cfg, self.same_class_only)
-            self._cache[key] = hit
-        return hit
-
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (i, j) with i < j, materializing lazily if needed."""
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.is_edge(i, j)]
+        """All edges as (i, j) with i < j, from n(n-1)/2 calls of similar."""
+        v = self.vertices
+        return [
+            (i, j)
+            for i in range(self.n)
+            for j in range(i + 1, self.n)
+            if similar(v[i], v[j], self.cfg, self.same_class_only)
+        ]
 
 
 def build_graph(
@@ -70,46 +65,35 @@ def build_graph(
     cfg: DistanceConfig = DEFAULT_CONFIG,
     *,
     same_class_only: bool = True,
-    lazy: bool = False,
+    lazy: bool = True,
 ) -> DiversityGraph:
-    """Build the diversity graph over a score-sorted shapelet list.
+    """The diversity graph over a score-sorted shapelet list.
 
-    The eager build runs the O(n^2) pair scan and stores symmetric
-    adjacency sets. The lazy build defers edge evaluation to queries, which
-    keeps huge candidate lists tractable; query results are identical. The
-    graph reads the given sequence by index and does not copy it.
+    lazy is accepted and ignored: every graph evaluates its edges on demand.
     """
-    g = DiversityGraph(vertices=all_shapelets, cfg=cfg, same_class_only=same_class_only)
-    if lazy:
-        return g
-    n = g.n
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if similar(g.vertices[i], g.vertices[j], cfg, same_class_only):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    g.adjacency = adjacency
-    return g
+    return DiversityGraph(all_shapelets, cfg, same_class_only)
 
 
 def div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
     """Greedy diversified top-k: scan vertices in score order, keeping any
     vertex with no already-kept neighbor, until k are kept.
 
-    May return fewer than k shapelets when the greedy maximal independent
-    set is smaller than k; callers treat a short result as final.
+    Each scanned vertex is compared with the kept ones in keep order, until
+    the first edge; the greedy decides each pair once, so nothing is cached.
+    A kept set stays whole when the graph is rebuilt on it alone. May return
+    fewer than k shapelets when the greedy maximal independent set is
+    smaller than k; callers treat a short result as final.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    selected: list[int] = []
-    for i in range(g.n):
-        if any(g.is_edge(i, j) for j in selected):
+    kept: list[Shapelet] = []
+    for v in g.vertices:
+        if any(similar(v, u, g.cfg, g.same_class_only) for u in kept):
             continue
-        selected.append(i)
-        if len(selected) == k:
+        kept.append(v)
+        if len(kept) == k:
             break
-    return [g.vertices[i] for i in selected]
+    return kept
 
 
 def graph_dump_rows(g: DiversityGraph) -> tuple[list[dict], list[tuple[int, int]]]:
@@ -134,10 +118,6 @@ def independence_violations(
     cfg: DistanceConfig = DEFAULT_CONFIG,
     same_class_only: bool = True,
 ) -> list[tuple[int, int]]:
-    """Pairs in a selection that violate the dissimilarity condition."""
-    bad = []
-    for i in range(len(shapelets)):
-        for j in range(i + 1, len(shapelets)):
-            if similar(shapelets[i], shapelets[j], cfg, same_class_only):
-                bad.append((i, j))
-    return bad
+    """Pairs in a selection that violate the dissimilarity condition: the
+    edges of the selection's own graph."""
+    return DiversityGraph(shapelets, cfg, same_class_only).edges()

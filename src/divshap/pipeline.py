@@ -17,15 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import elm
-from .dataset import Dataset, recode_labels, stratified_folds, znormalize
-from .distance import DistanceConfig
-from .errors import LengthMismatchError, ModelFormatError, SingleClassTrainingError
+from .dataset import Dataset, recode_labels, stratified_folds
+from .distance import DistanceConfig, znorm_rows
+from .errors import InvalidConfigError, LengthMismatchError, ModelFormatError, SingleClassTrainingError
 from .graph import DiversityGraph, build_graph, div_topk
 from .mining import MiningConfig, Shapelet, mine_shapelets
 from .transform import Scaling, apply_scaling, fit_scaling, transform
 
 MODEL_FORMAT = "divshap-pipeline"
 MODEL_VERSION = 1
+EVAL_MODES = ("cv", "train")
 
 
 @dataclass(frozen=True)
@@ -35,12 +36,19 @@ class EvalConfig:
     mode "cv" runs stratified cross-validation on the training split
     (fold count clamps to the dataset size); mode "train" scores plain
     training accuracy. Each is averaged over `repeats` seeded ELM draws.
+    Any other mode, or repeats below 1, raises InvalidConfigError.
     """
 
     mode: str = "cv"
     folds: int = 5
     repeats: int = 5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.mode not in EVAL_MODES:
+            raise InvalidConfigError(f"evaluation mode must be one of {EVAL_MODES}, got {self.mode!r}")
+        if self.repeats < 1:
+            raise InvalidConfigError(f"evaluation repeats must be at least 1, got {self.repeats}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,7 @@ def prepare_series(d: Dataset, cfg: PipelineConfig) -> Dataset:
     """Apply the configured whole-series normalization, if any."""
     if not cfg.znormalize_series:
         return d
-    X = np.vstack([znormalize(row) for row in d.X]) if d.n else d.X
-    return Dataset(X=X, y=d.y, label_names=d.label_names, name=d.name)
+    return Dataset(X=znorm_rows(d.X), y=d.y, label_names=d.label_names, name=d.name)
 
 
 def _evaluate_features(
@@ -162,15 +169,12 @@ def mine_graph(
 ) -> tuple[Dataset, DiversityGraph]:
     """Candidate selection, the first stage of fit: prepare the series, mine
     every candidate under the pipeline's distance settings, and wrap them in
-    the lazy diversity graph. Returns the prepared training set and the graph.
+    the diversity graph. Returns the prepared training set and the graph.
     """
     train = prepare_series(train, cfg)
     mining_cfg = dataclasses.replace(cfg.mining, normalize=cfg.distance)
     all_shapelets = mine_shapelets(train, mining_cfg, workers=workers)
-    graph = build_graph(
-        all_shapelets, cfg.distance, same_class_only=cfg.same_class_only, lazy=True
-    )
-    return train, graph
+    return train, build_graph(all_shapelets, cfg.distance, same_class_only=cfg.same_class_only)
 
 
 def fit(train: Dataset, cfg: PipelineConfig | None = None, *, workers: int = 1) -> PipelineModel:
@@ -286,7 +290,7 @@ def load_pipeline(stream) -> PipelineModel:
         raise ModelFormatError(f"unsupported model version {blob.get('version')}")
     try:
         model = _model_from_blob(blob)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, InvalidConfigError) as exc:
         raise ModelFormatError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
     k = model.selected_k
     W, beta = model.elm_model.hidden.W, model.elm_model.beta

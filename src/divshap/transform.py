@@ -13,7 +13,7 @@ from .distance import (
     SeriesSums,
     Windows,
     nearest_window_dists,
-    window_matrix,
+    znorm_rows,
 )
 from .mining import Shapelet
 
@@ -40,16 +40,11 @@ class Scaling:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Distance features plus row labels and column provenance.
-
-    scaling is None for raw distances and set once min-max scaling has been
-    applied.
-    """
+    """Distance features plus row labels and column provenance."""
 
     X: np.ndarray
     labels: np.ndarray
     shapelet_ids: list[str]
-    scaling: Scaling | None = None
 
 
 def transform(
@@ -75,11 +70,11 @@ def transform(
     out = np.zeros((d.n, len(shapelets)))
     for L in {s.length for s in shapelets}:
         cols = [j for j, s in enumerate(shapelets) if s.length == L]
-        queries = window_matrix([shapelets[j].values for j in cols], L, cfg)
+        queries = np.array([shapelets[j].values for j in cols])
+        if cfg.normalize_windows:
+            znorm_rows(queries, out=queries)
         out[:, cols] = nearest_window_dists(queries, windows(L), cfg).T
-    return FeatureMatrix(
-        X=out, labels=d.y.copy(), shapelet_ids=[s.id for s in shapelets], scaling=None
-    )
+    return FeatureMatrix(X=out, labels=d.y.copy(), shapelet_ids=[s.id for s in shapelets])
 
 
 def fit_scaling(fm: FeatureMatrix) -> Scaling:
@@ -89,7 +84,7 @@ def fit_scaling(fm: FeatureMatrix) -> Scaling:
 
 def apply_scaling(fm: FeatureMatrix, scaling: Scaling) -> FeatureMatrix:
     """fm with its columns scaled by scaling.apply."""
-    return replace(fm, X=scaling.apply(fm.X), scaling=scaling)
+    return replace(fm, X=scaling.apply(fm.X))
 
 
 def write_features(fm: FeatureMatrix, stream) -> None:

@@ -49,7 +49,7 @@ def corpus_entry(train, cfg):
         normalize=cfg.distance,
     )
     mined = mine_shapelets(train, mining)
-    graph = build_graph(mined, cfg.distance, same_class_only=cfg.same_class_only, lazy=True)
+    graph = build_graph(mined, cfg.distance, same_class_only=cfg.same_class_only)
     model = _fit_from_graph(graph, train, cfg)
     return train, cfg, graph, model
 
@@ -178,7 +178,7 @@ def ucr_cache():
                 train, test = pair
                 cfg = PipelineConfig()
                 mined = mine_shapelets(train, MiningConfig(normalize=cfg.distance))
-                graph = build_graph(mined, cfg.distance, lazy=True)
+                graph = build_graph(mined, cfg.distance)
                 cache[names[0]] = (train, test, cfg, graph)
                 return cache[names[0]]
         return None

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import divshap.graph as graph_mod
 from divshap.bench import (
     ExperimentReport,
     baseline_1nn,
@@ -15,7 +16,7 @@ from divshap.dataset import Dataset
 from divshap.elm import ELMConfig
 from divshap.errors import KindMismatchError
 from divshap.mining import MiningConfig
-from divshap.pipeline import EvalConfig, PipelineConfig, fit, predict_pipeline
+from divshap.pipeline import EvalConfig, PipelineConfig, fit, mine_graph, predict_pipeline
 from divshap.transform import FeatureMatrix
 
 from conftest import bump_dataset
@@ -99,6 +100,26 @@ def test_run_experiment_compare_fields(toy_train, toy_test):
     assert report.selected_k == fitted.selected_k
     assert [s.id for s in model.shapelets] == [s.id for s in fitted.shapelets]
     assert report.accuracies["divshap_elm"] == predict_pipeline(fitted, toy_test)[1]
+
+
+def test_run_experiment_scans_the_mined_graph_once(toy_train, toy_test, monkeypatch):
+    """One greedy scan of the mined graph, then only the kappa pool's own
+    pairs when the sweep takes its pool again."""
+    cfg = fast_cfg()
+    calls = []
+    real = graph_mod.similar
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph_mod, "similar", counted)
+    pool = graph_mod.div_topk(mine_graph(toy_train, cfg)[1], cfg.kappa)
+    scan = len(calls)
+    calls.clear()
+    run_experiment(toy_train, toy_test, cfg)
+    assert len(pool) == cfg.kappa
+    assert len(calls) == scan + cfg.kappa * (cfg.kappa - 1) // 2
 
 
 def test_run_experiment_deterministic_accuracies(toy_train, toy_test):

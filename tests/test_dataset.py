@@ -12,6 +12,7 @@ from divshap.dataset import (
     write_ucr,
     znormalize,
 )
+from divshap.distance import znorm_rows
 from divshap.errors import (
     EmptyInputError,
     FoldCountTooLargeError,
@@ -118,6 +119,11 @@ def test_znormalize_idempotent():
         v = rng.normal(0, rng.uniform(0.5, 20), size=rng.integers(2, 40))
         z = znormalize(v)
         assert np.allclose(znormalize(z), z, atol=1e-9)
+        # the row-wise form, as prepare_series applies it, agrees bit for
+        # bit, on a flat row and on offsets far from zero as well
+        M = rng.normal(0, rng.uniform(0.5, 20), (5, len(v))) + rng.uniform(-1e4, 1e4, (5, 1))
+        M[1] = rng.uniform(-1e4, 1e4)
+        assert np.array_equal(znorm_rows(M), np.vstack([znormalize(row) for row in M]))
 
 
 def test_stratified_folds_balanced():

@@ -10,9 +10,9 @@ from divshap.distance import (
     shapelet_dist,
     subsequence_dist,
     window_distances,
-    window_matrix,
     znorm_offset,
 )
+from divshap.dataset import znormalize
 from divshap.errors import LengthMismatchError, ShapeletLongerThanSeriesError
 
 
@@ -24,6 +24,14 @@ def naive_znorm(v):
     if sd < 1e-8:
         return [0.0] * n
     return [(x - mu) / sd for x in v]
+
+
+def naive_windows(X, L, cfg):
+    """Every length-L window of every row of X, in (row, start) order, each
+    z-normalized by znormalize when cfg.normalize_windows."""
+    X = np.asarray(X, dtype=np.float64)
+    W = np.array([row[s : s + L] for row in X for s in range(X.shape[1] - L + 1)])
+    return np.array([znormalize(w) for w in W]) if cfg.normalize_windows else W
 
 
 def naive_subsequence_dist(t, s, normalize=True, length_normalize=True):
@@ -90,7 +98,7 @@ def test_nearest_window_dists_matches_naive_scan(normalize, length_normalize):
     for L in (3, 5, 8):
         queries = np.vstack([rng.normal(size=(4, L)), np.full((1, L), 2.5), X[2, 4 : 4 + L]])
         windows = Windows.of_series(X, L, cfg)
-        got = nearest_window_dists(window_matrix(queries, L, cfg), windows, cfg)
+        got = nearest_window_dists(naive_windows(queries, L, cfg), windows, cfg)
         assert got.shape == (len(queries), len(X))
         for j, q in enumerate(queries):
             for i, t in enumerate(X):
@@ -104,7 +112,7 @@ def test_nearest_window_dists_window_query_is_exactly_zero(normalize):
     cfg = DistanceConfig(normalize_windows=normalize)
     X = series_with_flat_stretches(rng, 5, 30)
     for L in (4, 9):
-        W = window_matrix(X, L, cfg)
+        W = naive_windows(X, L, cfg)
         rows = np.arange(0, len(W), 7)
         got = nearest_window_dists(W[rows], Windows.of_series(X, L, cfg), cfg)
         series = rows // (X.shape[1] - L + 1)
@@ -117,7 +125,7 @@ def test_windows_of_series_is_window_matrix_and_offset_column(normalize):
     cfg = DistanceConfig(normalize_windows=normalize)
     X = series_with_flat_stretches(rng, 4, 30)
     for L in (4, 9, 30):
-        W = window_matrix(X, L, cfg)
+        W = naive_windows(X, L, cfg)
         scan = Windows.of_series(X, L, cfg).scan
         assert np.array_equal(scan[:, :L], W)
         offset = znorm_offset(W) if normalize else 0.5 * np.einsum("ij,ij->i", W, W)
@@ -128,9 +136,9 @@ def test_nearest_window_dists_batch_equals_single_queries():
     rng = np.random.default_rng(12)
     X = series_with_flat_stretches(rng, 7, 40)
     for cfg in (DistanceConfig(), DistanceConfig(normalize_windows=False, length_normalize=False)):
-        W = window_matrix(X, 6, cfg)
+        W = naive_windows(X, 6, cfg)
         windows = Windows.of_series(X, 6, cfg)
-        Q = np.vstack([window_matrix(rng.normal(size=(9, 6)), 6, cfg), W[::25]])
+        Q = np.vstack([naive_windows(rng.normal(size=(9, 6)), 6, cfg), W[::25]])
         batch = nearest_window_dists(Q, windows, cfg)
         single = np.vstack([nearest_window_dists(Q[j : j + 1], windows, cfg) for j in range(len(Q))])
         assert np.array_equal(batch, single)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import divshap.graph as graph_mod
 from divshap.distance import DistanceConfig
 from divshap.graph import (
     DiversityGraph,
@@ -69,40 +70,77 @@ def test_build_graph_triangle():
 def test_build_graph_symmetry_and_oracle(toy_train):
     mined = mine_shapelets(toy_train, MiningConfig(min_len=4, max_len=6))[:10]
     g = build_graph(mined, same_class_only=True)
-    # adjacency equals its transpose
-    for i in range(g.n):
-        for j in g.adjacency[i]:
-            assert i in g.adjacency[j]
-            assert i != j
-    # edge set equals pairwise recomputation of the predicate
-    want = {
-        (i, j)
-        for i in range(10)
-        for j in range(i + 1, 10)
-        if similar(mined[i], mined[j], same_class_only=True)
-    }
+    pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+    # edge set equals pairwise recomputation of the predicate, which does
+    # not depend on argument order
+    want = {(i, j) for i, j in pairs if similar(mined[i], mined[j], same_class_only=True)}
+    assert want == {(i, j) for i, j in pairs if similar(mined[j], mined[i], same_class_only=True)}
     assert set(g.edges()) == want
 
 
-def test_lazy_graph_answers_match_eager(toy_train):
-    mined = mine_shapelets(toy_train, MiningConfig(min_len=4, max_len=6))[:12]
-    eager = build_graph(mined)
-    lazy = build_graph(mined, lazy=True)
-    for i in range(eager.n):
-        for j in range(eager.n):
-            if i != j:
-                assert eager.is_edge(i, j) == lazy.is_edge(i, j)
+def greedy_over_similar(shapelets, k):
+    """The greedy diversified top-k from scratch: the full pairwise edge set
+    first, then the first k indices in order with no earlier kept neighbor."""
+    n = len(shapelets)
+    edges = {(i, j) for j in range(n) for i in range(j) if similar(shapelets[j], shapelets[i])}
+    kept = []
+    for j in range(n):
+        if len(kept) < k and not any((i, j) in edges for i in kept):
+            kept.append(j)
+    return [shapelets[j] for j in kept]
+
+
+def test_div_topk_equals_greedy_over_similar(toy_train):
+    mined = mine_shapelets(toy_train, MiningConfig(min_len=4, max_len=6))
+    top = mined[:60]  # the greedy keeps 12 within the first 46
     for k in (1, 3, 12):
-        assert div_topk(eager, k) == div_topk(lazy, k)
+        got = div_topk(build_graph(mined), k)
+        assert got == greedy_over_similar(top, k) and len(got) == k
+        assert independence_violations(got) == []
 
 
-def manual_graph(n: int, edges: list[tuple[int, int]]) -> DiversityGraph:
-    verts = [shapelet_at(float(i), 1.0, idx=i) for i in range(n)]
-    adjacency = [set() for _ in range(n)]
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    return DiversityGraph(vertices=verts, adjacency=adjacency)
+def test_div_topk_asks_similar_once_per_scanned_and_kept_pair(toy_train, monkeypatch):
+    """graph.pair_checks counts these calls: each scanned candidate against
+    the kept ones in keep order, up to its first similar one."""
+    mined = mine_shapelets(toy_train, MiningConfig(min_len=4, max_len=6))
+    calls = []
+
+    def counted(a, b, *args):
+        calls.append((a.id, b.id))
+        return similar(a, b, *args)
+
+    monkeypatch.setattr(graph_mod, "similar", counted)
+    kept = div_topk(build_graph(mined), 9)
+    want, so_far = [], []
+    for s in mined[: mined.index(kept[-1]) + 1]:
+        for t in so_far:
+            want.append((s.id, t.id))
+            if similar(s, t):
+                break
+        else:
+            so_far.append(s)
+    assert so_far == kept
+    assert calls == want and len(set(calls)) == len(calls)
+
+
+@pytest.fixture
+def manual_graph(monkeypatch):
+    """Graphs whose similar answers from a given edge list: vertex i is the
+    shapelet of source series i. Each graph replaces the previous one's
+    edges."""
+    edge_set = set()
+
+    def listed(a, b, *args):
+        return frozenset((a.source_series, b.source_series)) in edge_set
+
+    monkeypatch.setattr(graph_mod, "similar", listed)
+
+    def make(n: int, edges: list[tuple[int, int]]) -> DiversityGraph:
+        edge_set.clear()
+        edge_set.update(frozenset(e) for e in edges)
+        return DiversityGraph(vertices=[shapelet_at(float(i), 1.0, idx=i) for i in range(n)])
+
+    return make
 
 
 def all_independent_sets(n, edges, size):
@@ -112,7 +150,7 @@ def all_independent_sets(n, edges, size):
             yield list(combo)
 
 
-def test_div_topk_two_component_example():
+def test_div_topk_two_component_example(manual_graph):
     g = manual_graph(4, [(0, 1), (2, 3)])
     got = [g.vertices.index(v) for v in div_topk(g, 2)]
     assert got == [0, 2]
@@ -120,18 +158,18 @@ def test_div_topk_two_component_example():
     assert got == min(all_independent_sets(4, [(0, 1), (2, 3)], 2))
 
 
-def test_div_topk_edgeless():
+def test_div_topk_edgeless(manual_graph):
     g = manual_graph(5, [])
     assert [g.vertices.index(v) for v in div_topk(g, 3)] == [0, 1, 2]
 
 
-def test_div_topk_clique_short_result():
+def test_div_topk_clique_short_result(manual_graph):
     g = manual_graph(5, list(itertools.combinations(range(5), 2)))
     got = div_topk(g, 3)
     assert [g.vertices.index(v) for v in got] == [0]
 
 
-def test_div_topk_monotone_prefix_random():
+def test_div_topk_monotone_prefix_random(manual_graph):
     rng = np.random.default_rng(33)
     for trial in range(25):
         n = int(rng.integers(2, 12))
@@ -151,10 +189,10 @@ def test_div_topk_monotone_prefix_random():
         # selection is an independent set
         idxs = [g.vertices.index(v) for v in prev]
         for a, b in itertools.combinations(idxs, 2):
-            assert not g.is_edge(a, b)
+            assert (a, b) not in edges
 
 
-def test_div_topk_greedy_prefix_optimal():
+def test_div_topk_greedy_prefix_optimal(manual_graph):
     # swapping any higher-scored unselected vertex into the result breaks
     # independence
     rng = np.random.default_rng(44)
@@ -177,12 +215,12 @@ def test_div_topk_greedy_prefix_optimal():
                 if u < v:
                     swapped = (sel_set - {v}) | {u}
                     conflict = any(
-                        g.is_edge(a, b) for a, b in itertools.combinations(swapped, 2)
+                        (a, b) in edges for a, b in itertools.combinations(sorted(swapped), 2)
                     )
                     assert conflict, f"swap {u} for {v} kept independence"
 
 
-def test_div_topk_k_validation():
+def test_div_topk_k_validation(manual_graph):
     g = manual_graph(2, [])
     with pytest.raises(ValueError):
         div_topk(g, 0)

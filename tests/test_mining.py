@@ -232,7 +232,7 @@ def test_fit_builds_only_the_scanned_prefix(monkeypatch):
     n_built = len(built)
 
     mined = mine_shapelets(d, MiningConfig(normalize=cfg.distance))
-    pool = div_topk(build_graph(mined, cfg.distance, lazy=True), cfg.kappa)
+    pool = div_topk(build_graph(mined, cfg.distance), cfg.kappa)
     assert len(pool) == cfg.kappa
     scan_depth = next(i for i in range(len(mined)) if mined[i] is pool[-1]) + 1
     assert n_built <= scan_depth < len(mined) / 10

@@ -7,7 +7,13 @@ import pytest
 
 from divshap import elm
 from divshap.dataset import Dataset
-from divshap.errors import LengthMismatchError, ModelFormatError, SingleClassTrainingError
+from divshap.errors import (
+    DivshapError,
+    InvalidConfigError,
+    LengthMismatchError,
+    ModelFormatError,
+    SingleClassTrainingError,
+)
 from divshap.graph import build_graph, similar
 from divshap.mining import MiningConfig, mine_shapelets
 from divshap.pipeline import (
@@ -63,7 +69,7 @@ def test_two_shapelet_boundary_selects_k2():
     assert by_k[1] < by_k[2]
     # independent re-evaluation of the sweep rows through the public pieces
     mined = mine_shapelets(d, MiningConfig(min_len=6, max_len=10, normalize=cfg.distance))
-    graph = build_graph(mined, cfg.distance, lazy=True)
+    graph = build_graph(mined, cfg.distance)
     _, _, report = select_k(graph, d, cfg)
     assert [r["mean_accuracy"] for r in report] == [
         r["mean_accuracy"] for r in model.k_sweep_report
@@ -145,6 +151,11 @@ def _load_blob(blob):
     return load_pipeline(io.StringIO(json.dumps(blob)))
 
 
+def _with_evaluation(blob, **fields):
+    config = blob["config"]
+    return {**blob, "config": {**config, "evaluation": {**config["evaluation"], **fields}}}
+
+
 def test_load_ignores_keys_of_removed_options(fitted, toy_test):
     """Files written by versions with since-removed mining options carry
     extra keys in the mining config; they load and predict unchanged."""
@@ -167,6 +178,8 @@ def test_load_ignores_keys_of_removed_options(fitted, toy_test):
         lambda b: {**b, "scaling": {"mins": [], "maxs": []}},
         lambda b: {**b, "elm": {**b["elm"], "codebook": [0]}},
         lambda b: {**b, "shapelets": 3},
+        lambda b: _with_evaluation(b, mode="CV"),
+        lambda b: _with_evaluation(b, repeats=0),
         lambda b: [],
     ],
 )
@@ -207,6 +220,15 @@ def test_sweep_seeds_fixed_per_cell():
     assert _sweep_elm_seed(0, 3, 1) != _sweep_elm_seed(0, 4, 1)
 
 
+@pytest.mark.parametrize("bad", [dict(mode="CV"), dict(mode="loo"), dict(repeats=0), dict(repeats=-2)])
+def test_eval_config_rejects_unknown_mode_and_repeats_below_one(bad):
+    """Before, repeats=0 fitted a model with no selected k and any mode but
+    "cv" scored training accuracy."""
+    with pytest.raises(InvalidConfigError) as info:
+        EvalConfig(**bad)
+    assert isinstance(info.value, DivshapError)
+
+
 def test_training_accuracy_eval_mode(toy_train):
     cfg = small_cfg(evaluation=EvalConfig(mode="train", repeats=2))
     model = fit(toy_train, cfg)
@@ -221,7 +243,7 @@ def test_short_greedy_pool_skips_larger_k():
     cfg = small_cfg(mining=MiningConfig(min_len=4, max_len=5))
     mined = mine_shapelets(d, cfg.mining)
     boosted = [dataclasses.replace(s, split_threshold=1e9) for s in mined]
-    graph = build_graph(boosted, cfg.distance, lazy=True)
+    graph = build_graph(boosted, cfg.distance)
     k, shapelets, report = select_k(graph, d, cfg)
     assert len(report) <= 2
     assert [r["k"] for r in report] == list(range(1, len(report) + 1))
