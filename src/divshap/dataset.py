@@ -202,17 +202,26 @@ def write_ucr(d: Dataset, stream: TextIO, *, delimiter: str = ",") -> None:
         stream.write(delimiter.join(fields) + "\n")
 
 
-def znormalize(values: np.ndarray) -> np.ndarray:
-    """Shift/scale to mean 0 and population std 1.
+def znorm_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Shift/scale each row of w to mean 0 and population std 1, into out
+    if given (which may be w itself).
 
-    Near-constant input (std below FLAT_STD) maps to all zeros so flat
+    A near-constant row (std below FLAT_STD) maps to all zeros so flat
     windows keep a well-defined distance.
     """
-    v = np.asarray(values, dtype=np.float64)
-    sd = v.std()
-    if sd < FLAT_STD:
-        return np.zeros_like(v)
-    return (v - v.mean()) / sd
+    mu = w.mean(axis=1, keepdims=True)
+    sd = w.std(axis=1, keepdims=True)
+    flat = sd[:, 0] < FLAT_STD
+    out = np.subtract(w, mu, out=out)
+    out /= np.where(sd < FLAT_STD, 1.0, sd)
+    if flat.any():
+        out[flat] = 0.0
+    return out
+
+
+def znormalize(values: np.ndarray) -> np.ndarray:
+    """One series z-normalized as a row of znorm_rows."""
+    return znorm_rows(np.asarray(values, dtype=np.float64)[None, :])[0]
 
 
 def stratified_folds(d: Dataset, f: int, seed: int) -> np.ndarray:

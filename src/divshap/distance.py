@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FLAT_STD, znormalize
+from .dataset import FLAT_STD, znorm_rows, znormalize
 from .errors import LengthMismatchError, ShapeletLongerThanSeriesError
 
 
@@ -44,19 +44,6 @@ class DistanceConfig:
 
 
 DEFAULT_CONFIG = DistanceConfig()
-
-
-def znorm_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise z-normalization with the flat-row-to-zeros convention of
-    znormalize, into out if given (which may be w itself)."""
-    mu = w.mean(axis=1, keepdims=True)
-    sd = w.std(axis=1, keepdims=True)
-    flat = sd[:, 0] < FLAT_STD
-    out = np.subtract(w, mu, out=out)
-    out /= np.where(sd < FLAT_STD, 1.0, sd)
-    if flat.any():
-        out[flat] = 0.0
-    return out
 
 
 def znorm_offset(rows: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidConfigError,
     NumericalFailureError,
     SingleClassTrainingError,
 )
@@ -26,13 +27,20 @@ class ELMConfig:
     """Hidden-layer width (None = auto), activation tag, seed, ridge term.
 
     The auto width is min(N, max(20, 2 * n_features)) so small transformed
-    feature spaces keep the solve well conditioned.
+    feature spaces keep the solve well conditioned. An activation outside
+    ACTIVATIONS, or a width below 1, raises InvalidConfigError.
     """
 
     n_hidden: int | None = None
     activation: str = "sigmoid"
     seed: int = 0
     ridge: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if self.activation not in ACTIVATIONS:
+            raise InvalidConfigError(f"ELM activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if self.n_hidden is not None and self.n_hidden < 1:
+            raise InvalidConfigError(f"ELM hidden width must be at least 1, got {self.n_hidden}")
 
 
 @dataclass(frozen=True)

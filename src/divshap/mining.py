@@ -28,7 +28,7 @@ from .distance import (
     nearest_window_dists,
     window_distances,
 )
-from .errors import BandEmptyError
+from .errors import BandEmptyError, InvalidConfigError
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +88,16 @@ class MiningConfig:
     normalize: DistanceConfig = field(default_factory=DistanceConfig)
 
     def band(self, m: int) -> tuple[int, int]:
-        """Resolve the candidate length band for series length m."""
+        """Resolve the candidate length band for series length m; bounds or
+        strides outside their range raise InvalidConfigError."""
         lo = self.min_len if self.min_len is not None else max(3, m // 11)
         hi = self.max_len if self.max_len is not None else m // 2
         if lo < 2:
-            raise ValueError(f"min_len must be at least 2, got {lo}")
+            raise InvalidConfigError(f"min_len must be at least 2, got {lo}")
         if min(self.length_stride, self.position_stride) < 1:
-            raise ValueError("length_stride and position_stride must be at least 1")
+            raise InvalidConfigError("length_stride and position_stride must be at least 1")
         if hi > m:
-            raise ValueError(f"max_len {hi} exceeds series length {m}")
+            raise InvalidConfigError(f"max_len {hi} exceeds series length {m}")
         if lo > hi:
             raise BandEmptyError(f"length band [{lo}, {hi}] is empty")
         return lo, hi

@@ -1,10 +1,12 @@
 """End-to-end pipeline: mine, prune via the diversity graph, sweep k,
 train the final ELM, and predict.
 
-The k sweep evaluates each diversified top-k shapelet set by transforming
-the training data and scoring an ELM under the configured evaluation mode;
-the k with the best mean accuracy wins, smaller k on ties. Everything is
-fitted on training data only.
+The k sweep scores each prefix of the diversified top-kappa pool with ELMs
+on one list of evaluation splits, built once per sweep: a pair (rows the
+ELM is fitted on, rows it is scored on) per usable stratified fold in mode
+"cv", or the training set scored on itself in mode "train" or when no fold
+is usable. The k with the best mean accuracy wins, smaller k on ties.
+Everything is fitted on training data only.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import elm
-from .dataset import Dataset, recode_labels, stratified_folds
-from .distance import DistanceConfig, znorm_rows
+from .dataset import Dataset, recode_labels, stratified_folds, znorm_rows
+from .distance import DistanceConfig
 from .errors import InvalidConfigError, LengthMismatchError, ModelFormatError, SingleClassTrainingError
 from .graph import DiversityGraph, build_graph, div_topk
 from .mining import MiningConfig, Shapelet, mine_shapelets
@@ -36,7 +38,8 @@ class EvalConfig:
     mode "cv" runs stratified cross-validation on the training split
     (fold count clamps to the dataset size); mode "train" scores plain
     training accuracy. Each is averaged over `repeats` seeded ELM draws.
-    Any other mode, or repeats below 1, raises InvalidConfigError.
+    Any other mode, folds below 2 or repeats below 1 raises
+    InvalidConfigError.
     """
 
     mode: str = "cv"
@@ -47,6 +50,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.mode not in EVAL_MODES:
             raise InvalidConfigError(f"evaluation mode must be one of {EVAL_MODES}, got {self.mode!r}")
+        if self.folds < 2:
+            raise InvalidConfigError(f"evaluation folds must be at least 2, got {self.folds}")
         if self.repeats < 1:
             raise InvalidConfigError(f"evaluation repeats must be at least 1, got {self.repeats}")
 
@@ -92,30 +97,20 @@ def prepare_series(d: Dataset, cfg: PipelineConfig) -> Dataset:
     return Dataset(X=znorm_rows(d.X), y=d.y, label_names=d.label_names, name=d.name)
 
 
-def _evaluate_features(
-    X: np.ndarray, y: np.ndarray, folds: np.ndarray | None, cfg: PipelineConfig, elm_seed: int
-) -> float:
-    """One sweep-cell evaluation: CV mean accuracy or training accuracy."""
-    elm_cfg = dataclasses.replace(cfg.elm, seed=elm_seed)
-    if folds is None:
-        Xs = Scaling.fit(X).apply(X)
-        model = elm.train(Xs, y, elm_cfg)
-        return float((elm.predict(model, Xs) == y).mean())
-
-    accs = []
-    for f in np.unique(folds):
-        val = folds == f
-        tr = ~val
-        if not val.any() or len(np.unique(y[tr])) < 2:
-            continue
-        scaling = Scaling.fit(X[tr])
-        model = elm.train(scaling.apply(X[tr]), y[tr], elm_cfg)
-        pred = elm.predict(model, scaling.apply(X[val]))
-        accs.append(float((pred == y[val]).mean()))
-    if not accs:
+def _eval_splits(train: Dataset, ev: EvalConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pairs of row masks (rows an ELM is fitted on, rows it is scored on):
+    one per stratified fold whose fit side holds two classes in mode "cv";
+    the training set scored on itself in mode "train", or, warned once, in
+    mode "cv" when no fold is usable."""
+    if ev.mode == "cv":
+        folds = stratified_folds(train, min(ev.folds, train.n), ev.seed)
+        splits = [(folds != f, folds == f) for f in np.unique(folds)]
+        splits = [(tr, val) for tr, val in splits if len(np.unique(train.y[tr])) >= 2]
+        if splits:
+            return splits
         warnings.warn("no usable CV folds; falling back to training accuracy")
-        return _evaluate_features(X, y, None, cfg, elm_seed)
-    return float(np.mean(accs))
+    everything = np.ones(train.n, dtype=bool)
+    return [(everything, everything)]
 
 
 def select_k(
@@ -123,31 +118,33 @@ def select_k(
 ) -> tuple[int, list[Shapelet], list[dict]]:
     """Sweep k in [1, kappa] and pick the best-evaluating shapelet count.
 
-    Larger k values are skipped once the greedy independent set is
-    exhausted (their result would duplicate the last evaluated prefix).
-    Ties in mean accuracy resolve to the smaller k.
+    Each split of _eval_splits is scaled once on all pool columns (scaling
+    is per column), and cell (k, repeat) fits one ELM per split on the
+    first k. The sweep stops early if the greedy pool holds fewer than
+    kappa shapelets. Ties in mean accuracy resolve to the smaller k.
     """
     if graph.n == 0:
         raise ValueError("diversity graph has no vertices")
     kappa = max(1, min(cfg.kappa, graph.n))
     pool = div_topk(graph, kappa)
-    feats = transform(train, pool, cfg.distance)
+    feats = transform(train, pool, cfg.distance).X
 
-    folds = None
-    if cfg.evaluation.mode == "cv":
-        f = max(2, min(cfg.evaluation.folds, train.n))
-        folds = stratified_folds(train, f, cfg.evaluation.seed)
+    splits = []
+    for tr, val in _eval_splits(train, cfg.evaluation):
+        scaling = Scaling.fit(feats[tr])
+        splits.append((scaling.apply(feats[tr]), train.y[tr], scaling.apply(feats[val]), train.y[val]))
 
     report: list[dict] = []
     best_k, best_acc = None, -1.0
     for k in range(1, len(pool) + 1):
-        Xk = feats.X[:, :k]
-        per_repeat = [
-            _evaluate_features(
-                Xk, train.y, folds, cfg, _sweep_elm_seed(cfg.evaluation.seed, k, rep)
-            )
-            for rep in range(cfg.evaluation.repeats)
-        ]
+        per_repeat = []
+        for rep in range(cfg.evaluation.repeats):
+            elm_cfg = dataclasses.replace(cfg.elm, seed=_sweep_elm_seed(cfg.evaluation.seed, k, rep))
+            accs = [
+                float((elm.predict(elm.train(X_tr[:, :k], y_tr, elm_cfg), X_val[:, :k]) == y_val).mean())
+                for X_tr, y_tr, X_val, y_val in splits
+            ]
+            per_repeat.append(float(np.mean(accs)))
         mean_acc = float(np.mean(per_repeat))
         labels, counts = np.unique([s.class_label for s in pool[:k]], return_counts=True)
         report.append(
@@ -277,8 +274,8 @@ def save_pipeline(model: PipelineModel, stream) -> None:
 def load_pipeline(stream) -> PipelineModel:
     """Read a model written by save_pipeline.
 
-    A file that is not a complete, self-consistent model raises
-    ModelFormatError.
+    A file that is not a complete, self-consistent model that predict can
+    serve (all numbers finite; JSON allows NaN) raises ModelFormatError.
     """
     try:
         blob = json.load(stream)
@@ -293,14 +290,25 @@ def load_pipeline(stream) -> PipelineModel:
     except (KeyError, TypeError, ValueError, AttributeError, InvalidConfigError) as exc:
         raise ModelFormatError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
     k = model.selected_k
-    W, beta = model.elm_model.hidden.W, model.elm_model.beta
+    hidden, beta = model.elm_model.hidden, model.elm_model.beta
     if not (
-        len(model.shapelets) == k == len(model.scaling.mins) == len(model.scaling.maxs)
-        and W.ndim == beta.ndim == 2
-        and W.shape[1] == k
-        and beta.shape == (W.shape[0], len(model.elm_model.codebook))
+        len(model.shapelets) == k
+        and model.scaling.mins.shape == model.scaling.maxs.shape == (k,)
+        and hidden.W.ndim == beta.ndim == 2
+        and hidden.W.shape[1] == k
+        and hidden.b.shape == (hidden.W.shape[0],)
+        and model.elm_model.codebook.shape == (beta.shape[1],)
+        and beta.shape[0] == hidden.W.shape[0]
     ):
         raise ModelFormatError("model file sizes disagree: shapelets, scaling and ELM weights")
+    if not all(s.values.ndim == 1 and 0 < s.length == len(s.values) <= model.trained_m for s in model.shapelets):
+        raise ModelFormatError("a shapelet's length disagrees with its values or the series length")
+    if hidden.activation not in elm.ACTIVATIONS:
+        raise ModelFormatError(f"unknown ELM activation {hidden.activation!r}")
+    arrays = [s.values for s in model.shapelets]
+    arrays += [model.scaling.mins, model.scaling.maxs, hidden.W, hidden.b, beta]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ModelFormatError("model file holds a non-finite number")
     return model
 
 

@@ -6,15 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset
-from .distance import (
-    DEFAULT_CONFIG,
-    DistanceConfig,
-    SeriesSums,
-    Windows,
-    nearest_window_dists,
-    znorm_rows,
-)
+from .dataset import Dataset, znorm_rows
+from .distance import DEFAULT_CONFIG, DistanceConfig, SeriesSums, Windows, nearest_window_dists
 from .mining import Shapelet
 
 
@@ -40,11 +33,10 @@ class Scaling:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Distance features plus row labels and column provenance."""
+    """Distance features plus row labels."""
 
     X: np.ndarray
     labels: np.ndarray
-    shapelet_ids: list[str]
 
 
 def transform(
@@ -74,7 +66,7 @@ def transform(
         if cfg.normalize_windows:
             znorm_rows(queries, out=queries)
         out[:, cols] = nearest_window_dists(queries, windows(L), cfg).T
-    return FeatureMatrix(X=out, labels=d.y.copy(), shapelet_ids=[s.id for s in shapelets])
+    return FeatureMatrix(X=out, labels=d.y.copy())
 
 
 def fit_scaling(fm: FeatureMatrix) -> Scaling:
@@ -85,10 +77,3 @@ def fit_scaling(fm: FeatureMatrix) -> Scaling:
 def apply_scaling(fm: FeatureMatrix, scaling: Scaling) -> FeatureMatrix:
     """fm with its columns scaled by scaling.apply."""
     return replace(fm, X=scaling.apply(fm.X))
-
-
-def write_features(fm: FeatureMatrix, stream) -> None:
-    """CSV export: shapelet-id header columns, label last."""
-    stream.write(",".join(fm.shapelet_ids + ["label"]) + "\n")
-    for row, label in zip(fm.X, fm.labels):
-        stream.write(",".join(format(v, ".17g") for v in row) + f",{int(label)}\n")

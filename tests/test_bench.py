@@ -57,14 +57,14 @@ def test_1nn_tie_goes_to_lower_training_index():
 
 
 def test_1nn_feature_matrices():
-    tr = FeatureMatrix(X=np.array([[0.0], [1.0]]), labels=np.array([1, 2]), shapelet_ids=["a"])
-    te = FeatureMatrix(X=np.array([[0.9]]), labels=np.array([2]), shapelet_ids=["a"])
+    tr = FeatureMatrix(X=np.array([[0.0], [1.0]]), labels=np.array([1, 2]))
+    te = FeatureMatrix(X=np.array([[0.9]]), labels=np.array([2]))
     assert baseline_1nn(tr, te) == 1.0
 
 
 def test_1nn_kind_mismatch():
     train = planar([[0, 0]], [1])
-    te = FeatureMatrix(X=np.array([[0.0]]), labels=np.array([1]), shapelet_ids=["a"])
+    te = FeatureMatrix(X=np.array([[0.0]]), labels=np.array([1]))
     with pytest.raises(KindMismatchError):
         baseline_1nn(train, te)
 

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from divshap import elm
-from divshap.errors import DimensionMismatchError, NumericalFailureError, SingleClassTrainingError
+from divshap.errors import (
+    DimensionMismatchError,
+    InvalidConfigError,
+    NumericalFailureError,
+    SingleClassTrainingError,
+)
 
 
 def test_hidden_output_zero_weights_sigmoid():
@@ -193,3 +198,11 @@ def test_activations_tanh_hardlimit():
     h = elm.HiddenLayer(W=np.array([[2.0]]), b=np.array([-1.0]), activation="hardlimit", seed=0)
     assert elm.hidden_output(h, np.array([[0.5]]))[0, 0] == 1.0
     assert elm.hidden_output(h, np.array([[0.4]]))[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [dict(activation="relu"), dict(n_hidden=-3), dict(n_hidden=0)])
+def test_elm_config_rejects_unknown_activation_and_width_below_one(bad):
+    """Before, these failed only in training: deep inside
+    random_hidden_layer, or with numpy's "negative dimensions"."""
+    with pytest.raises(InvalidConfigError):
+        elm.ELMConfig(**bad)

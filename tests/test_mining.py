@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from divshap.dataset import Dataset
-from divshap.errors import BandEmptyError
+from divshap.errors import BandEmptyError, InvalidConfigError
 from divshap.graph import build_graph, div_topk
 from divshap.mining import (
     SCORING_BUDGET,
@@ -182,8 +182,15 @@ def test_generate_dedups_exact_duplicates():
 
 def test_band_rejects_stride_below_one():
     for cfg in (MiningConfig(length_stride=0), MiningConfig(position_stride=-1)):
-        with pytest.raises(ValueError, match="stride"):
+        with pytest.raises(InvalidConfigError, match="stride"):
             cfg.band(24)
+
+
+def test_band_rejects_min_len_below_two_and_max_len_above_m():
+    with pytest.raises(InvalidConfigError, match="min_len"):
+        MiningConfig(min_len=1).band(24)
+    with pytest.raises(InvalidConfigError, match="max_len"):
+        MiningConfig(max_len=25).band(24)
 
 
 def test_generate_matches_scalar_oracle():

@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import json
+import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from divshap.pipeline import (
     save_pipeline,
     select_k,
 )
-from divshap.transform import apply_scaling, transform
+from divshap.transform import Scaling, apply_scaling, transform
 
 from conftest import bump_dataset, xor_dataset
 
@@ -156,6 +159,12 @@ def _with_evaluation(blob, **fields):
     return {**blob, "config": {**config, "evaluation": {**config["evaluation"], **fields}}}
 
 
+def _with_shapelet(blob, **fields):
+    """blob with fields of its first shapelet replaced."""
+    first, *rest = blob["shapelets"]
+    return {**blob, "shapelets": [{**first, **fields}, *rest]}
+
+
 def test_load_ignores_keys_of_removed_options(fitted, toy_test):
     """Files written by versions with since-removed mining options carry
     extra keys in the mining config; they load and predict unchanged."""
@@ -181,6 +190,16 @@ def test_load_ignores_keys_of_removed_options(fitted, toy_test):
         lambda b: _with_evaluation(b, mode="CV"),
         lambda b: _with_evaluation(b, repeats=0),
         lambda b: [],
+        lambda b: _with_shapelet(b, values=[math.nan] + b["shapelets"][0]["values"][1:]),
+        lambda b: {**b, "elm": {**b["elm"], "beta": [[math.nan] + b["elm"]["beta"][0][1:], *b["elm"]["beta"][1:]]}},
+        lambda b: {**b, "scaling": {**b["scaling"], "mins": [math.nan] + b["scaling"]["mins"][1:]}},
+        lambda b: _with_shapelet(b, length=b["shapelets"][0]["length"] + 1),
+        lambda b: _with_shapelet(b, values=[], length=0),
+        lambda b: _with_shapelet(b, values=[0.0] * (b["trained_m"] + 1), length=b["trained_m"] + 1),
+        lambda b: {**b, "elm": {**b["elm"], "activation": "relu"}},
+        lambda b: {**b, "elm": {**b["elm"], "b": b["elm"]["b"][1:]}},
+        lambda b: {**b, "scaling": {"mins": 0.0, "maxs": 0.0}},
+        lambda b: {**b, "elm": {**b["elm"], "codebook": 1}},
     ],
 )
 def test_load_rejects_malformed_model(fitted, corrupt):
@@ -220,10 +239,12 @@ def test_sweep_seeds_fixed_per_cell():
     assert _sweep_elm_seed(0, 3, 1) != _sweep_elm_seed(0, 4, 1)
 
 
-@pytest.mark.parametrize("bad", [dict(mode="CV"), dict(mode="loo"), dict(repeats=0), dict(repeats=-2)])
+@pytest.mark.parametrize(
+    "bad", [dict(mode="CV"), dict(mode="loo"), dict(repeats=0), dict(repeats=-2), dict(folds=1)]
+)
 def test_eval_config_rejects_unknown_mode_and_repeats_below_one(bad):
-    """Before, repeats=0 fitted a model with no selected k and any mode but
-    "cv" scored training accuracy."""
+    """Before, repeats=0 fitted a model with no selected k, any mode but
+    "cv" scored training accuracy, and folds=1 was clamped to 2."""
     with pytest.raises(InvalidConfigError) as info:
         EvalConfig(**bad)
     assert isinstance(info.value, DivshapError)
@@ -249,3 +270,37 @@ def test_short_greedy_pool_skips_larger_k():
     assert [r["k"] for r in report] == list(range(1, len(report) + 1))
     assert 1 <= k <= len(report)
     assert len(shapelets) == k
+
+
+def test_cv_without_usable_folds_warns_once_and_scores_training_accuracy():
+    """One series per class leaves every fold's fit side with one class, so
+    the sweep falls back to training accuracy for the whole sweep."""
+    d = bump_dataset(seed=0, per_class=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cv = fit(d, small_cfg())
+    assert [str(w.message) for w in caught].count("no usable CV folds; falling back to training accuracy") == 1
+    train = fit(d, small_cfg(evaluation=EvalConfig(mode="train", repeats=2)))
+    assert cv.k_sweep_report == train.k_sweep_report
+
+
+@pytest.mark.parametrize("mode, splits", [("cv", 5), ("train", 1)])
+def test_sweep_scales_each_split_once(monkeypatch, toy_train, mode, splits):
+    """Scaling is fitted once per evaluation split and once for the final
+    model; an ELM is trained per (k, repeat, split) cell and once more."""
+    calls = Counter()
+    scaling_fit, elm_train = Scaling.fit.__func__, elm.train
+
+    def counting_fit(cls, X):
+        calls["Scaling.fit"] += 1
+        return scaling_fit(cls, X)
+
+    def counting_train(*args, **kwargs):
+        calls["elm.train"] += 1
+        return elm_train(*args, **kwargs)
+
+    monkeypatch.setattr(Scaling, "fit", classmethod(counting_fit))
+    monkeypatch.setattr(elm, "train", counting_train)
+    model = fit(toy_train, small_cfg(evaluation=EvalConfig(mode=mode, repeats=2)))
+    assert calls["Scaling.fit"] == splits + 1
+    assert calls["elm.train"] == len(model.k_sweep_report) * 2 * splits + 1

@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,6 @@ from divshap.transform import (
     apply_scaling,
     fit_scaling,
     transform,
-    write_features,
 )
 
 from conftest import bump_dataset, xor_dataset
@@ -223,9 +221,7 @@ def test_transform_entries_nonnegative_finite(toy_train):
 
 def _fm(cols):
     X = np.asarray(cols, dtype=float).T
-    return FeatureMatrix(
-        X=X, labels=np.zeros(len(X), dtype=int), shapelet_ids=[f"c{i}" for i in range(X.shape[1])]
-    )
+    return FeatureMatrix(X=X, labels=np.zeros(len(X), dtype=int))
 
 
 def test_scaling_example_column():
@@ -253,13 +249,3 @@ def test_scaling_train_maps_into_unit_interval():
     fm = _fm([rng.uniform(-10, 10, size=12) for _ in range(4)])
     scaled = apply_scaling(fm, fit_scaling(fm))
     assert (scaled.X >= 0).all() and (scaled.X <= 1).all()
-
-
-def test_write_features_csv_shape(toy_train):
-    cands = generate_candidates(toy_train, MiningConfig(min_len=4, max_len=4))[:3]
-    fm = transform(toy_train, cands)
-    buf = io.StringIO()
-    write_features(fm, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].endswith(",label")
-    assert len(lines) == toy_train.n + 1
