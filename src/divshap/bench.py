@@ -23,7 +23,7 @@ import numpy as np
 
 from . import elm
 from .dataset import Dataset, recode_labels
-from .errors import KindMismatchError
+from .errors import EmptyInputError
 from .graph import div_topk
 from .pipeline import (
     PipelineConfig,
@@ -33,7 +33,7 @@ from .pipeline import (
     predict_pipeline,
     prepare_series,
 )
-from .transform import FeatureMatrix, Scaling, transform
+from .transform import Scaling, transform
 
 
 @dataclass
@@ -72,41 +72,23 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _nn_predict(train_X: np.ndarray, train_y: np.ndarray, test_X: np.ndarray) -> np.ndarray:
-    """1NN under squared euclidean distance; ties go to the lower train index."""
-    d2 = (
-        (test_X * test_X).sum(axis=1)[:, None]
-        + (train_X * train_X).sum(axis=1)[None, :]
-        - 2.0 * test_X @ train_X.T
-    )
-    return train_y[d2.argmin(axis=1)]
-
-
-def baseline_1nn(train: Dataset | FeatureMatrix, test: Dataset | FeatureMatrix) -> float:
-    """Nearest-neighbor accuracy on raw series or on transformed features."""
-    if isinstance(train, Dataset) and isinstance(test, Dataset):
-        tx, ty, vx, vy = train.X, train.y, test.X, test.y
-    elif isinstance(train, FeatureMatrix) and isinstance(test, FeatureMatrix):
-        tx, ty, vx, vy = train.X, train.labels, test.X, test.labels
-    else:
-        raise KindMismatchError("train and test must both be raw datasets or both feature matrices")
-    if len(tx) == 0:
-        raise ValueError("1NN needs a non-empty training set")
-    pred = _nn_predict(np.asarray(tx, dtype=np.float64), ty, np.asarray(vx, dtype=np.float64))
-    return float((pred == vy).mean())
-
-
-def minmax_scale_raw(train: Dataset, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-timestep min-max scaling of raw series, fitted on train only."""
-    scaling = Scaling.fit(train.X)
-    return scaling.apply(train.X), scaling.apply(test.X)
+def baseline_1nn(train_X: np.ndarray, train_y: np.ndarray, test_X: np.ndarray, test_y: np.ndarray) -> float:
+    """1NN accuracy on rows of raw series or of features, under squared
+    euclidean distance; ties go to the lower training row. No training rows
+    raises EmptyInputError."""
+    if len(train_X) == 0:
+        raise EmptyInputError("1NN needs a non-empty training set")
+    tx, vx = np.asarray(train_X, dtype=np.float64), np.asarray(test_X, dtype=np.float64)
+    d2 = (vx * vx).sum(axis=1)[:, None] + (tx * tx).sum(axis=1)[None, :] - 2.0 * vx @ tx.T
+    return float((train_y[d2.argmin(axis=1)] == test_y).mean())
 
 
 def raw_elm_accuracy(train: Dataset, test: Dataset, cfg: elm.ELMConfig) -> float:
-    """ELM trained directly on min-max-scaled raw series."""
-    tr, te = minmax_scale_raw(train, test)
-    model = elm.train(tr, train.y, cfg)
-    return float((elm.predict(model, te) == test.y).mean())
+    """ELM trained directly on raw series, min-max scaled per timestep on
+    the training split."""
+    scaling = Scaling.fit(train.X)
+    model = elm.train(scaling.apply(train.X), train.y, cfg)
+    return float((elm.predict(model, scaling.apply(test.X)) == test.y).mean())
 
 
 def run_experiment(
@@ -130,7 +112,7 @@ def run_experiment(
     report.notes["n_candidates"] = graph.n
 
     t0 = time.perf_counter()
-    kappa_pool = div_topk(graph, max(1, min(cfg.kappa, graph.n)))
+    kappa_pool = div_topk(graph, cfg.kappa)
     model = _fit_from_graph(dataclasses.replace(graph, vertices=kappa_pool), train_p, cfg)
     report.timings["diversified_selection"] = time.perf_counter() - t0
     report.selected_k = model.selected_k
@@ -143,11 +125,11 @@ def run_experiment(
     report.accuracies["raw_elm"] = raw_elm_accuracy(train, test, cfg.elm)
     report.timings["raw_elm_total"] = time.perf_counter() - t0
 
-    report.accuracies["raw_1nn"] = baseline_1nn(train, test)
+    report.accuracies["raw_1nn"] = baseline_1nn(train.X, train.y, test.X, test.y)
 
-    tr_feats = transform(train_p, kappa_pool, cfg.distance)
-    te_feats = transform(prepare_series(test, cfg), kappa_pool, cfg.distance)
-    report.accuracies["transformed_1nn"] = baseline_1nn(tr_feats, te_feats)
+    tr_feats = transform(train_p, kappa_pool, cfg.distance).X
+    te_feats = transform(prepare_series(test, cfg), kappa_pool, cfg.distance).X
+    report.accuracies["transformed_1nn"] = baseline_1nn(tr_feats, train.y, te_feats, test.y)
     report.notes["transformed_1nn_k"] = len(kappa_pool)
     report.timings["total"] = time.perf_counter() - t_start
     return report, model

@@ -23,7 +23,6 @@ from typing import Callable
 from . import bench, elm
 from .dataset import read_ucr
 from .errors import DivshapError
-from .graph import graph_dump_rows
 from .pipeline import (
     EVAL_MODES,
     PipelineConfig,
@@ -116,7 +115,7 @@ OPTIONS = (
     ),
     Option("elm_hidden", int, ("elm.n_hidden",), minimum=1),
     Option("elm_ridge", _parse_finite, ("elm.ridge",), minimum=0),
-    Option("elm_activation", str, ("elm.activation",), choices=elm.ACTIVATIONS),
+    Option("elm_activation", str, ("elm.activation",), choices=tuple(elm.ACTIVATIONS)),
 )
 _BY_KEY = {opt.key: opt for opt in OPTIONS}
 # --top of mine-dump and graph-dump: a flag only, with no config-file key
@@ -302,19 +301,19 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "graph-dump":
         graph = mine_graph(train, cfg, workers=workers)[1]
         top = dataclasses.replace(graph, vertices=graph.vertices[: args.top])
-        vertices, edges = graph_dump_rows(top)
+        edges = top.edges()
         with open(args.vertices_out, "w") as fh:
             fh.write("index,gain,threshold,class,source_series,start,length\n")
-            for v in vertices:
+            for i, v in enumerate(top.vertices):
                 fh.write(
-                    f"{v['index']},{format(v['gain'], '.17g')},{format(v['threshold'], '.17g')},"
-                    f"{v['class']},{v['source_series']},{v['start']},{v['length']}\n"
+                    f"{i},{format(v.gain, '.17g')},{format(v.split_threshold, '.17g')},"
+                    f"{v.class_label},{v.source_series},{v.start},{v.length}\n"
                 )
         with open(args.edges_out, "w") as fh:
             fh.write("i,j\n")
             for i, j in edges:
                 fh.write(f"{i},{j}\n")
-        print(f"{len(vertices)} vertices, {len(edges)} edges written")
+        print(f"{top.n} vertices, {len(edges)} edges written")
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

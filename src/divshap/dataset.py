@@ -4,6 +4,10 @@ The on-disk format is one labeled series per line: the first field is the
 class label, the remaining fields are the samples. Comma- and
 whitespace-separated layouts are both accepted (detected per file). Lines
 starting with ``#`` are comments.
+
+FLAT_STD is an absolute bound on a window's standard deviation, not one
+relative to the series' spread: a series scaled by 1e-9 reads as flat
+everywhere, so all its z-normalized windows are zero.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     FoldCountTooLargeError,
+    InvalidConfigError,
     NonNumericFieldError,
     RaggedRowError,
     UnknownLabelError,
@@ -229,10 +234,11 @@ def stratified_folds(d: Dataset, f: int, seed: int) -> np.ndarray:
 
     Deterministic for a fixed seed; per-class fold counts differ by at most
     one. A class with fewer than f members spreads one member per fold
-    (leave-one-out on that class) and a warning is recorded.
+    (leave-one-out on that class) and a warning is recorded. f below 2
+    raises InvalidConfigError.
     """
     if f < 2:
-        raise ValueError("fold count must be at least 2")
+        raise InvalidConfigError("fold count must be at least 2")
     if f > d.n:
         raise FoldCountTooLargeError(f"{f} folds requested for {d.n} series")
     rng = np.random.default_rng(seed)

@@ -19,7 +19,11 @@ from .errors import (
     SingleClassTrainingError,
 )
 
-ACTIVATIONS = ("sigmoid", "tanh", "hardlimit")
+ACTIVATIONS = {
+    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
+    "tanh": np.tanh,
+    "hardlimit": lambda z: (z >= 0).astype(np.float64),
+}
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,8 @@ class ELMConfig:
 
     The auto width is min(N, max(20, 2 * n_features)) so small transformed
     feature spaces keep the solve well conditioned. An activation outside
-    ACTIVATIONS, or a width below 1, raises InvalidConfigError.
+    ACTIVATIONS, a width below 1, or a ridge that is negative or not finite
+    raises InvalidConfigError.
     """
 
     n_hidden: int | None = None
@@ -38,19 +43,26 @@ class ELMConfig:
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
-            raise InvalidConfigError(f"ELM activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+            raise InvalidConfigError(f"ELM activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}")
         if self.n_hidden is not None and self.n_hidden < 1:
             raise InvalidConfigError(f"ELM hidden width must be at least 1, got {self.n_hidden}")
+        if not (np.isfinite(self.ridge) and self.ridge >= 0.0):
+            raise InvalidConfigError(f"ELM ridge must be finite and at least 0, got {self.ridge}")
 
 
 @dataclass(frozen=True)
 class HiddenLayer:
-    """Fixed random input weights W (n_hidden, n_features) and biases b."""
+    """Fixed random input weights W (n_hidden, n_features), biases b and an
+    activation of ACTIVATIONS; another activation raises InvalidConfigError."""
 
     W: np.ndarray
     b: np.ndarray
     activation: str
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.activation not in ACTIVATIONS:
+            raise InvalidConfigError(f"unknown ELM activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -61,20 +73,8 @@ class ELMModel:
     ridge: float
 
 
-def _activate(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-    if tag == "tanh":
-        return np.tanh(z)
-    if tag == "hardlimit":
-        return (z >= 0).astype(np.float64)
-    raise ValueError(f"unknown activation {tag!r}")
-
-
 def random_hidden_layer(n_features: int, n_hidden: int, activation: str = "sigmoid", seed: int = 0) -> HiddenLayer:
     """Draw W then b i.i.d. uniform on [-1, 1] from the seeded generator."""
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
     W = rng.uniform(-1.0, 1.0, size=(n_hidden, n_features))
     b = rng.uniform(-1.0, 1.0, size=n_hidden)
@@ -88,7 +88,7 @@ def hidden_output(h: HiddenLayer, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"{X.shape[1]} input features, layer expects {h.W.shape[1]}"
         )
-    return _activate(X @ h.W.T + h.b, h.activation)
+    return ACTIVATIONS[h.activation](X @ h.W.T + h.b)
 
 
 def pinv_solve(H: np.ndarray, T: np.ndarray, ridge: float = 0.0) -> np.ndarray:

@@ -45,10 +45,6 @@ class SingleClassTrainingError(DivshapError):
     """Training data contains fewer than two classes."""
 
 
-class KindMismatchError(DivshapError):
-    """Train and test inputs are not the same representation."""
-
-
 class UnknownLabelError(DivshapError):
     """A test label does not occur among the training labels."""
 

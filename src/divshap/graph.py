@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .distance import DEFAULT_CONFIG, DistanceConfig, shapelet_dist
+from .errors import InvalidConfigError
 from .mining import Shapelet
 
 
@@ -82,10 +83,11 @@ def div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
     the first edge; the greedy decides each pair once, so nothing is cached.
     A kept set stays whole when the graph is rebuilt on it alone. May return
     fewer than k shapelets when the greedy maximal independent set is
-    smaller than k; callers treat a short result as final.
+    smaller than k; callers treat a short result as final. k below 1
+    raises InvalidConfigError.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InvalidConfigError("k must be at least 1")
     kept: list[Shapelet] = []
     for v in g.vertices:
         if any(similar(v, u, g.cfg, g.same_class_only) for u in kept):
@@ -94,23 +96,6 @@ def div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
         if len(kept) == k:
             break
     return kept
-
-
-def graph_dump_rows(g: DiversityGraph) -> tuple[list[dict], list[tuple[int, int]]]:
-    """Vertex table and edge list for CSV export / external visualization."""
-    vertices = [
-        {
-            "index": i,
-            "gain": v.gain,
-            "threshold": v.split_threshold,
-            "class": v.class_label,
-            "source_series": v.source_series,
-            "start": v.start,
-            "length": v.length,
-        }
-        for i, v in enumerate(g.vertices)
-    ]
-    return vertices, g.edges()
 
 
 def independence_violations(

@@ -21,10 +21,10 @@ import numpy as np
 from . import elm
 from .dataset import Dataset, recode_labels, stratified_folds, znorm_rows
 from .distance import DistanceConfig
-from .errors import InvalidConfigError, LengthMismatchError, ModelFormatError, SingleClassTrainingError
+from .errors import EmptyInputError, InvalidConfigError, LengthMismatchError, ModelFormatError, SingleClassTrainingError
 from .graph import DiversityGraph, build_graph, div_topk
 from .mining import MiningConfig, Shapelet, mine_shapelets
-from .transform import Scaling, apply_scaling, fit_scaling, transform
+from .transform import Scaling, transform
 
 MODEL_FORMAT = "divshap-pipeline"
 MODEL_VERSION = 1
@@ -60,7 +60,8 @@ class EvalConfig:
 class PipelineConfig:
     """kappa bounds the k sweep; znormalize_series applies whole-series
     z-normalization before mining and again at predict time (window-level
-    normalization is governed by `distance` instead)."""
+    normalization is governed by `distance` instead). kappa below 1 raises
+    InvalidConfigError."""
 
     kappa: int = 9
     mining: MiningConfig = field(default_factory=MiningConfig)
@@ -69,6 +70,10 @@ class PipelineConfig:
     evaluation: EvalConfig = field(default_factory=EvalConfig)
     same_class_only: bool = True
     znormalize_series: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kappa < 1:
+            raise InvalidConfigError(f"kappa must be at least 1, got {self.kappa}")
 
 
 @dataclass
@@ -121,12 +126,12 @@ def select_k(
     Each split of _eval_splits is scaled once on all pool columns (scaling
     is per column), and cell (k, repeat) fits one ELM per split on the
     first k. The sweep stops early if the greedy pool holds fewer than
-    kappa shapelets. Ties in mean accuracy resolve to the smaller k.
+    kappa shapelets. Ties in mean accuracy resolve to the smaller k. An
+    empty graph raises EmptyInputError.
     """
     if graph.n == 0:
-        raise ValueError("diversity graph has no vertices")
-    kappa = max(1, min(cfg.kappa, graph.n))
-    pool = div_topk(graph, kappa)
+        raise EmptyInputError("diversity graph has no vertices")
+    pool = div_topk(graph, cfg.kappa)
     feats = transform(train, pool, cfg.distance).X
 
     splits = []
@@ -191,10 +196,9 @@ def _fit_from_graph(graph: DiversityGraph, train: Dataset, cfg: PipelineConfig) 
     """Diversified selection, the second stage of fit: sweep k over the
     graph of mine_graph and train the final ELM on the prepared train set."""
     k, shapelets, report = select_k(graph, train, cfg)
-    feats = transform(train, shapelets, cfg.distance)
-    scaling = fit_scaling(feats)
-    scaled = apply_scaling(feats, scaling)
-    elm_model = elm.train(scaled.X, train.y, cfg.elm)
+    feats = transform(train, shapelets, cfg.distance).X
+    scaling = Scaling.fit(feats)
+    elm_model = elm.train(scaling.apply(feats), train.y, cfg.elm)
     return PipelineModel(
         selected_k=k,
         shapelets=shapelets,
@@ -222,8 +226,8 @@ def predict_pipeline(model: PipelineModel, test: Dataset) -> tuple[np.ndarray, f
     if test.n == 0:
         return np.asarray([], dtype=np.int64), None
     test = prepare_series(recode_labels(test, model.label_names), model.config)
-    feats = apply_scaling(transform(test, model.shapelets, model.config.distance), model.scaling)
-    pred = elm.predict(model.elm_model, feats.X)
+    feats = model.scaling.apply(transform(test, model.shapelets, model.config.distance).X)
+    pred = elm.predict(model.elm_model, feats)
     return pred, float((pred == test.y).mean())
 
 
@@ -303,8 +307,6 @@ def load_pipeline(stream) -> PipelineModel:
         raise ModelFormatError("model file sizes disagree: shapelets, scaling and ELM weights")
     if not all(s.values.ndim == 1 and 0 < s.length == len(s.values) <= model.trained_m for s in model.shapelets):
         raise ModelFormatError("a shapelet's length disagrees with its values or the series length")
-    if hidden.activation not in elm.ACTIVATIONS:
-        raise ModelFormatError(f"unknown ELM activation {hidden.activation!r}")
     arrays = [s.values for s in model.shapelets]
     arrays += [model.scaling.mins, model.scaling.maxs, hidden.W, hidden.b, beta]
     if not all(np.isfinite(a).all() for a in arrays):

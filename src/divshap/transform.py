@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +33,11 @@ class Scaling:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Distance features plus row labels."""
+    """Distance features, one row per series. It wraps the array only
+    because benchmark/traced.py reads transform(...).X and scales it with
+    fit_scaling/apply_scaling, which also stay for that reason alone."""
 
     X: np.ndarray
-    labels: np.ndarray
 
 
 def transform(
@@ -66,7 +67,7 @@ def transform(
         if cfg.normalize_windows:
             znorm_rows(queries, out=queries)
         out[:, cols] = nearest_window_dists(queries, windows(L), cfg).T
-    return FeatureMatrix(X=out, labels=d.y.copy())
+    return FeatureMatrix(X=out)
 
 
 def fit_scaling(fm: FeatureMatrix) -> Scaling:
@@ -76,4 +77,4 @@ def fit_scaling(fm: FeatureMatrix) -> Scaling:
 
 def apply_scaling(fm: FeatureMatrix, scaling: Scaling) -> FeatureMatrix:
     """fm with its columns scaled by scaling.apply."""
-    return replace(fm, X=scaling.apply(fm.X))
+    return FeatureMatrix(X=scaling.apply(fm.X))

@@ -15,7 +15,6 @@ import pytest
 from divshap import elm
 from divshap.bench import (
     baseline_1nn,
-    minmax_scale_raw,
     raw_elm_accuracy,
     sweep_csv,
 )
@@ -25,7 +24,7 @@ from divshap.distance import subsequence_dist
 from divshap.graph import build_graph, div_topk, similar
 from divshap.mining import MiningConfig, best_split, mine_shapelets, orderline
 from divshap.pipeline import EvalConfig, PipelineConfig, _fit_from_graph, fit as pipeline_fit
-from divshap.transform import apply_scaling, transform
+from divshap.transform import Scaling, apply_scaling, transform
 
 from conftest import bump_dataset, load_ucr_split, time_predict, xor_dataset
 from test_distance import naive_subsequence_dist
@@ -205,10 +204,10 @@ def test_criterion_6_transformed_1nn_on_ucr(ucr_cache):
             train, test, cfg, graph = entry
             t0 = time.perf_counter()
             pool = div_topk(graph, cfg.kappa)
-            tr = transform(train, pool, cfg.distance)
-            te = transform(test, pool, cfg.distance)
-            acc = baseline_1nn(tr, te)
-            raw = baseline_1nn(train, test)
+            tr = transform(train, pool, cfg.distance).X
+            te = transform(test, pool, cfg.distance).X
+            acc = baseline_1nn(tr, train.y, te, test.y)
+            raw = baseline_1nn(train.X, train.y, test.X, test.y)
             elapsed = time.perf_counter() - t0
             assert elapsed < 300.0, f"{name}: transform+1NN took {elapsed:.0f}s"
             if name == "Coffee":
@@ -289,8 +288,9 @@ def test_criterion_9_classification_time_direction():
         model = pipeline_fit(train, cfg)
         assert model.selected_k <= 9
         feats = apply_scaling(transform(test, model.shapelets, cfg.distance), model.scaling).X
-        raw_tr, raw_te = minmax_scale_raw(train, test)
-        raw_model = elm.train(raw_tr, train.y, elm.ELMConfig(seed=0))
+        raw_scaling = Scaling.fit(train.X)
+        raw_te = raw_scaling.apply(test.X)
+        raw_model = elm.train(raw_scaling.apply(train.X), train.y, elm.ELMConfig(seed=0))
 
         reps = 120
         t_feat = time_predict(model.elm_model, feats, repetitions=reps)

@@ -7,35 +7,38 @@ import divshap.graph as graph_mod
 from divshap.bench import (
     ExperimentReport,
     baseline_1nn,
-    minmax_scale_raw,
     raw_elm_accuracy,
     run_experiment,
     sweep_csv,
 )
-from divshap.dataset import Dataset
 from divshap.elm import ELMConfig
-from divshap.errors import KindMismatchError
+from divshap.errors import EmptyInputError
 from divshap.mining import MiningConfig
 from divshap.pipeline import EvalConfig, PipelineConfig, fit, mine_graph, predict_pipeline
-from divshap.transform import FeatureMatrix
 
 from conftest import bump_dataset
 
 
 def planar(points, labels):
-    return Dataset(X=np.asarray(points, dtype=float), y=np.asarray(labels))
+    """Rows and labels as baseline_1nn takes them."""
+    return np.asarray(points, dtype=float), np.asarray(labels)
 
 
 def test_1nn_training_point_maps_to_itself():
     train = planar([[0, 0], [4, 4]], [1, 2])
     test = planar([[4, 4]], [2])
-    assert baseline_1nn(train, test) == 1.0
+    assert baseline_1nn(*train, *test) == 1.0
 
 
 def test_1nn_single_training_instance():
     train = planar([[1, 1]], [7])
     test = planar([[0, 0], [9, 9]], [7, 7])
-    assert baseline_1nn(train, test) == 1.0
+    assert baseline_1nn(*train, *test) == 1.0
+
+
+def test_1nn_without_training_rows_rejected():
+    with pytest.raises(EmptyInputError):
+        baseline_1nn(np.zeros((0, 2)), np.zeros(0, dtype=int), *planar([[0, 0]], [1]))
 
 
 def test_1nn_hand_enumerated_planar_toy():
@@ -47,34 +50,17 @@ def test_1nn_hand_enumerated_planar_toy():
     )
     # nearest neighbors by hand: 1, 1, 2, 2, then (5,5)->(1,0) class 1 and
     # (6,6)->(10,10) class 2
-    assert baseline_1nn(train, test) == 1.0
+    assert baseline_1nn(*train, *test) == 1.0
 
 
 def test_1nn_tie_goes_to_lower_training_index():
     train = planar([[0, 0], [2, 0]], [1, 2])
     test = planar([[1, 0]], [1])  # equidistant
-    assert baseline_1nn(train, test) == 1.0
+    assert baseline_1nn(*train, *test) == 1.0
 
 
 def test_1nn_feature_matrices():
-    tr = FeatureMatrix(X=np.array([[0.0], [1.0]]), labels=np.array([1, 2]))
-    te = FeatureMatrix(X=np.array([[0.9]]), labels=np.array([2]))
-    assert baseline_1nn(tr, te) == 1.0
-
-
-def test_1nn_kind_mismatch():
-    train = planar([[0, 0]], [1])
-    te = FeatureMatrix(X=np.array([[0.0]]), labels=np.array([1]))
-    with pytest.raises(KindMismatchError):
-        baseline_1nn(train, te)
-
-
-def test_minmax_scale_raw_fits_on_train_only():
-    train = planar([[0, 0], [4, 2]], [1, 2])
-    test = planar([[8, 1]], [1])
-    tr, te = minmax_scale_raw(train, test)
-    assert tr.min() == 0.0 and tr.max() == 1.0
-    assert te[0, 0] == 1.0  # clamped
+    assert baseline_1nn(np.array([[0.0], [1.0]]), np.array([1, 2]), np.array([[0.9]]), np.array([2])) == 1.0
 
 
 def test_raw_elm_runs(toy_train, toy_test):

@@ -2,9 +2,10 @@
 
 benchmark/run.py imports benchmark/traced.py even when tracing is off, and
 traced.py replays fit from public calls: the lazy keyword of build_graph,
-the 3-tuple of select_k, MiningConfig.normalize, fit_scaling/apply_scaling
-and the module-level graph.similar, which it wraps to count pair checks. A
-change to any of those names breaks the benchmark, and this test shows it.
+the 3-tuple of select_k, MiningConfig.normalize, fit_scaling/apply_scaling,
+the X field of what transform returns (transform(...).X) and the
+module-level graph.similar, which it wraps to count pair checks. A change
+to any of those names breaks the benchmark, and this test shows it.
 """
 
 from __future__ import annotations

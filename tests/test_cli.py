@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -108,8 +109,15 @@ def test_cli_graph_dump(data_files, tmp_path):
             *FAST_ARGS,
         ]
     ) == 0
-    assert v_out.read_text().startswith("index,gain,threshold,class")
-    assert e_out.read_text().startswith("i,j")
+    vertices = v_out.read_text().splitlines()
+    assert vertices[0] == "index,gain,threshold,class,source_series,start,length"
+    assert [int(row.split(",")[0]) for row in vertices[1:]] == list(range(15))
+    mined = mine_graph(read_ucr(train), build_pipeline_config(FAST_OPTS))[1]
+    top = dataclasses.replace(mined, vertices=mined.vertices[:15])
+    header, *rows = e_out.read_text().splitlines()
+    edges = [tuple(map(int, row.split(","))) for row in rows]
+    assert header == "i,j"
+    assert edges == top.edges() and all(i < j for i, j in edges)
 
 
 def test_cli_dumps_mine_as_fit_does(tmp_path):

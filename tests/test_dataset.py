@@ -16,6 +16,7 @@ from divshap.distance import znorm_rows
 from divshap.errors import (
     EmptyInputError,
     FoldCountTooLargeError,
+    InvalidConfigError,
     NonNumericFieldError,
     RaggedRowError,
     UnknownLabelError,
@@ -146,6 +147,13 @@ def test_stratified_folds_too_many():
     d = Dataset(X=np.arange(20.0).reshape(10, 2), y=np.array([1] * 5 + [2] * 5))
     with pytest.raises(FoldCountTooLargeError):
         stratified_folds(d, 11, seed=0)
+
+
+@pytest.mark.parametrize("f", [1, 0, -2])
+def test_stratified_folds_below_two_rejected(f):
+    d = Dataset(X=np.arange(20.0).reshape(10, 2), y=np.array([1] * 5 + [2] * 5))
+    with pytest.raises(InvalidConfigError):
+        stratified_folds(d, f, seed=0)
 
 
 def test_stratified_folds_small_class_warns():

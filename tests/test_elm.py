@@ -200,9 +200,27 @@ def test_activations_tanh_hardlimit():
     assert elm.hidden_output(h, np.array([[0.4]]))[0, 0] == 0.0
 
 
-@pytest.mark.parametrize("bad", [dict(activation="relu"), dict(n_hidden=-3), dict(n_hidden=0)])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(activation="relu"),
+        dict(n_hidden=-3),
+        dict(n_hidden=0),
+        dict(ridge=math.inf),
+        dict(ridge=-1.0),
+        dict(ridge=math.nan),
+    ],
+)
 def test_elm_config_rejects_unknown_activation_and_width_below_one(bad):
     """Before, these failed only in training: deep inside
-    random_hidden_layer, or with numpy's "negative dimensions"."""
+    random_hidden_layer, or with numpy's "negative dimensions". A bad ridge
+    trained without error: inf gave chance accuracy, and -1 or nan took
+    the unregularized path."""
     with pytest.raises(InvalidConfigError):
         elm.ELMConfig(**bad)
+
+
+def test_hidden_layer_rejects_unknown_activation_when_built():
+    """Before, such a layer was built and failed only in hidden_output."""
+    with pytest.raises(InvalidConfigError):
+        elm.HiddenLayer(W=np.array([[2.0]]), b=np.array([-1.0]), activation="relu", seed=0)

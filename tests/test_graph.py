@@ -5,11 +5,11 @@ import pytest
 
 import divshap.graph as graph_mod
 from divshap.distance import DistanceConfig
+from divshap.errors import InvalidConfigError
 from divshap.graph import (
     DiversityGraph,
     build_graph,
     div_topk,
-    graph_dump_rows,
     independence_violations,
     similar,
 )
@@ -222,7 +222,7 @@ def test_div_topk_greedy_prefix_optimal(manual_graph):
 
 def test_div_topk_k_validation(manual_graph):
     g = manual_graph(2, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         div_topk(g, 0)
 
 
@@ -234,9 +234,14 @@ def test_independence_violations_reports_pairs():
 
 
 def test_graph_dump_rows(toy_train):
+    """graph-dump writes top.vertices and top.edges() as they stand: one row
+    per vertex with the fields of the vertex file, and every edge (i, j) with
+    i < j, both ends in range, and the pair similar."""
     mined = mine_shapelets(toy_train, MiningConfig(min_len=4, max_len=6))[:8]
     g = build_graph(mined)
-    vertices, edges = graph_dump_rows(g)
-    assert len(vertices) == 8
-    assert all(set(v) >= {"index", "gain", "threshold", "class"} for v in vertices)
-    assert all(i < j for i, j in edges)
+    assert g.n == len(g.vertices) == 8
+    fields = ("gain", "split_threshold", "class_label", "source_series", "start", "length")
+    assert all(hasattr(v, f) for v in g.vertices for f in fields)
+    edges = g.edges()
+    assert all(0 <= i < j < g.n for i, j in edges)
+    assert all(similar(g.vertices[i], g.vertices[j], g.cfg) for i, j in edges)

@@ -12,12 +12,13 @@ from divshap import elm
 from divshap.dataset import Dataset
 from divshap.errors import (
     DivshapError,
+    EmptyInputError,
     InvalidConfigError,
     LengthMismatchError,
     ModelFormatError,
     SingleClassTrainingError,
 )
-from divshap.graph import build_graph, similar
+from divshap.graph import DiversityGraph, build_graph, similar
 from divshap.mining import MiningConfig, mine_shapelets
 from divshap.pipeline import (
     EvalConfig,
@@ -159,6 +160,11 @@ def _with_evaluation(blob, **fields):
     return {**blob, "config": {**config, "evaluation": {**config["evaluation"], **fields}}}
 
 
+def _with_elm_config(blob, **fields):
+    config = blob["config"]
+    return {**blob, "config": {**config, "elm": {**config["elm"], **fields}}}
+
+
 def _with_shapelet(blob, **fields):
     """blob with fields of its first shapelet replaced."""
     first, *rest = blob["shapelets"]
@@ -200,6 +206,10 @@ def test_load_ignores_keys_of_removed_options(fitted, toy_test):
         lambda b: {**b, "elm": {**b["elm"], "b": b["elm"]["b"][1:]}},
         lambda b: {**b, "scaling": {"mins": 0.0, "maxs": 0.0}},
         lambda b: {**b, "elm": {**b["elm"], "codebook": 1}},
+        lambda b: _with_elm_config(b, ridge=-1.0),
+        lambda b: _with_elm_config(b, ridge=math.nan),
+        lambda b: _with_elm_config(b, ridge=math.inf),
+        lambda b: {**b, "config": {**b["config"], "kappa": 0}},
     ],
 )
 def test_load_rejects_malformed_model(fitted, corrupt):
@@ -248,6 +258,18 @@ def test_eval_config_rejects_unknown_mode_and_repeats_below_one(bad):
     with pytest.raises(InvalidConfigError) as info:
         EvalConfig(**bad)
     assert isinstance(info.value, DivshapError)
+
+
+@pytest.mark.parametrize("kappa", [0, -3])
+def test_pipeline_config_rejects_kappa_below_one(kappa):
+    """Before, kappa=0 was clamped to 1 and silently swept k=1."""
+    with pytest.raises(InvalidConfigError):
+        PipelineConfig(kappa=kappa)
+
+
+def test_select_k_on_empty_graph_raises_empty_input(toy_train):
+    with pytest.raises(EmptyInputError):
+        select_k(DiversityGraph([]), toy_train, small_cfg())
 
 
 def test_training_accuracy_eval_mode(toy_train):

@@ -39,7 +39,6 @@ def test_transform_self_containment_zero(toy_train):
 def test_transform_shape_single_column(toy_train):
     fm = transform(toy_train, [make_shapelet(toy_train.X[0, :5])])
     assert fm.X.shape == (toy_train.n, 1)
-    assert np.array_equal(fm.labels, toy_train.y)
 
 
 def test_transform_matches_entrywise_recomputation():
@@ -221,7 +220,7 @@ def test_transform_entries_nonnegative_finite(toy_train):
 
 def _fm(cols):
     X = np.asarray(cols, dtype=float).T
-    return FeatureMatrix(X=X, labels=np.zeros(len(X), dtype=int))
+    return FeatureMatrix(X=X)
 
 
 def test_scaling_example_column():
