@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import elm
-from .dataset import Dataset, recode_labels
+from .dataset import Dataset, csv_line, recode_labels
 from .errors import EmptyInputError
 from .graph import div_topk
 from .pipeline import (
@@ -53,12 +53,8 @@ class ExperimentReport:
 
     def accuracy_csv(self) -> str:
         keys = sorted(self.accuracies)
-        head = ",".join(["dataset"] + keys + ["selected_k"])
-        vals = [self.dataset] + [
-            "" if self.accuracies[k] is None else format(self.accuracies[k], ".17g")
-            for k in keys
-        ] + ["" if self.selected_k is None else str(self.selected_k)]
-        return head + "\n" + ",".join(vals) + "\n"
+        values = [self.accuracies[k] for k in keys]
+        return csv_line(["dataset", *keys, "selected_k"]) + csv_line([self.dataset, *values, self.selected_k])
 
     def table(self) -> str:
         lines = [f"dataset: {self.dataset}"]
@@ -137,9 +133,5 @@ def run_experiment(
 
 def sweep_csv(model: PipelineModel) -> str:
     """Per-k sweep curve as CSV (one row per evaluated k)."""
-    lines = ["k,mean_accuracy,n_shapelets"]
-    for row in model.k_sweep_report:
-        lines.append(
-            f"{row['k']},{format(row['mean_accuracy'], '.17g')},{row['n_shapelets']}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = ["k", "mean_accuracy", "n_shapelets"]
+    return csv_line(columns) + "".join(csv_line([row[c] for c in columns]) for row in model.k_sweep_report)

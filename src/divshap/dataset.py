@@ -1,9 +1,10 @@
 """Flat-file time-series datasets: parsing, normalization, and fold utilities.
 
 The on-disk format is one labeled series per line: the first field is the
-class label, the remaining fields are the samples. Comma- and
-whitespace-separated layouts are both accepted (detected per file). Lines
-starting with ``#`` are comments.
+class label, the remaining fields are the samples. parse_ucr reads the text
+of such a file and detects from its first data line whether fields are
+separated by commas or whitespace. Lines starting with ``#`` are comments.
+Every CSV line the package writes comes from csv_line.
 
 FLAT_STD is an absolute bound on a window's standard deviation, not one
 relative to the series' spread: a series scaled by 1e-9 reads as flat
@@ -12,8 +13,8 @@ everywhere, so all its z-normalized windows are zero.
 
 from __future__ import annotations
 
-import io
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
@@ -23,10 +24,11 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     FoldCountTooLargeError,
-    InvalidConfigError,
     NonNumericFieldError,
     RaggedRowError,
     UnknownLabelError,
+    ValueRangeError,
+    require_int,
 )
 
 FLAT_STD = 1e-8
@@ -57,6 +59,12 @@ class Dataset:
             raise RaggedRowError("one label per series required")
         if not np.all(np.isfinite(X)):
             raise NonNumericFieldError("series values must be finite")
+        # Every sum of squares a kernel takes is at most 4 m max|x|^2: prefix
+        # sums of centred squares and window stds (|x - mean| <= 2 max|x|),
+        # the |w|^2/2 column without window normalization, a window's squared
+        # distance to a query, and baseline_1nn's norms on raw series.
+        if X.size and max(X.max(), -X.min()) > np.sqrt(np.finfo(np.float64).max / (4 * X.shape[1])):
+            raise ValueRangeError("series values are too large to square without overflow")
         X.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -131,38 +139,22 @@ def recode_labels(d: Dataset, label_names: dict[int, str]) -> Dataset:
     return Dataset(X=d.X, y=y, label_names=dict(label_names), name=d.name)
 
 
-def parse_ucr(
-    source: str | Path | TextIO,
-    *,
-    delimiter: str | None = None,
-    name: str = "",
-) -> Dataset:
-    """Parse a flat time-series file into a Dataset.
+def parse_ucr(text: str, *, name: str = "") -> Dataset:
+    """Parse the text of a flat time-series file into a Dataset.
 
-    source may be a text stream, a path, or the file content itself as a
-    string containing newlines. The delimiter (comma vs whitespace) is
-    detected from the first data line unless given explicitly.
-
-    Raises RaggedRowError on inconsistent field counts, NonNumericFieldError
-    on unparseable samples, and EmptyInputError when no series are found.
+    The delimiter (comma vs whitespace) is detected from the first data
+    line. Raises RaggedRowError on inconsistent field counts,
+    NonNumericFieldError on unparseable samples, and EmptyInputError when no
+    series are found.
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-        name = name or source.stem
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-
     rows: list[list[str]] = []
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if delimiter is None:
-            delimiter = "," if "," in line else " "
-        fields = line.split(",") if delimiter == "," else line.split()
-        fields = [f.strip() for f in fields if f.strip()]
+        if not rows:
+            sep = "," if "," in line else None  # None splits on whitespace
+        fields = [f.strip() for f in line.split(sep) if f.strip()]
         if rows and len(fields) != len(rows[0]):
             raise RaggedRowError(
                 f"line {lineno}: expected {len(rows[0])} fields, found {len(fields)}"
@@ -174,37 +166,44 @@ def parse_ucr(
     if len(rows[0]) < 2:
         raise EmptyInputError("rows contain a label but no samples")
 
-    labels = [r[0] for r in rows]
     X = np.empty((len(rows), len(rows[0]) - 1), dtype=np.float64)
     for i, r in enumerate(rows):
         for j, tok in enumerate(r[1:]):
             try:
-                v = float(tok)
+                X[i, j] = float(tok)
             except ValueError as exc:
                 raise NonNumericFieldError(f"row {i}: bad field {tok!r}") from exc
-            if not np.isfinite(v):
+            if not np.isfinite(X[i, j]):
                 raise NonNumericFieldError(f"row {i}: non-finite field {tok!r}")
-            X[i, j] = v
 
-    codes, names = _code_labels(labels)
+    codes, names = _code_labels([r[0] for r in rows])
     return Dataset(X=X, y=np.asarray(codes), label_names=names, name=name)
 
 
-def read_ucr(path: str | Path, *, delimiter: str | None = None) -> Dataset:
-    """Read a flat time-series file from disk."""
-    return parse_ucr(Path(path), delimiter=delimiter)
+def read_ucr(path: str | Path) -> Dataset:
+    """Read a flat time-series file; the set is named after the file's stem."""
+    path = Path(path)
+    return parse_ucr(path.read_text(encoding="utf-8"), name=path.stem)
 
 
-def write_ucr(d: Dataset, stream: TextIO, *, delimiter: str = ",") -> None:
-    """Write a Dataset in the flat-file layout.
+def csv_field(value) -> str:
+    """A float (numpy's too) as .17g, so that it reads back exactly; None as
+    an empty field; anything else as str."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
-    Values are written with 17 significant digits, so parse_ucr(write_ucr(d))
-    reproduces d exactly.
-    """
+
+def csv_line(fields: Iterable) -> str:
+    """One comma-separated line of csv_field values, with its newline."""
+    return ",".join(map(csv_field, fields)) + "\n"
+
+
+def write_ucr(d: Dataset, stream: TextIO) -> None:
+    """Write a Dataset as comma-separated flat-file lines, so that
+    parse_ucr(text written) reproduces d exactly."""
     for row, label in zip(d.X, d.y):
-        tok = d.label_names.get(int(label), str(int(label)))
-        fields = [tok] + [format(v, ".17g") for v in row]
-        stream.write(delimiter.join(fields) + "\n")
+        stream.write(csv_line([d.label_names.get(int(label), int(label)), *row]))
 
 
 def znorm_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -237,8 +236,7 @@ def stratified_folds(d: Dataset, f: int, seed: int) -> np.ndarray:
     (leave-one-out on that class) and a warning is recorded. f below 2
     raises InvalidConfigError.
     """
-    if f < 2:
-        raise InvalidConfigError("fold count must be at least 2")
+    require_int("fold count", f, 2)
     if f > d.n:
         raise FoldCountTooLargeError(f"{f} folds requested for {d.n} series")
     rng = np.random.default_rng(seed)

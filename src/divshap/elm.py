@@ -17,6 +17,7 @@ from .errors import (
     InvalidConfigError,
     NumericalFailureError,
     SingleClassTrainingError,
+    require_int,
 )
 
 ACTIVATIONS = {
@@ -32,8 +33,9 @@ class ELMConfig:
 
     The auto width is min(N, max(20, 2 * n_features)) so small transformed
     feature spaces keep the solve well conditioned. An activation outside
-    ACTIVATIONS, a width below 1, or a ridge that is negative or not finite
-    raises InvalidConfigError.
+    ACTIVATIONS, a width or seed that is not an integer (width at least 1,
+    seed at least 0), or a ridge that is negative or not finite raises
+    InvalidConfigError.
     """
 
     n_hidden: int | None = None
@@ -44,8 +46,9 @@ class ELMConfig:
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise InvalidConfigError(f"ELM activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}")
-        if self.n_hidden is not None and self.n_hidden < 1:
-            raise InvalidConfigError(f"ELM hidden width must be at least 1, got {self.n_hidden}")
+        if self.n_hidden is not None:
+            require_int("ELM hidden width", self.n_hidden, 1)
+        require_int("ELM seed", self.seed, 0)
         if not (np.isfinite(self.ridge) and self.ridge >= 0.0):
             raise InvalidConfigError(f"ELM ridge must be finite and at least 0, got {self.ridge}")
 

@@ -1,4 +1,6 @@
-"""Exception types raised across the divshap modules."""
+"""Exception types raised across the divshap modules, and require_int."""
+
+import numbers
 
 
 class DivshapError(Exception):
@@ -11,6 +13,10 @@ class RaggedRowError(DivshapError):
 
 class NonNumericFieldError(DivshapError):
     """A sample field could not be parsed as a finite number."""
+
+
+class ValueRangeError(DivshapError):
+    """Series values are too large to square without overflow."""
 
 
 class EmptyInputError(DivshapError):
@@ -55,3 +61,10 @@ class ModelFormatError(DivshapError):
 
 class InvalidConfigError(DivshapError):
     """A configuration value is outside the values it may take."""
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidConfigError unless value is an integer (numpy's too, but
+    not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidConfigError(f"{name} must be an integer of at least {minimum}, got {value!r}")

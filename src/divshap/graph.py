@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .distance import DEFAULT_CONFIG, DistanceConfig, shapelet_dist
-from .errors import InvalidConfigError
+from .errors import require_int
 from .mining import Shapelet
 
 
@@ -83,11 +83,10 @@ def div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
     the first edge; the greedy decides each pair once, so nothing is cached.
     A kept set stays whole when the graph is rebuilt on it alone. May return
     fewer than k shapelets when the greedy maximal independent set is
-    smaller than k; callers treat a short result as final. k below 1
-    raises InvalidConfigError.
+    smaller than k; callers treat a short result as final. A k that is not
+    an integer of at least 1 raises InvalidConfigError.
     """
-    if k < 1:
-        raise InvalidConfigError("k must be at least 1")
+    require_int("k", k, 1)
     kept: list[Shapelet] = []
     for v in g.vertices:
         if any(similar(v, u, g.cfg, g.same_class_only) for u in kept):

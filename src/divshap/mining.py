@@ -28,7 +28,7 @@ from .distance import (
     nearest_window_dists,
     window_distances,
 )
-from .errors import BandEmptyError, InvalidConfigError
+from .errors import BandEmptyError, InvalidConfigError, require_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +78,9 @@ class MiningConfig:
     """Candidate band, strides, and the window distance used for scoring.
 
     min_len/max_len default to max(3, m // 11) and m // 2 for series
-    length m. The pipeline sets normalize to its own distance config.
+    length m. The pipeline sets normalize to its own distance config. A
+    bound or stride that is not an integer, a bound below 2 or a stride
+    below 1 raises InvalidConfigError.
     """
 
     min_len: int | None = None
@@ -87,15 +89,16 @@ class MiningConfig:
     position_stride: int = 1
     normalize: DistanceConfig = field(default_factory=DistanceConfig)
 
+    def __post_init__(self) -> None:
+        for name, minimum in (("min_len", 2), ("max_len", 2), ("length_stride", 1), ("position_stride", 1)):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name), minimum)
+
     def band(self, m: int) -> tuple[int, int]:
-        """Resolve the candidate length band for series length m; bounds or
-        strides outside their range raise InvalidConfigError."""
+        """Resolve the candidate length band for series length m; a max_len
+        above m raises InvalidConfigError, an empty band BandEmptyError."""
         lo = self.min_len if self.min_len is not None else max(3, m // 11)
         hi = self.max_len if self.max_len is not None else m // 2
-        if lo < 2:
-            raise InvalidConfigError(f"min_len must be at least 2, got {lo}")
-        if min(self.length_stride, self.position_stride) < 1:
-            raise InvalidConfigError("length_stride and position_stride must be at least 1")
         if hi > m:
             raise InvalidConfigError(f"max_len {hi} exceeds series length {m}")
         if lo > hi:
@@ -248,6 +251,9 @@ def mine_shapelets(
     fixed inputs. Scoring and ordering work on the table's columns; a
     Shapelet is built only when a caller reads its row, so a greedy scan
     that stops early builds only the prefix it read.
+
+    workers threads score the lengths. They pay only when BLAS runs one
+    thread (OPENBLAS_NUM_THREADS=1); with more, they slow mining down.
     """
     cfg = cfg or MiningConfig()
     table = generate_candidates(train, cfg)

@@ -21,7 +21,8 @@ import numpy as np
 from . import elm
 from .dataset import Dataset, recode_labels, stratified_folds, znorm_rows
 from .distance import DistanceConfig
-from .errors import EmptyInputError, InvalidConfigError, LengthMismatchError, ModelFormatError, SingleClassTrainingError
+from .errors import EmptyInputError, InvalidConfigError, LengthMismatchError, ModelFormatError
+from .errors import SingleClassTrainingError, require_int
 from .graph import DiversityGraph, build_graph, div_topk
 from .mining import MiningConfig, Shapelet, mine_shapelets
 from .transform import Scaling, transform
@@ -29,6 +30,11 @@ from .transform import Scaling, transform
 MODEL_FORMAT = "divshap-pipeline"
 MODEL_VERSION = 1
 EVAL_MODES = ("cv", "train")
+# The Shapelet fields a model file holds after "values", in file order, each
+# with the cast the loader checks it with.
+SAVED_SHAPELET_FIELDS = dict(
+    source_series=int, start=int, length=int, class_label=int, split_threshold=float, gain=float, gap=float
+)
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,8 @@ class EvalConfig:
     mode "cv" runs stratified cross-validation on the training split
     (fold count clamps to the dataset size); mode "train" scores plain
     training accuracy. Each is averaged over `repeats` seeded ELM draws.
-    Any other mode, folds below 2 or repeats below 1 raises
-    InvalidConfigError.
+    Any other mode, folds below 2, repeats below 1, a negative seed or a
+    count or seed that is not an integer raises InvalidConfigError.
     """
 
     mode: str = "cv"
@@ -50,18 +56,17 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.mode not in EVAL_MODES:
             raise InvalidConfigError(f"evaluation mode must be one of {EVAL_MODES}, got {self.mode!r}")
-        if self.folds < 2:
-            raise InvalidConfigError(f"evaluation folds must be at least 2, got {self.folds}")
-        if self.repeats < 1:
-            raise InvalidConfigError(f"evaluation repeats must be at least 1, got {self.repeats}")
+        require_int("evaluation folds", self.folds, 2)
+        require_int("evaluation repeats", self.repeats, 1)
+        require_int("evaluation seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """kappa bounds the k sweep; znormalize_series applies whole-series
     z-normalization before mining and again at predict time (window-level
-    normalization is governed by `distance` instead). kappa below 1 raises
-    InvalidConfigError."""
+    normalization is governed by `distance` instead). A kappa that is not an
+    integer of at least 1 raises InvalidConfigError."""
 
     kappa: int = 9
     mining: MiningConfig = field(default_factory=MiningConfig)
@@ -72,8 +77,7 @@ class PipelineConfig:
     znormalize_series: bool = False
 
     def __post_init__(self) -> None:
-        if self.kappa < 1:
-            raise InvalidConfigError(f"kappa must be at least 1, got {self.kappa}")
+        require_int("kappa", self.kappa, 1)
 
 
 @dataclass
@@ -256,16 +260,7 @@ def save_pipeline(model: PipelineModel, stream) -> None:
         "config": dataclasses.asdict(model.config),
         "label_names": {str(k): v for k, v in model.label_names.items()},
         "shapelets": [
-            {
-                "values": s.values.tolist(),
-                "source_series": s.source_series,
-                "start": s.start,
-                "length": s.length,
-                "class_label": s.class_label,
-                "split_threshold": s.split_threshold,
-                "gain": s.gain,
-                "gap": s.gap,
-            }
+            {"values": s.values.tolist(), **{f: getattr(s, f) for f in SAVED_SHAPELET_FIELDS}}
             for s in model.shapelets
         ],
         "scaling": {"mins": model.scaling.mins.tolist(), "maxs": model.scaling.maxs.tolist()},
@@ -318,13 +313,7 @@ def _model_from_blob(blob: dict) -> PipelineModel:
     shapelets = [
         Shapelet(
             values=np.asarray(s["values"], dtype=np.float64),
-            source_series=int(s["source_series"]),
-            start=int(s["start"]),
-            length=int(s["length"]),
-            class_label=int(s["class_label"]),
-            split_threshold=float(s["split_threshold"]),
-            gain=float(s["gain"]),
-            gap=float(s["gap"]),
+            **{f: cast(s[f]) for f, cast in SAVED_SHAPELET_FIELDS.items()},
         )
         for s in blob["shapelets"]
     ]
@@ -335,10 +324,7 @@ def _model_from_blob(blob: dict) -> PipelineModel:
     return PipelineModel(
         selected_k=int(blob["selected_k"]),
         shapelets=shapelets,
-        scaling=Scaling(
-            mins=np.asarray(blob["scaling"]["mins"], dtype=np.float64),
-            maxs=np.asarray(blob["scaling"]["maxs"], dtype=np.float64),
-        ),
+        scaling=Scaling(**{k: np.asarray(v, dtype=np.float64) for k, v in blob["scaling"].items()}),
         elm_model=elm.model_from_dict(blob["elm"]),
         k_sweep_report=sweep,
         config=_config_from_dict(PipelineConfig, blob["config"]),

@@ -20,6 +20,7 @@ from divshap.errors import (
     NonNumericFieldError,
     RaggedRowError,
     UnknownLabelError,
+    ValueRangeError,
 )
 
 
@@ -99,6 +100,16 @@ def test_roundtrip_identity():
     d2 = parse_ucr(buf.getvalue())
     assert np.array_equal(d.X, d2.X)
     assert np.array_equal(d.y, d2.y)
+
+
+def test_dataset_rejects_values_too_large_to_square():
+    """4 m max|x|^2 bounds every square a kernel takes; it must stay finite."""
+    edge = np.sqrt(np.finfo(np.float64).max / 16)  # m = 4
+    assert Dataset(X=np.array([[edge, -edge, 0.0, 1.0]]), y=[0]).m == 4
+    for big in (edge * 1.01, -edge * 1.01):
+        with pytest.raises(ValueRangeError):
+            Dataset(X=np.array([[big, 0.0, 0.0, 1.0]]), y=[0])
+    assert Dataset(X=np.empty((0, 4)), y=np.empty(0)).n == 0
 
 
 def test_dataset_is_immutable(toy_train):

@@ -209,13 +209,17 @@ def test_activations_tanh_hardlimit():
         dict(ridge=math.inf),
         dict(ridge=-1.0),
         dict(ridge=math.nan),
+        dict(n_hidden=2.5),
+        dict(n_hidden=True),
+        dict(seed=-1),
+        dict(seed=1.5),
     ],
 )
 def test_elm_config_rejects_unknown_activation_and_width_below_one(bad):
     """Before, these failed only in training: deep inside
-    random_hidden_layer, or with numpy's "negative dimensions". A bad ridge
-    trained without error: inf gave chance accuracy, and -1 or nan took
-    the unregularized path."""
+    random_hidden_layer, or with numpy's "negative dimensions", a TypeError
+    or a ValueError. A bad ridge trained without error: inf gave chance
+    accuracy, and -1 or nan took the unregularized path."""
     with pytest.raises(InvalidConfigError):
         elm.ELMConfig(**bad)
 

@@ -222,8 +222,9 @@ def test_div_topk_greedy_prefix_optimal(manual_graph):
 
 def test_div_topk_k_validation(manual_graph):
     g = manual_graph(2, [])
-    with pytest.raises(InvalidConfigError):
-        div_topk(g, 0)
+    for k in (0, 2.5, True):
+        with pytest.raises(InvalidConfigError):
+            div_topk(g, k)
 
 
 def test_independence_violations_reports_pairs():

@@ -1,20 +1,25 @@
 """Static checks of src/divshap with the standard library's ast: no module
-imports a name it never uses, and every entry of divshap.__all__ resolves.
-They guard deletions, which otherwise leave dead imports and stale exports
-behind without any test failing.
+imports a name it never uses, every entry of divshap.__all__ resolves, and
+every module-level definition is named somewhere besides its definition.
+They guard deletions, which otherwise leave dead imports, stale exports and
+orphaned helpers behind without any test failing.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import divshap
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "divshap"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "divshap"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# where a use of a package name may live
+SEARCHED = ("src", "tests", "demos", "benchmark")
 
 
 def imported_names(tree: ast.Module) -> list[tuple[str, int]]:
@@ -71,3 +76,49 @@ def test_every_public_name_resolves():
     missing = [name for name in divshap.__all__ if not hasattr(divshap, name)]
     assert missing == []
     assert len(set(divshap.__all__)) == len(divshap.__all__)
+
+
+def module_definitions(tree: ast.Module) -> list[str]:
+    """Names a module binds at top level with def, class or assignment,
+    dunder names (__all__, __version__) aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def dead_definitions(package_sources: dict[str, str], other_sources: list[str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level definition that no text names as a
+    whole word besides its own definition: one occurrence in all sources."""
+    texts = [*package_sources.values(), *other_sources]
+    dead = []
+    for module, source in package_sources.items():
+        for name in module_definitions(ast.parse(source)):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if sum(len(word.findall(t)) for t in texts) <= 1:
+                dead.append((module, name))
+    return dead
+
+
+def test_every_definition_is_named_elsewhere():
+    package = {p.name: p.read_text() for p in MODULES}
+    others = [
+        p.read_text()
+        for d in SEARCHED
+        for p in sorted((ROOT / d).rglob("*.py"))
+        if p.parent != PACKAGE
+    ]
+    assert dead_definitions(package, others) == []
+
+
+def test_dead_definition_check_sees_unnamed_helpers():
+    package = {
+        "a.py": "LIMIT = 3\n_CACHE: dict = {}\n__all__ = []\ndef used():\n    return LIMIT\nclass Orphan:\n    pass\n",
+        "b.py": "def helper():\n    return 1\n",
+    }
+    dead = dead_definitions(package, ["from a import used\n"])
+    assert dead == [("a.py", "_CACHE"), ("a.py", "Orphan"), ("b.py", "helper")]

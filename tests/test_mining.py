@@ -181,16 +181,21 @@ def test_generate_dedups_exact_duplicates():
 
 
 def test_band_rejects_stride_below_one():
-    for cfg in (MiningConfig(length_stride=0), MiningConfig(position_stride=-1)):
+    """MiningConfig checks its strides when built, as the other configs do."""
+    for bad in (dict(length_stride=0), dict(position_stride=-1), dict(length_stride=1.5), dict(position_stride=True)):
         with pytest.raises(InvalidConfigError, match="stride"):
-            cfg.band(24)
+            MiningConfig(**bad).band(24)
 
 
 def test_band_rejects_min_len_below_two_and_max_len_above_m():
-    with pytest.raises(InvalidConfigError, match="min_len"):
-        MiningConfig(min_len=1).band(24)
-    with pytest.raises(InvalidConfigError, match="max_len"):
-        MiningConfig(max_len=25).band(24)
+    """A fractional bound ended in range()'s TypeError before."""
+    for bad in (dict(min_len=1), dict(min_len=4.5), dict(min_len=4.0)):
+        with pytest.raises(InvalidConfigError, match="min_len"):
+            MiningConfig(**bad).band(24)
+    for bad in (dict(max_len=25), dict(max_len=8.5), dict(max_len=1)):
+        with pytest.raises(InvalidConfigError, match="max_len"):
+            MiningConfig(**bad).band(24)
+    assert MiningConfig(min_len=np.int64(4), max_len=np.int32(8)).band(24) == (4, 8)
 
 
 def test_generate_matches_scalar_oracle():

@@ -17,6 +17,7 @@ from divshap.errors import (
     LengthMismatchError,
     ModelFormatError,
     SingleClassTrainingError,
+    ValueRangeError,
 )
 from divshap.graph import DiversityGraph, build_graph, similar
 from divshap.mining import MiningConfig, mine_shapelets
@@ -210,6 +211,11 @@ def test_load_ignores_keys_of_removed_options(fitted, toy_test):
         lambda b: _with_elm_config(b, ridge=math.nan),
         lambda b: _with_elm_config(b, ridge=math.inf),
         lambda b: {**b, "config": {**b["config"], "kappa": 0}},
+        lambda b: {**b, "config": {**b["config"], "kappa": 2.5}},
+        lambda b: _with_evaluation(b, repeats=2.5),
+        lambda b: _with_evaluation(b, seed=-1),
+        lambda b: _with_elm_config(b, seed=-1),
+        lambda b: {**b, "config": {**b["config"], "mining": {**b["config"]["mining"], "min_len": 4.5}}},
     ],
 )
 def test_load_rejects_malformed_model(fitted, corrupt):
@@ -250,21 +256,64 @@ def test_sweep_seeds_fixed_per_cell():
 
 
 @pytest.mark.parametrize(
-    "bad", [dict(mode="CV"), dict(mode="loo"), dict(repeats=0), dict(repeats=-2), dict(folds=1)]
+    "bad",
+    [
+        dict(mode="CV"),
+        dict(mode="loo"),
+        dict(repeats=0),
+        dict(repeats=-2),
+        dict(folds=1),
+        dict(repeats=2.5),
+        dict(folds=2.5),
+        dict(repeats=True),
+        dict(seed=-1),
+        dict(seed=0.5),
+    ],
 )
 def test_eval_config_rejects_unknown_mode_and_repeats_below_one(bad):
     """Before, repeats=0 fitted a model with no selected k, any mode but
-    "cv" scored training accuracy, and folds=1 was clamped to 2."""
+    "cv" scored training accuracy, and folds=1 was clamped to 2. A
+    fractional repeat count ended in a TypeError, fractional folds were
+    accepted and a negative seed ended in numpy's ValueError."""
     with pytest.raises(InvalidConfigError) as info:
         EvalConfig(**bad)
     assert isinstance(info.value, DivshapError)
 
 
-@pytest.mark.parametrize("kappa", [0, -3])
+@pytest.mark.parametrize("kappa", [0, -3, 2.5, True, np.float64(3.0)])
 def test_pipeline_config_rejects_kappa_below_one(kappa):
-    """Before, kappa=0 was clamped to 1 and silently swept k=1."""
+    """Before, kappa=0 was clamped to 1 and silently swept k=1, and
+    kappa=2.5 swept every k the greedy pool reached, since the scan never
+    kept exactly 2.5 shapelets."""
     with pytest.raises(InvalidConfigError):
         PipelineConfig(kappa=kappa)
+
+
+def test_configs_accept_numpy_integers():
+    ev = EvalConfig(folds=np.int32(3), repeats=np.int64(2), seed=np.int64(0))
+    cfg = PipelineConfig(kappa=np.int64(3), evaluation=ev)
+    assert cfg.kappa == 3 and cfg.evaluation.folds == 3
+    assert elm.ELMConfig(n_hidden=np.int64(4), seed=np.uint32(7)).seed == 7
+
+
+def test_large_scale_fits_as_scale_one_or_raises_when_built():
+    """Below the overflow bound a scaled set selects the same shapelets and
+    scores the same accuracy, with no RuntimeWarning. Above it, building the
+    Dataset raises: before, squares overflowed in the window statistics and
+    accuracy fell to 0.475 (1e154) or 0.5 (1e200, 1e300) with only numpy
+    RuntimeWarnings as a sign."""
+    train, test = bump_dataset(seed=0, per_class=4, m=40), bump_dataset(seed=1, per_class=20, m=40)
+    cfg = small_cfg(mining=MiningConfig(min_len=4, max_len=8))
+    base = fit(train, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = fit(Dataset(X=train.X * 1e152, y=train.y), cfg)
+        acc = predict_pipeline(scaled, Dataset(X=test.X * 1e152, y=test.y))[1]
+    assert [s.id for s in scaled.shapelets] == [s.id for s in base.shapelets]
+    assert acc == predict_pipeline(base, test)[1]
+    for scale in (1e154, 1e200, 1e300):
+        with pytest.raises(ValueRangeError):
+            Dataset(X=train.X * scale, y=train.y)
 
 
 def test_select_k_on_empty_graph_raises_empty_input(toy_train):
