@@ -16,8 +16,11 @@ by 1/sd from prefix sums (SeriesSums), and z-normalizes only the windows it
 picks; its pick is approximate within the bound given at
 RUNNING_VAR_MARGIN. Transform without window normalization scans
 Windows.of_series as mining does. window_distances is the per-pair scan
-behind shapelet_dist and the orderline oracle; subsequence_dist, an
-early-abandoning scalar loop, is the oracle both are checked against.
+behind shapelet_dist (each pair check of the diversity graph) and the
+orderline oracle; it reads the windows as a strided view of the series,
+built without sliding_window_view's per-call checks. subsequence_dist, an
+early-abandoning scalar loop on numpy's own mean and std, is the oracle
+both are checked against.
 """
 
 from __future__ import annotations
@@ -208,20 +211,26 @@ def nearest_window_dists(
 
 
 def window_distances(t: np.ndarray, s: np.ndarray, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Distance from s to every aligned window of t, vectorized."""
-    t = np.asarray(t, dtype=np.float64)
+    """Distance from s to every aligned window of t, vectorized.
+
+    The windows are the view sliding_window_view gives, (len(t) - L + 1, L)
+    with strides (8, 8) over a contiguous float64 copy of t, built directly:
+    each pair check of the diversity graph pays this call's fixed cost.
+    """
+    t = np.ascontiguousarray(t, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     L = len(s)
     if L > len(t):
         raise ShapeletLongerThanSeriesError(f"query length {L} > series length {len(t)}")
-    w = np.lib.stride_tricks.sliding_window_view(t, L)
+    w = np.ndarray((len(t) - L + 1, L), dtype=np.float64, buffer=t, strides=(8, 8))
     if cfg.normalize_windows:
-        diff = znorm_rows(w) - znormalize(s)
+        diff = znorm_rows(w)
+        diff -= znormalize(s)
     else:
         diff = w - s
     out = np.einsum("ij,ij->i", diff, diff)
     if cfg.length_normalize:
-        out = out / L
+        out /= L
     return out
 
 

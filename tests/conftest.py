@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from divshap import elm
-from divshap.dataset import Dataset, read_ucr
+from divshap.dataset import FLAT_STD, Dataset, read_ucr
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,6 +53,26 @@ def xor_dataset(seed: int = 0, per_cell: int = 4, m: int = 36, noise: float = 0.
         rows.append(rng.normal(0.0, noise, m))
         labels.append(2)
     return Dataset(X=np.array(rows), y=np.array(labels), name="xor")
+
+
+def mean_std_znorm_rows(w: np.ndarray) -> np.ndarray:
+    """Row z-normalization from numpy's own w.mean and w.std, the form
+    znorm_rows must equal bit for bit."""
+    mu = w.mean(axis=1, keepdims=True)
+    sd = w.std(axis=1, keepdims=True)
+    out = (w - mu) / np.where(sd < FLAT_STD, 1.0, sd)
+    out[sd[:, 0] < FLAT_STD] = 0.0
+    return out
+
+
+def sliding_window_distances(t, s, cfg) -> np.ndarray:
+    """window_distances from sliding_window_view and mean_std_znorm_rows."""
+    t = np.asarray(t, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    w = np.lib.stride_tricks.sliding_window_view(t, len(s))
+    diff = mean_std_znorm_rows(w) - mean_std_znorm_rows(s[None, :]) if cfg.normalize_windows else w - s
+    out = np.einsum("ij,ij->i", diff, diff)
+    return out / len(s) if cfg.length_normalize else out
 
 
 def time_predict(model: elm.ELMModel, X: np.ndarray, repetitions: int = 100) -> float:

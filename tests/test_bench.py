@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from divshap.bench import (
     run_experiment,
     sweep_csv,
 )
+from divshap.distance import DistanceConfig
 from divshap.elm import ELMConfig
 from divshap.errors import EmptyInputError
 from divshap.mining import MiningConfig
@@ -39,6 +41,29 @@ def test_1nn_single_training_instance():
 def test_1nn_without_training_rows_rejected():
     with pytest.raises(EmptyInputError):
         baseline_1nn(np.zeros((0, 2)), np.zeros(0, dtype=int), *planar([[0, 0]], [1]))
+
+
+def test_transformed_1nn_does_not_overflow_on_squared_distance_features():
+    """Without window normalization the features are squared distances up
+    to 4 L max|x|^2, which the 1NN squares again; at X*1e80 those squares
+    overflowed and the accuracy fell to chance."""
+    train, test = bump_dataset(seed=0, per_class=4, m=40), bump_dataset(seed=1, per_class=20, m=40)
+    cfg = dataclasses.replace(
+        fast_cfg(),
+        mining=MiningConfig(min_len=4, max_len=8),
+        distance=DistanceConfig(normalize_windows=False),
+    )
+
+    def accuracy(scale):
+        scaled = [dataclasses.replace(d, X=d.X * scale) for d in (train, test)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report, _ = run_experiment(*scaled, cfg)
+        return report.accuracies["transformed_1nn"]
+
+    at_one = accuracy(1.0)
+    assert at_one > 0.5
+    assert accuracy(1e80) == at_one and accuracy(1e100) == at_one
 
 
 def test_1nn_hand_enumerated_planar_toy():

@@ -23,6 +23,8 @@ from divshap.errors import (
     ValueRangeError,
 )
 
+from conftest import mean_std_znorm_rows
+
 
 def test_parse_comma():
     d = parse_ucr("1,0.5,0.3\n2,0.1,0.2")
@@ -136,6 +138,36 @@ def test_znormalize_idempotent():
         M = rng.normal(0, rng.uniform(0.5, 20), (5, len(v))) + rng.uniform(-1e4, 1e4, (5, 1))
         M[1] = rng.uniform(-1e4, 1e4)
         assert np.array_equal(znorm_rows(M), np.vstack([znormalize(row) for row in M]))
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 8, 9, 17, 64])
+def test_znorm_rows_equals_numpy_mean_and_std_bit_for_bit(L):
+    """znorm_rows takes the mean once and the std from the centred rows, by
+    the steps np.mean and np.std run, so it must equal their form exactly:
+    on flat rows, at row scales from 1e-9 to 1e150, on overlapping windows,
+    into a column slice of a wider array, and for one-row blocks."""
+    rng = np.random.default_rng(L)
+    n = 300
+    scale = 10.0 ** rng.uniform(-9, 150, (n, 1))
+    M = (rng.normal(size=(n, L)) + rng.uniform(-1e3, 1e3, (n, 1))) * scale
+    M[::7] = M[::7, :1]  # exactly flat rows
+    want = mean_std_znorm_rows(M)
+    assert np.array_equal(znorm_rows(M), want)
+    assert np.array_equal(znorm_rows(M[:1]), want[:1])
+    in_place = M.copy()
+    assert znorm_rows(in_place, out=in_place) is in_place
+    assert np.array_equal(in_place, want)
+    # Windows.of_series writes the windows into the first L columns of its
+    # scan matrix and z-normalizes them there
+    wide = np.full((n, L + 1), 7.0)
+    wide[:, :L] = M
+    znorm_rows(wide[:, :L], out=wide[:, :L])
+    assert np.array_equal(wide[:, :L], want) and np.all(wide[:, L] == 7.0)
+    for s in (1e-9, 1e-8, 1.0, 1e150):
+        t = rng.normal(size=L + 80) * s
+        t[30:50] = t[30]  # a flat stretch
+        w = np.lib.stride_tricks.sliding_window_view(t, L)
+        assert np.array_equal(znorm_rows(w), mean_std_znorm_rows(w))
 
 
 def test_stratified_folds_balanced():

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import divshap.graph as graph_mod
 from divshap.distance import (
     DistanceConfig,
     Windows,
@@ -14,6 +16,11 @@ from divshap.distance import (
 )
 from divshap.dataset import znormalize
 from divshap.errors import LengthMismatchError, ShapeletLongerThanSeriesError
+from divshap.graph import div_topk
+from divshap.mining import MiningConfig
+from divshap.pipeline import PipelineConfig, mine_graph
+
+from conftest import bump_dataset, sliding_window_distances
 
 
 def naive_znorm(v):
@@ -153,6 +160,54 @@ def test_window_distances_matches_scan():
     for start in range(24):
         want = naive_subsequence_dist(t[start : start + 7], s)
         assert d[start] == pytest.approx(want, rel=1e-9)
+
+
+CONFIGS = [DistanceConfig(*flags) for flags in itertools.product([True, False], repeat=2)]
+CONFIG_IDS = ["norm-len", "norm", "len", "raw"]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_window_distances_equal_sliding_window_form_on_every_scanned_pair(cfg, monkeypatch):
+    """Every pair div_topk decides, of either class, gets the distances of
+    sliding_window_view and numpy's mean/std, bit for bit."""
+    pcfg = PipelineConfig(mining=MiningConfig(min_len=3, max_len=9), distance=cfg)
+    _, g = mine_graph(bump_dataset(seed=2), pcfg)
+    pairs, similar = [], graph_mod.similar
+
+    def recorded(a, b, *args):
+        pairs.append((a, b))
+        return similar(a, b, *args)
+
+    monkeypatch.setattr(graph_mod, "similar", recorded)
+    div_topk(g, pcfg.kappa)
+    assert len(pairs) > 50
+    for a, b in pairs:
+        t, s = (a.values, b.values) if a.length >= b.length else (b.values, a.values)
+        want = sliding_window_distances(t, s, cfg)
+        assert np.array_equal(window_distances(t, s, cfg), want)
+        assert shapelet_dist(a, b, cfg) == want.min() == shapelet_dist(b, a, cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_window_distances_read_any_series_as_its_contiguous_float_copy(cfg):
+    """The windows are a strided view of a contiguous float64 buffer, so a
+    strided, read-only or integer series must give what its copy gives, and
+    the series itself is left as it was."""
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=7)
+    strided = rng.normal(size=80)[::2]
+    read_only = rng.normal(size=40)
+    read_only.flags.writeable = False
+    integer = rng.integers(-50, 50, size=40)
+    integer[10:20] = 3  # flat windows
+    for t in (strided, read_only, integer):
+        before = t.copy()
+        copy = np.array(t, dtype=np.float64)
+        assert np.array_equal(window_distances(t, s, cfg), window_distances(copy, s, cfg))
+        assert np.array_equal(window_distances(t, s, cfg), sliding_window_distances(copy, s, cfg))
+        assert np.array_equal(t, before)
+    assert len(window_distances(strided, s[:1], cfg)) == 40
+    assert len(window_distances(strided, strided, cfg)) == 1
 
 
 def test_contained_window_affine_invariance():
