@@ -1,0 +1,80 @@
+"""Hashes of what one checkout mines, selects and saves, one line per training set.
+
+    python3 scripts/mined_hashes.py CHECKOUT [--tiny]
+
+Imports ``divshap`` from ``CHECKOUT/src`` and the benchmark's generators from
+``CHECKOUT/benchmark/workloads.py``, which it only reads. The 15 training sets
+are the seed-0 draws 0-5 of fit-long and fit-wide and the serving-model
+training set of each of the three workloads (``--tiny``: the same sets at the
+smoke test's sizes). Each set is mined and fitted as ``fit`` does, with
+library defaults, and its line gives the sha256 of:
+
+- ``mined``: the bytes of the mined ``CandidateTable``'s columns (source,
+  start, length, threshold, gain, gap), in table order;
+- ``selected``: the ids of the selected shapelets;
+- ``model``: the model JSON that ``save_pipeline`` writes.
+
+Two checkouts mine, select and save bit for bit alike when their outputs are
+equal, e.g. ``diff <(python3 scripts/mined_hashes.py PARENT)
+<(python3 scripts/mined_hashes.py CHANGE)``. ``OPENBLAS_NUM_THREADS`` applies
+as it does to any fit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+
+def training_sets(workloads) -> list[tuple[str, object]]:
+    """(name, training Dataset) of the 15 sets, in print order."""
+    sets = []
+    for name in ("fit-long", "fit-wide"):
+        sets += [(f"{name}/draw{j}", workloads[name].make(0, j)[0]) for j in range(6)]
+    sets += [(f"{name}/model", wl.model_data()[0]) for name, wl in workloads.items()]
+    return sets
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def set_hashes(train) -> dict[str, str]:
+    """The three hashes of one training set."""
+    from divshap import PipelineConfig, save_pipeline
+    from divshap.pipeline import _fit_from_graph, mine_graph
+
+    # fit is mine_graph then _fit_from_graph; calling the two stages keeps
+    # the mined table without mining twice
+    cfg = PipelineConfig()
+    prepared, graph = mine_graph(train, cfg)
+    model = _fit_from_graph(graph, prepared, cfg)
+    saved = io.StringIO()
+    save_pipeline(model, saved)
+    return {
+        "mined": digest(b"".join(c.tobytes() for c in graph.vertices.columns)),
+        "selected": digest("\n".join(s.id for s in model.shapelets).encode()),
+        "model": digest(saved.getvalue().encode()),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("checkout", type=Path)
+    p.add_argument("--tiny", action="store_true", help="the smoke test's sizes")
+    args = p.parse_args(argv)
+    root = args.checkout.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
+    from workloads import TINY, WORKLOADS
+
+    for name, train in training_sets(TINY if args.tiny else WORKLOADS):
+        hashes = set_hashes(train)
+        print(name, *(f"{k}={v}" for k, v in hashes.items()), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,6 +39,11 @@ class BandEmptyError(DivshapError):
     """The candidate length band [min_len, max_len] is empty."""
 
 
+class FlatTrainingSetError(DivshapError):
+    """Every candidate window of a training set is flat, so z-normalized
+    distances cannot tell its series apart."""
+
+
 class DimensionMismatchError(DivshapError):
     """Matrix dimensions are incompatible with the model."""
 

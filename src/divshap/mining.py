@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import FLAT_STD, Dataset
 from .distance import (
     DEFAULT_CONFIG,
     DistanceConfig,
@@ -28,7 +28,7 @@ from .distance import (
     nearest_window_dists,
     window_distances,
 )
-from .errors import BandEmptyError, InvalidConfigError, require_int
+from .errors import BandEmptyError, FlatTrainingSetError, InvalidConfigError, require_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +155,58 @@ def generate_candidates(train: Dataset, cfg: MiningConfig) -> CandidateTable:
     """
     lo, hi = cfg.band(train.m)
     ps = cfg.position_stride
+    bits = train.X.view(np.uint64)  # identical windows are identical bits
     columns = []
     for L in range(lo, hi + 1, cfg.length_stride):
-        windows = np.lib.stride_tricks.sliding_window_view(train.X, L, axis=1)[:, ::ps]
-        n, w = windows.shape[:2]
-        rows = np.ascontiguousarray(windows).reshape(n * w, L)
-        first = np.sort(np.unique(rows.view(np.dtype((np.void, rows.strides[0]))), return_index=True)[1])
-        source, slot = np.divmod(first, w)
-        columns.append((source, slot * ps, np.full(len(first), L)))
+        windows = np.lib.stride_tricks.sliding_window_view(bits, L, axis=1)[:, ::ps]
+        w = windows.shape[1]
+        source, slot = np.divmod(_first_distinct(windows), w)
+        columns.append((source, slot * ps, np.full(len(source), L)))
     source, start, length = (np.concatenate(c) for c in zip(*columns))
     return CandidateTable(train, source, start, length, *np.zeros((3, len(source))))
+
+
+# Odd multipliers that spread the low bits of a window's first, middle and
+# last values over the high bits of its hash (64-bit golden ratio, and two
+# from the murmur3 and xxhash finalizers).
+_HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0xFF51AFD7ED558CCD], dtype=np.uint64)
+
+
+def _first_distinct(windows: np.ndarray) -> np.ndarray:
+    """Flat indices, ascending, of the first of each distinct row of the
+    (n, w, L) uint64 window view, in (series, start) order.
+
+    Identical windows share their first, middle and last values and so
+    their hash of those three. Each window's sort key holds the hash in its
+    high bits and the window's flat index in the low bits, so one sort
+    groups windows by hash and lists each group in index order. A window
+    alone in its group is distinct; groups of more than one are compared
+    byte for byte, a chunk of whole groups at a time. A chunk holds the
+    groups that start within SCORING_BUDGET / 8 bytes of rows of its first,
+    so memory grows with the rows of one group, not with all the windows.
+    """
+    n, w, L = windows.shape
+    shift = (n * w - 1).bit_length()
+    picked = (windows[:, :, j] * c for j, c in zip((0, L // 2, L - 1), _HASH_MULTIPLIERS))
+    mixed = np.bitwise_xor.reduce(list(picked))
+    keys = np.sort(mixed.ravel() >> shift << shift | np.arange(n * w, dtype=np.uint64))
+    index = (keys & ((1 << shift) - 1)).astype(np.intp)
+    hashes = keys >> shift
+    starts = np.flatnonzero(np.r_[True, hashes[1:] != hashes[:-1], True])
+    size = np.diff(starts)
+    alone = np.repeat(size == 1, size)
+    first = [index[alone]]
+    shared = index[~alone]
+    if len(shared):
+        group_starts = np.cumsum(np.r_[0, size[size > 1][:-1]])
+        chunk_rows = max(1, SCORING_BUDGET // (8 * 8 * L))
+        cuts = group_starts[np.r_[True, np.diff(group_starts // chunk_rows) > 0]]
+        row = np.dtype((np.void, 8 * L))
+        for a, b in zip(cuts, np.r_[cuts[1:], len(shared)]):
+            chunk = shared[a:b]
+            rows = windows[chunk // w, chunk % w].view(row).ravel()
+            first.append(chunk[np.unique(rows, return_index=True)[1]])
+    return np.sort(np.concatenate(first))
 
 
 def entropy(counts) -> float:
@@ -267,12 +309,18 @@ def mine_shapelets(
 # Bytes one scoring thread may hold for a candidate length: the window
 # matrix (offset column included) plus, per block candidate, its query row
 # and -1 extension, score row and measured windows, counted together though
-# the kernel frees the score row before it gathers. The best split holds at
-# most SPLIT_ROWS arrays of one row per candidate and series. A block gets
-# at least half the budget, so only a window matrix above the other half
-# makes a thread exceed it.
+# the kernel frees the score row before it gathers. The best split, which
+# runs after that, holds at most SPLIT_ROWS arrays of one row per candidate
+# and series, its input included: the sorted distances, the argsort, a
+# class's running count and what the counted classes leave, the two entropy
+# sums and one class's two terms of them, and a count that is being
+# replaced (eight in all with two classes, whose last count is what the
+# first leaves). Its later arrays fit in what these free. A block gets at
+# least half the budget, so only a window matrix above the other half
+# makes a thread exceed it. generate_candidates compares windows a chunk of
+# SCORING_BUDGET / 8 bytes at a time.
 SCORING_BUDGET = 16 * 2**20
-SPLIT_ROWS = 16
+SPLIT_ROWS = 10
 
 
 def _score_candidates(
@@ -288,13 +336,16 @@ def _score_candidates(
     Each length's windows are prepared once, each block of candidates is
     gathered from them, and distance.nearest_window_dists scores the block
     against every series in one call. Blocks are sized so that each thread
-    stays within SCORING_BUDGET.
+    stays within SCORING_BUDGET. With z-normalized windows, a training set
+    whose candidate windows are all flat raises FlatTrainingSetError: every
+    distance would be zero and every gain 0.
     """
     n, m = train.n, train.m
     counts = ClassCounts.of(train.y)
     scores = np.zeros((3, len(table)))
 
-    def run_length(L: int) -> None:
+    def run_length(L: int) -> bool:
+        """Score the length-L candidates; True if any of them is not flat."""
         idxs = np.flatnonzero(table.length == L)
         wcount = m - L + 1
         windows = Windows.of_series(train.X, L, dist_cfg)
@@ -307,14 +358,20 @@ def _score_candidates(
             sel = slice(lo, lo + block)
             dist = nearest_window_dists(windows.scan[rows[sel], :L], windows, dist_cfg)
             scores[:, idxs[sel]] = _batch_best_split(dist, counts)
+        # a z-normalized window is all zeros, and so has offset 0, when flat
+        return not dist_cfg.normalize_windows or bool(windows.scan[rows, L].any())
 
     lengths = np.unique(table.length).tolist()
     if workers > 1 and len(lengths) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_length, lengths))
+            informative = list(pool.map(run_length, lengths))
     else:
-        for L in lengths:
-            run_length(L)
+        informative = [run_length(L) for L in lengths]
+    if not any(informative):
+        raise FlatTrainingSetError(
+            f"every candidate window has standard deviation below {FLAT_STD}; "
+            "z-normalized, all are equal, so no split separates the series"
+        )
     return scores
 
 
@@ -349,58 +406,87 @@ def _batch_best_split(
     matrix.
 
     The class counts left of each split are integer cumulative sums over
-    the sorted labels (the last class is what the others leave), and each
-    side's entropy is the sum, in class order, of the h terms gathered for
-    its size and counts.
+    the labels in distance order (the last class is what the others
+    leave), and each side's entropy is the sum, in class order, of the h
+    terms gathered for its size and counts. The threshold and gap are taken
+    only at the split each row picks; a row whose best gain is reached at
+    more than one split breaks the tie as best_split does, by gap, then
+    threshold.
+
+    The labels come from an unstable argsort, so series at equal distances
+    may come in any order, yet no output depends on that order. A split
+    after sorted entry i is valid only where sd[i + 1] > sd[i], and then
+    its left side is exactly the series at distances <= sd[i], whatever
+    the order among equal ones; so are its class counts and gain. The
+    sorted values, their cumulative sums and so the thresholds and gaps do
+    not depend on it either: equal distances are equal in every bit, since
+    a distance is a sum of squares and never -0.0. Invalid splits are
+    masked before the pick.
     """
     c, n = dist.shape
-    order = np.argsort(dist, axis=1, kind="stable")
-    sd = np.take_along_axis(dist, order, axis=1)
+    sd = np.sort(dist, axis=1)
     midrange = (sd[:, 0] + sd[:, -1]) / 2
     if len(counts.total) == 1 or n < 2:
         zero = np.zeros(c)
         return midrange, zero, zero.copy()
 
+    # Block-sized arrays are updated in place where that keeps the float
+    # operations: on fit-wide blocks, a cumsum in place took half the time
+    # of one into a new array.
     nl = np.arange(1, n)
     nr = n - nl
     h = counts.h.ravel()
-    left_base, right_base = nl * (n + 1), nr * (n + 1)
-    labels = counts.label[order[:, :-1]]  # split i falls after sorted entry i
+    order = np.argsort(dist, axis=1)[:, :-1]  # split i falls after sorted entry i
     rest = nl
     for k, total in enumerate(counts.total):
         if k < len(counts.total) - 1:
-            left = np.cumsum(labels == k, axis=1)
+            left = (counts.label == k).astype(np.intp)[order]
+            np.cumsum(left, axis=1, out=left)
             rest = rest - left
         else:
             left = rest
-        h_left_k = h.take(left_base + left)
-        h_right_k = h.take((right_base + total) - left)
+        # h[nl, left] is h.ravel()[i] for i = nl * (n + 1) + left, and
+        # h[nr, total - left] is h.ravel()[n * (n + 1) + total - i], since
+        # nl + nr = n
+        left += nl * (n + 1)
+        h_left_k = h.take(left)
+        np.subtract(n * (n + 1) + total, left, out=left)
+        h_right_k = h.take(left)
         if k == 0:
             h_left, h_right = h_left_k, h_right_k
         else:
             h_left += h_left_k
             h_right += h_right_k
+    del order, left, rest, h_left_k, h_right_k
 
-    gains = entropy(counts.total) - (nl / n) * h_left - (nr / n) * h_right
-    thr = (sd[:, :-1] + sd[:, 1:]) / 2
-    ps = np.cumsum(sd, axis=1)
-    gaps = (ps[:, -1:] - ps[:, :-1]) / nr - ps[:, :-1] / nl
-    valid = sd[:, 1:] > sd[:, :-1]
-
-    masked_gain = np.where(valid, gains, -np.inf)
-    best_gain = masked_gain.max(axis=1)
-    no_split = ~np.isfinite(best_gain)
-    tie1 = masked_gain == best_gain[:, None]
-    masked_gap = np.where(tie1, gaps, -np.inf)
-    best_gap = masked_gap.max(axis=1)
-    tie2 = tie1 & (masked_gap == best_gap[:, None])
-    masked_thr = np.where(tie2, thr, np.inf)
-    pick = masked_thr.argmin(axis=1)
-
+    # in place, the float operations of
+    # entropy(counts.total) - (nl / n) * h_left - (nr / n) * h_right
+    gains = h_left
+    gains *= nl / n
+    np.subtract(entropy(counts.total), gains, out=gains)
+    h_right *= nr / n
+    gains -= h_right
+    del h_right
+    np.copyto(gains, -np.inf, where=sd[:, 1:] <= sd[:, :-1])
+    pick = gains.argmax(axis=1)
     rows = np.arange(c)
-    out_thr = thr[rows, pick]
     out_gain = gains[rows, pick]
-    out_gap = gaps[rows, pick]
+    no_split = out_gain == -np.inf
+    ps = np.cumsum(sd, axis=1)
+    tied = ((gains == out_gain[:, None]).sum(axis=1) > 1) & ~no_split
+    if tied.any():
+        t = np.flatnonzero(tied)
+        sdt, pst = sd[t], ps[t]
+        thr = (sdt[:, :-1] + sdt[:, 1:]) / 2
+        gaps = (pst[:, -1:] - pst[:, :-1]) / nr - pst[:, :-1] / nl
+        tie1 = gains[t] == out_gain[t, None]
+        masked_gap = np.where(tie1, gaps, -np.inf)
+        tie2 = tie1 & (masked_gap == masked_gap.max(axis=1)[:, None])
+        pick[t] = np.where(tie2, thr, np.inf).argmin(axis=1)
+
+    out_thr = (sd[rows, pick] + sd[rows, pick + 1]) / 2
+    ps_pick, nl_pick = ps[rows, pick], pick + 1
+    out_gap = (ps[:, -1] - ps_pick) / (n - nl_pick) - ps_pick / nl_pick
     if no_split.any():
         out_thr = np.where(no_split, midrange, out_thr)
         out_gain = np.where(no_split, 0.0, out_gain)

@@ -1,0 +1,66 @@
+"""scripts/mined_hashes.py at the smoke test's sizes.
+
+The script is the check behind every claim that a change leaves mined
+tables, selections and saved models bit-identical, so it must cover the
+15 training sets, hash what mining returns, and print the same lines
+whatever the number of BLAS threads.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT
+
+SCRIPT = REPO_ROOT / "scripts" / "mined_hashes.py"
+
+
+@pytest.fixture(scope="module")
+def lines_by_blas_threads():
+    """{OPENBLAS_NUM_THREADS: printed lines}, each in its own interpreter."""
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, str(SCRIPT), str(REPO_ROOT), "--tiny"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        runs[threads] = done.stdout.splitlines()
+    return runs
+
+
+def test_one_line_per_training_set_with_three_hashes(lines_by_blas_threads):
+    lines = lines_by_blas_threads["1"]
+    names = [line.split()[0] for line in lines]
+    draws = [f"{w}/draw{j}" for w in ("fit-long", "fit-wide") for j in range(6)]
+    assert names == draws + ["fit-long/model", "fit-wide/model", "predict-batch/model"]
+    for line in lines:
+        fields = dict(f.split("=") for f in line.split()[1:])
+        assert list(fields) == ["mined", "selected", "model"]
+        assert all(len(v) == 64 and int(v, 16) >= 0 for v in fields.values())
+    assert len({line.split()[1] for line in lines}) == len(lines)
+
+
+def test_mined_hash_is_of_the_table_mine_shapelets_returns(lines_by_blas_threads, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    from divshap import MiningConfig, PipelineConfig, mine_shapelets
+
+    cfg = PipelineConfig()
+    table = mine_shapelets(TINY["fit-wide"].make(0, 3)[0], MiningConfig(normalize=cfg.distance))
+    want = hashlib.sha256(b"".join(c.tobytes() for c in table.columns)).hexdigest()
+    assert lines_by_blas_threads["1"][9].split()[1] == f"mined={want}"
+
+
+def test_lines_independent_of_blas_threads(lines_by_blas_threads):
+    assert lines_by_blas_threads["1"] == lines_by_blas_threads["2"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divshap import mining
 from divshap.dataset import Dataset
-from divshap.errors import BandEmptyError, InvalidConfigError
+from divshap.errors import BandEmptyError, FlatTrainingSetError, InvalidConfigError
 from divshap.graph import build_graph, div_topk
 from divshap.mining import (
     SCORING_BUDGET,
+    SPLIT_ROWS,
     ClassCounts,
     MiningConfig,
     Shapelet,
@@ -24,7 +27,7 @@ from divshap.mining import (
     mine_shapelets,
     orderline,
 )
-from divshap.distance import subsequence_dist
+from divshap.distance import DistanceConfig, subsequence_dist
 from divshap.pipeline import EvalConfig, PipelineConfig, fit
 
 from conftest import bump_dataset
@@ -198,9 +201,12 @@ def test_band_rejects_min_len_below_two_and_max_len_above_m():
     assert MiningConfig(min_len=np.int64(4), max_len=np.int32(8)).band(24) == (4, 8)
 
 
-def test_generate_matches_scalar_oracle():
-    # a three-letter alphabet repeats short windows within and across series;
-    # series 3 copies a stretch of series 0, and -0.0 differs from 0.0 in bytes
+def test_generate_matches_scalar_oracle(monkeypatch):
+    # a three-letter alphabet repeats short windows within and across series,
+    # and most windows share their first, middle and last value with others,
+    # so they are compared in full; series 3 copies a stretch of series 0,
+    # and -0.0 differs from 0.0 in bytes. A budget of a few rows splits the
+    # comparisons into many chunks of whole groups.
     rng = np.random.default_rng(7)
     X = rng.integers(0, 3, size=(5, 14)).astype(np.float64)
     X[3, 2:11] = X[0, 4:13]
@@ -208,12 +214,14 @@ def test_generate_matches_scalar_oracle():
     d = Dataset(X=X, y=np.array([0, 1, 0, 1, 0]))
     full = MiningConfig(min_len=2, max_len=7)
     assert len(scalar_candidates(d, full)) < d.n * sum(d.m - L + 1 for L in range(2, 8))
-    for ls, ps in ((1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (3, 3)):
-        for band in ((2, 7), (4, 4)):
-            cfg = MiningConfig(min_len=band[0], max_len=band[1], length_stride=ls, position_stride=ps)
-            table = generate_candidates(d, cfg)
-            got = list(zip(table.source.tolist(), table.start.tolist(), table.length.tolist()))
-            assert got == scalar_candidates(d, cfg), (ls, ps, band)
+    for budget in (SCORING_BUDGET, 8 * 8 * 2 * 3):
+        monkeypatch.setattr(mining, "SCORING_BUDGET", budget)
+        for ls, ps in ((1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (3, 3)):
+            for band in ((2, 7), (4, 4)):
+                cfg = MiningConfig(min_len=band[0], max_len=band[1], length_stride=ls, position_stride=ps)
+                table = generate_candidates(d, cfg)
+                got = list(zip(table.source.tolist(), table.start.tolist(), table.length.tolist()))
+                assert got == scalar_candidates(d, cfg), (budget, ls, ps, band)
 
 
 def test_table_builds_each_row_once(toy_train):
@@ -394,6 +402,132 @@ def test_batch_best_split_equals_scalar_best_split(n_classes):
         assert scores == best_split(list(zip(row.tolist(), y.tolist())))
 
 
+def stable_sort_batch_best_split(dist, counts):
+    """_batch_best_split as it was before it sorted labels without
+    stability: labels and values from one stable argsort, and every
+    split's threshold and gap taken before the pick."""
+    c, n = dist.shape
+    order = np.argsort(dist, axis=1, kind="stable")
+    sd = np.take_along_axis(dist, order, axis=1)
+    midrange = (sd[:, 0] + sd[:, -1]) / 2
+    if len(counts.total) == 1 or n < 2:
+        zero = np.zeros(c)
+        return midrange, zero, zero.copy()
+
+    nl = np.arange(1, n)
+    nr = n - nl
+    h = counts.h.ravel()
+    left_base, right_base = nl * (n + 1), nr * (n + 1)
+    labels = counts.label[order[:, :-1]]
+    rest = nl
+    for k, total in enumerate(counts.total):
+        if k < len(counts.total) - 1:
+            left = np.cumsum(labels == k, axis=1)
+            rest = rest - left
+        else:
+            left = rest
+        h_left_k = h.take(left_base + left)
+        h_right_k = h.take((right_base + total) - left)
+        if k == 0:
+            h_left, h_right = h_left_k, h_right_k
+        else:
+            h_left += h_left_k
+            h_right += h_right_k
+
+    gains = entropy(counts.total) - (nl / n) * h_left - (nr / n) * h_right
+    thr = (sd[:, :-1] + sd[:, 1:]) / 2
+    ps = np.cumsum(sd, axis=1)
+    gaps = (ps[:, -1:] - ps[:, :-1]) / nr - ps[:, :-1] / nl
+    valid = sd[:, 1:] > sd[:, :-1]
+
+    masked_gain = np.where(valid, gains, -np.inf)
+    best_gain = masked_gain.max(axis=1)
+    no_split = ~np.isfinite(best_gain)
+    tie1 = masked_gain == best_gain[:, None]
+    masked_gap = np.where(tie1, gaps, -np.inf)
+    best_gap = masked_gap.max(axis=1)
+    tie2 = tie1 & (masked_gap == best_gap[:, None])
+    masked_thr = np.where(tie2, thr, np.inf)
+    pick = masked_thr.argmin(axis=1)
+
+    rows = np.arange(c)
+    out_thr = thr[rows, pick]
+    out_gain = gains[rows, pick]
+    out_gap = gaps[rows, pick]
+    if no_split.any():
+        out_thr = np.where(no_split, midrange, out_thr)
+        out_gain = np.where(no_split, 0.0, out_gain)
+        out_gap = np.where(no_split, 0.0, out_gap)
+    return out_thr, out_gain, out_gap
+
+
+def tie_heavy_block(n_classes, n_values, rows=300):
+    """Labels of 21 + n_classes series, each class present, and distances
+    to them that take only n_values values; the unstable argsort orders the
+    many equal distances as it likes. Rows 0-2 hold one value (no valid
+    split). In rows 3-5 two series of one class sit at 0 and 2/3 and the
+    rest at 1/3, so the splits after 0 and after 1/3 leave the same class
+    counts on their larger side and tie on gain."""
+    rng = np.random.default_rng(10 * n_classes + n_values)
+    y = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, size=21)])
+    dist = rng.integers(0, n_values, size=(rows, len(y))) / 3
+    dist[:3] = 2 / 3
+    a, b = np.flatnonzero(y == np.bincount(y).argmax())[:2]
+    dist[3:6] = 1 / 3
+    dist[3:6, a], dist[3:6, b] = 0.0, 2 / 3
+    return dist, y
+
+
+def best_gain_split_counts(dist, y):
+    """How many valid splits of each row reach the row's best gain."""
+    sd = np.sort(dist, axis=1)
+    gains = np.where(sd[:, 1:] > sd[:, :-1], float_split_gains(dist, y), -np.inf)
+    return (np.isfinite(gains) & (gains == gains.max(axis=1, keepdims=True))).sum(axis=1)
+
+
+def assert_bitwise_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n_values", [3, 4, 5])
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 9, 12])
+def test_batch_best_split_equals_stable_sort_split_on_tie_heavy_blocks(n_classes, n_values):
+    """The unstable argsort and the pick-site threshold and gap change no
+    bit: at a valid split the left side is the same set of series in any
+    order of equal distances."""
+    dist, y = tie_heavy_block(n_classes, n_values)
+    counts = ClassCounts.of(y)
+    got = _batch_best_split(dist, counts)
+    assert_bitwise_equal(got, stable_sort_batch_best_split(dist, counts))
+    for row, scores in zip(dist, zip(*got)):
+        assert scores == best_split(list(zip(row.tolist(), y.tolist())))
+    ties = best_gain_split_counts(dist, y)
+    assert (ties[:3] == 0).all() and (ties[3:6] == 2).all()
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 12])
+def test_batch_best_split_independent_of_series_order(n_classes):
+    dist, y = tie_heavy_block(n_classes, 4)
+    want = _batch_best_split(dist, ClassCounts.of(y))
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(len(y))
+        assert_bitwise_equal(_batch_best_split(dist[:, perm], ClassCounts.of(y[perm])), want)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 12])
+def test_batch_best_split_holds_at_most_split_rows(n_classes):
+    dist, y = tie_heavy_block(n_classes, 3, rows=3000)
+    counts = ClassCounts.of(y)
+    tracemalloc.start()
+    try:
+        _batch_best_split(dist, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak + dist.nbytes <= SPLIT_ROWS * dist.nbytes
+
+
 def test_mine_peak_memory_within_scoring_budget():
     # more and longer series than any benchmark workload; the strides keep
     # the candidate count, and so the time, small
@@ -410,6 +544,41 @@ def test_mine_peak_memory_within_scoring_budget():
     # the candidate count whatever the block size; the budget is the rest
     working = peak - 9 * 8 * n_cands
     assert SCORING_BUDGET / 2 < working <= SCORING_BUDGET
+
+
+@pytest.mark.parametrize("kind", ["bump", "integer"])
+def test_generate_peak_memory_within_scoring_budget(kind):
+    """Long series, where generation held about three copies of every
+    window of a length (41.2 MB on the bump set) before it compared windows
+    only within groups of equal hash, a chunk at a time."""
+    rng = np.random.default_rng(3)
+    if kind == "bump":
+        d = bump_dataset(seed=0, per_class=10, m=512)
+    else:
+        d = Dataset(X=rng.integers(0, 3, size=(20, 512)).astype(np.float64), y=np.arange(20) % 2)
+    cfg = MiningConfig(length_stride=32)
+    tracemalloc.start()
+    try:
+        n_cands = len(generate_candidates(d, cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 6 * 8 * n_cands <= SCORING_BUDGET
+
+
+def test_mine_raises_when_every_candidate_window_is_flat():
+    d = bump_dataset(seed=0, per_class=4, m=40)
+    cfg = MiningConfig(min_len=4, max_len=8)
+    for X in (d.X * 1e-9, d.X * 1e-12, np.zeros_like(d.X)):
+        with pytest.raises(FlatTrainingSetError, match="standard deviation"):
+            mine_shapelets(Dataset(X=X, y=d.y), cfg)
+    # one window above the bound is enough, and without z-normalization
+    # flatness does not matter
+    X = d.X * 1e-9
+    X[2, 10:14] = [0.0, 1.0, 0.0, 1.0]
+    assert mine_shapelets(Dataset(X=X, y=d.y), cfg)[0].gain > 0
+    raw = dataclasses.replace(cfg, normalize=DistanceConfig(normalize_windows=False))
+    assert mine_shapelets(Dataset(X=d.X * 1e-9, y=d.y), raw)[0].gain == mine_shapelets(d, raw)[0].gain
 
 
 def test_mine_single_class_all_zero_gain():

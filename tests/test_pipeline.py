@@ -13,6 +13,7 @@ from divshap.dataset import Dataset
 from divshap.errors import (
     DivshapError,
     EmptyInputError,
+    FlatTrainingSetError,
     InvalidConfigError,
     LengthMismatchError,
     ModelFormatError,
@@ -314,6 +315,22 @@ def test_large_scale_fits_as_scale_one_or_raises_when_built():
     for scale in (1e154, 1e200, 1e300):
         with pytest.raises(ValueRangeError):
             Dataset(X=train.X * scale, y=train.y)
+
+
+def test_small_scale_fits_as_scale_one_or_raises_when_flat():
+    """Flat windows are judged by an absolute bound (FLAT_STD), so a set
+    scaled by 1e-9 reads as flat everywhere: every gain was 0 and held-out
+    accuracy 0.5, with no sign. Now mining raises when every candidate
+    window is flat; 1e-7 still fits as scale 1 does."""
+    train, test = bump_dataset(seed=0, per_class=4, m=40), bump_dataset(seed=1, per_class=20, m=40)
+    cfg = small_cfg(mining=MiningConfig(min_len=4, max_len=8))
+    base = fit(train, cfg)
+    scaled = fit(Dataset(X=train.X * 1e-7, y=train.y), cfg)
+    assert [s.id for s in scaled.shapelets] == [s.id for s in base.shapelets]
+    assert predict_pipeline(scaled, Dataset(X=test.X * 1e-7, y=test.y))[1] == predict_pipeline(base, test)[1]
+    for X in (train.X * 1e-9, train.X * 1e-12, np.full_like(train.X, 3.0)):
+        with pytest.raises(FlatTrainingSetError):
+            fit(Dataset(X=X, y=train.y), cfg)
 
 
 def test_select_k_on_empty_graph_raises_empty_input(toy_train):
