@@ -1,4 +1,4 @@
-"""Hashes of what one checkout mines, selects and saves, one line per training set.
+"""Hashes of what one checkout mines, selects, saves and predicts, one line per training set.
 
     python3 scripts/mined_hashes.py CHECKOUT [--tiny]
 
@@ -12,10 +12,13 @@ library defaults, and its line gives the sha256 of:
 - ``mined``: the bytes of the mined ``CandidateTable``'s columns (source,
   start, length, threshold, gain, gap), in table order;
 - ``selected``: the ids of the selected shapelets;
-- ``model``: the model JSON that ``save_pipeline`` writes.
+- ``model``: the model JSON that ``save_pipeline`` writes;
+- ``features`` (serving-model lines only): the ``transform`` features and the
+  ``predict_pipeline`` predictions of each of the workload's seed-0 predict
+  batches, in batch order.
 
-Two checkouts mine, select and save bit for bit alike when their outputs are
-equal, e.g. ``diff <(python3 scripts/mined_hashes.py PARENT)
+Two checkouts mine, select, save and predict bit for bit alike when their
+outputs are equal, e.g. ``diff <(python3 scripts/mined_hashes.py PARENT)
 <(python3 scripts/mined_hashes.py CHANGE)``. ``OPENBLAS_NUM_THREADS`` applies
 as it does to any fit.
 """
@@ -29,12 +32,14 @@ import sys
 from pathlib import Path
 
 
-def training_sets(workloads) -> list[tuple[str, object]]:
-    """(name, training Dataset) of the 15 sets, in print order."""
+def training_sets(workloads) -> list[tuple[str, object, list]]:
+    """(name, training Dataset, predict batches) of the 15 sets, in print
+    order; only a serving model has predict batches."""
     sets = []
     for name in ("fit-long", "fit-wide"):
-        sets += [(f"{name}/draw{j}", workloads[name].make(0, j)[0]) for j in range(6)]
-    sets += [(f"{name}/model", wl.model_data()[0]) for name, wl in workloads.items()]
+        sets += [(f"{name}/draw{j}", workloads[name].make(0, j)[0], []) for j in range(6)]
+    for name, wl in workloads.items():
+        sets.append((f"{name}/model", wl.model_data()[0], [wl.batch(0, j) for j in range(wl.draws)]))
     return sets
 
 
@@ -42,10 +47,12 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def set_hashes(train) -> dict[str, str]:
-    """The three hashes of one training set."""
-    from divshap import PipelineConfig, save_pipeline
-    from divshap.pipeline import _fit_from_graph, mine_graph
+def set_hashes(train, batches: list) -> dict[str, str]:
+    """The hashes of one training set, features included when it has predict
+    batches."""
+    from divshap import PipelineConfig, predict_pipeline, save_pipeline
+    from divshap.pipeline import _fit_from_graph, mine_graph, prepare_series
+    from divshap.transform import transform
 
     # fit is mine_graph then _fit_from_graph; calling the two stages keeps
     # the mined table without mining twice
@@ -54,11 +61,20 @@ def set_hashes(train) -> dict[str, str]:
     model = _fit_from_graph(graph, prepared, cfg)
     saved = io.StringIO()
     save_pipeline(model, saved)
-    return {
+    hashes = {
         "mined": digest(b"".join(c.tobytes() for c in graph.vertices.columns)),
         "selected": digest("\n".join(s.id for s in model.shapelets).encode()),
         "model": digest(saved.getvalue().encode()),
     }
+    if batches:
+        # the features predict_pipeline classifies: transform of the series
+        # as the model prepares them
+        served = [
+            (transform(prepare_series(b, cfg), model.shapelets, cfg.distance).X, predict_pipeline(model, b)[0])
+            for b in batches
+        ]
+        hashes["features"] = digest(b"".join(a.tobytes() for pair in served for a in pair))
+    return hashes
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -70,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     from workloads import TINY, WORKLOADS
 
-    for name, train in training_sets(TINY if args.tiny else WORKLOADS):
-        hashes = set_hashes(train)
+    for name, train, batches in training_sets(TINY if args.tiny else WORKLOADS):
+        hashes = set_hashes(train, batches)
         print(name, *(f"{k}={v}" for k, v in hashes.items()), flush=True)
     return 0
 

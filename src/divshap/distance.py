@@ -8,19 +8,20 @@ of different-length queries share a per-point scale.
 nearest_window_dists is the batched kernel behind mining and transform: a
 matrix product picks each query's nearest window in each series, and direct
 squared differences measure the picked window exactly. The two callers
-differ only in the Windows they pass. Mining scans its z-normalized window
-matrix (Windows.of_series), since every window is also a query; each row
-carries the window's offset |w|^2/2 in one extra column, so the product
-itself yields the pick score. Transform scans the plain windows, weighted
-by 1/sd from prefix sums (SeriesSums), and z-normalizes only the windows it
-picks; its pick is approximate within the bound given at
-RUNNING_VAR_MARGIN. Transform without window normalization scans
-Windows.of_series as mining does. window_distances is the per-pair scan
-behind shapelet_dist (each pair check of the diversity graph) and the
-orderline oracle; it reads the windows as a strided view of the series,
-built without sliding_window_view's per-call checks. subsequence_dist, an
-early-abandoning scalar loop on numpy's own mean and std, is the oracle
-both are checked against.
+differ only in how their windows score (Windows or ScaledWindows). Mining
+scans its z-normalized window matrix (Windows.of_series), since every window
+is also a query; each row carries the window's offset |w|^2/2 in one extra
+column, so the product itself yields the pick score. Transform copies no
+window: one banded product of the mean-centred series with the queries
+gives q . w for every window, weighted by 1/sd from prefix sums
+(SeriesSums), and only the windows it picks are z-normalized; its pick is
+approximate within the bound given at RUNNING_VAR_MARGIN. Transform without
+window normalization scans Windows.of_series as mining does.
+window_distances is the per-pair scan behind shapelet_dist (each pair check
+of the diversity graph) and the orderline oracle; it reads the windows as a
+strided view of the series, built without sliding_window_view's per-call
+checks. subsequence_dist, an early-abandoning scalar loop on numpy's own
+mean and std, is the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -57,23 +58,16 @@ def znorm_offset(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Windows:
-    """The length-L windows of n series, as nearest_window_dists reads them.
+    """The length-L windows of n series as mining scans them.
 
-    scan holds one row per window, series by series, and the pick keeps
-    each series' top score. Without scale, a scan row is a window w followed
-    by its offset |w|^2/2; the kernel gives each query q a last entry of -1,
-    so the matrix product itself scores q . w - |w|^2/2, and a picked window
-    is measured as its scan row. With scale, a scan row is the window alone,
-    the pick scores (q . scan[i]) * scale[i] - offset[i], and a picked
-    window is measured as the z-normalization of its values in series, the
-    raw (n, m) series.
+    scan holds one row per window, series by series: the window w followed
+    by its offset |w|^2/2. The kernel gives each query q a last entry of
+    -1, so the matrix product itself scores q . w - |w|^2/2, and a picked
+    window is measured as its scan row.
     """
 
     scan: np.ndarray
     n: int
-    scale: np.ndarray | None = None
-    offset: np.ndarray | None = None
-    series: np.ndarray | None = None
 
     @classmethod
     def of_series(cls, X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> "Windows":
@@ -95,15 +89,18 @@ class Windows:
             scan[:, L] = 0.5 * np.einsum("ij,ij->i", W, W)
         return cls(scan, n)
 
+    def scores(self, Q: np.ndarray) -> np.ndarray:
+        """(k, n, windows per series) pick scores of the k rows of Q."""
+        k, L = Q.shape
+        Qx = np.empty((k, L + 1))
+        Qx[:, :L] = Q
+        Qx[:, L] = -1.0
+        return (Qx @ self.scan.T).reshape(k, self.n, -1)
+
     def measured(self, nearest: np.ndarray) -> np.ndarray:
         """(k, n, L) rows of the picked windows, a fresh array; nearest[j, i]
         is the start of query j's pick in series i."""
-        if self.series is None:
-            return self.scan[:, :-1][nearest + (len(self.scan) // self.n) * np.arange(self.n)]
-        L = self.scan.shape[1]
-        k = len(nearest)
-        rows = np.lib.stride_tricks.sliding_window_view(self.series, L, axis=1)[np.arange(self.n), nearest]
-        return znorm_rows(rows.reshape(k * self.n, L)).reshape(k, self.n, L)
+        return self.scan[:, :-1][nearest + (len(self.scan) // self.n) * np.arange(self.n)]
 
 
 # A window variance taken from prefix sums is trusted only when it exceeds
@@ -113,17 +110,24 @@ class Windows:
 # L/(2 RUNNING_VAR_MARGIN). The picked window is measured exactly, but it may
 # be one whose squared distance exceeds the minimum by up to
 # 2 L/RUNNING_VAR_MARGIN (2/RUNNING_VAR_MARGIN per point when length
-# normalized), beyond the rounding of the matrix product itself.
+# normalized), beyond the rounding of the product q . w itself. That product
+# is banded (ScaledWindows.scores): the band's zeros add exactly, so each
+# score is the same L products summed in another order, and the bound is
+# unchanged.
 RUNNING_VAR_MARGIN = 1e8
+
+# Fewest window starts per tile of the banded product, raised to L for
+# longer windows: a tile row holds B + L - 1 values for B windows, so the
+# band's zeros stay a bounded share of the product on long series, while a
+# series with fewer than twice this many windows is one tile and no copy.
+TILE_STARTS = 64
 
 
 @dataclass(frozen=True)
 class SeriesSums:
-    """Prefix sums of each series' mean-centred values and of their squares.
-
-    Built once per batch, they give the standard deviation of every window,
-    at any length, without z-normalizing the windows.
-    """
+    """Each series, its mean-centred values, and prefix sums of those and
+    of their squares. Built once per batch, they score every window at any
+    length without a copy of the windows (ScaledWindows)."""
 
     series: np.ndarray
     centered: np.ndarray
@@ -140,68 +144,127 @@ class SeriesSums:
         np.cumsum(centered * centered, axis=1, out=s2[:, 1:])
         return cls(X, centered, s1, s2)
 
-    def windows(self, L: int) -> Windows:
+    def windows(self, L: int) -> "ScaledWindows":
         """The length-L windows for a z-normalized pick.
 
         A z-normalized query q sums to zero, so for a non-flat window w,
-        q . z(w) = (q . w) / sd(w) and |z(w)|^2 = L: the scan holds the
-        centred windows, scale is 1/sd and offset L/2. A window whose
-        running variance could be off by more than 1/RUNNING_VAR_MARGIN of
-        itself, or which is close to flat, is z-normalized directly instead
-        (scale 1, offset L/2 or 0 when flat), as Windows.of_series would.
+        q . z(w) = (q . c(w)) / sd(w), for c(w) its centred values, and
+        |z(w)|^2 = L: scale is 1/sd and offset L/2. A window whose running
+        variance could be off by more than 1/RUNNING_VAR_MARGIN of itself,
+        or which is close to flat, is z-normalized directly instead (scale
+        1, offset L/2 or 0 when flat), as Windows.of_series would.
         """
         n, m = self.series.shape
         if L > m:
             raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
         wcount = m - L + 1
-        mean = (self.s1[:, L:] - self.s1[:, :wcount]) / L
-        var = (self.s2[:, L:] - self.s2[:, :wcount]) / L - mean * mean
+        mean = self.s1[:, L:] - self.s1[:, :wcount]
+        mean /= L
+        var = self.s2[:, L:] - self.s2[:, :wcount]
+        var /= L
+        var -= np.square(mean, out=mean)
         # each prefix sum may be off by about m*eps of the series' sum of
         # squares; the squared mean can add a further sqrt(m/L) of that
         bound = 3 * m * np.finfo(np.float64).eps * self.s2[:, -1:] * np.sqrt(m / L) / L
-        direct = (var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)).ravel()
-        scan = np.lib.stride_tricks.sliding_window_view(self.centered, L, axis=1).reshape(n * wcount, L)
-        scale = 1.0 / np.sqrt(np.where(direct, 1.0, var.ravel()))
-        offset = np.full(n * wcount, 0.5 * L)
-        if direct.any():
-            idx = np.flatnonzero(direct)
-            if not scan.flags.writeable:  # the reshape above kept a view of centered
-                scan = scan.copy()
-            raw = np.lib.stride_tricks.sliding_window_view(self.series, L, axis=1)[idx // wcount, idx % wcount]
-            scan[idx] = znorm_rows(raw)
-            scale[idx] = 1.0
-            offset[idx] = znorm_offset(scan[idx])
-        return Windows(scan, n, scale, offset, self.series)
+        direct = var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)
+        var[direct] = 1.0
+        scale = np.divide(1.0, np.sqrt(var, out=var), out=var).ravel()
+        idx = np.flatnonzero(direct)
+        i, start = np.divmod(idx, wcount)
+        zdirect = znorm_rows(self.series[i[:, None], start[:, None] + np.arange(L)])
+        return ScaledWindows(self, L, scale, idx, zdirect)
+
+
+@dataclass(frozen=True)
+class ScaledWindows:
+    """The length-L windows of n series for a z-normalized pick, read in
+    place from their SeriesSums.
+
+    Window i starts at i % wcount in series i // wcount, for wcount =
+    m - L + 1. Its pick score is (q . c(w)) * scale[i] - offset[i], for c(w)
+    its centred values; the windows listed in direct are z-normalized
+    directly instead, into the rows of zdirect, and score q . zdirect -
+    offset. A picked window is measured as the z-normalization of its raw
+    values.
+    """
+
+    sums: SeriesSums
+    L: int
+    scale: np.ndarray
+    direct: np.ndarray
+    zdirect: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.sums.series)
+
+    @property
+    def offset(self) -> np.ndarray:
+        """|z(w)|^2/2 of each window: L/2, or 0 for a flat one."""
+        offset = np.full(len(self.scale), 0.5 * self.L)
+        offset[self.direct] = znorm_offset(self.zdirect)
+        return offset
+
+    def scores(self, Q: np.ndarray) -> np.ndarray:
+        """(k, n, wcount) pick scores of the k rows of Q, from one banded
+        product over the centred series.
+
+        Starts are split into as many tiles of at least max(L, TILE_STARTS)
+        as fit, B each, the last one ragged: tile j of a series holds its
+        B + L - 1 centred values from start jB, zero past its end, and
+        band[q, b + t, b] = Q[q, t], so tile j times band[q] gives q . c(w)
+        for the B windows that start in it. With one tile, the tiles are
+        the centred series themselves.
+        """
+        k, L = Q.shape
+        centered = self.sums.centered
+        n, m = centered.shape
+        wcount = m - L + 1
+        tiles = max(1, wcount // max(L, TILE_STARTS))
+        B = -(-wcount // tiles)
+        width = B + L - 1
+        if tiles == 1:
+            rows = centered
+        else:
+            padded = np.pad(centered, ((0, 0), (0, tiles * B - wcount)))
+            view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)[:, ::B]
+            rows = view.reshape(n * tiles, width)
+        band = np.zeros((k, width, B))
+        b = np.arange(B)
+        band[:, np.arange(L)[:, None] + b, b] = Q[:, :, None]
+        score = np.matmul(rows, band).reshape(k, n, tiles * B)[:, :, :wcount]
+        score *= self.scale.reshape(n, wcount)
+        score -= 0.5 * L
+        if len(self.direct):
+            i, start = np.divmod(self.direct, wcount)
+            score[:, i, start] = Q @ self.zdirect.T - znorm_offset(self.zdirect)
+        return score
+
+    def measured(self, nearest: np.ndarray) -> np.ndarray:
+        """(k, n, L) z-normalized rows of the picked windows, as
+        Windows.measured gives them."""
+        k, n, L = len(nearest), self.n, self.L
+        rows = self.sums.series[np.arange(n)[:, None], nearest[:, :, None] + np.arange(L)]
+        return znorm_rows(rows.reshape(k * n, L)).reshape(k, n, L)
 
 
 def nearest_window_dists(
-    Q: np.ndarray, windows: Windows, cfg: DistanceConfig = DEFAULT_CONFIG
+    Q: np.ndarray, windows: Windows | ScaledWindows, cfg: DistanceConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
     """(queries, n) minimum window distances from each row of Q to each of
     the n series of windows; the rows are z-normalized (znorm_rows) when
     cfg.normalize_windows.
 
-    Within a series, q.w - |w|^2/2 is largest at the window nearest to q, so
-    one matrix product picks it (see Windows for how the scan carries the
-    offset, or is scaled and offset after the product); the picked window is
-    then measured by direct squared differences. The distance is exact for
-    the picked window; with scale set, the pick itself is exact only up to
-    the bound at RUNNING_VAR_MARGIN.
+    Within a series, q.w - |w|^2/2 is largest at the window nearest to q,
+    so the first maximum of windows.scores picks it (see Windows and
+    ScaledWindows for how each scores); the picked window is then measured
+    by direct squared differences. The distance is exact for the picked
+    window; for ScaledWindows, the pick itself is exact only up to the
+    bound at RUNNING_VAR_MARGIN.
     """
     k, L = Q.shape
     n = windows.n
-    if windows.scale is None:
-        Qx = np.empty((k, L + 1))
-        Qx[:, :L] = Q
-        Qx[:, L] = -1.0
-        score = Qx @ windows.scan.T
-    else:
-        score = Q @ windows.scan.T
-        score *= windows.scale
-        score -= windows.offset
-    nearest = score.reshape(k, n, len(windows.scan) // n).argmax(axis=2)
-    del score
-    diff = windows.measured(nearest)
+    diff = windows.measured(windows.scores(Q).argmax(axis=2))
     diff -= Q[:, None]
     diff = diff.reshape(k * n, L)
     out = np.einsum("ij,ij->i", diff, diff).reshape(k, n)

@@ -317,8 +317,9 @@ def mine_shapelets(
 # replaced (eight in all with two classes, whose last count is what the
 # first leaves). Its later arrays fit in what these free. A block gets at
 # least half the budget, so only a window matrix above the other half
-# makes a thread exceed it. generate_candidates compares windows a chunk of
-# SCORING_BUDGET / 8 bytes at a time.
+# makes a thread exceed it; z-normalizing that matrix in place adds at
+# most dataset.SQUARE_CHUNK bytes of squares. generate_candidates compares
+# windows a chunk of SCORING_BUDGET / 8 bytes at a time.
 SCORING_BUDGET = 16 * 2**20
 SPLIT_ROWS = 10
 

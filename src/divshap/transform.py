@@ -47,26 +47,24 @@ def transform(
 
     Entry (i, j) is the minimum window distance from series i to shapelet j.
     Shapelets of one length go through distance.nearest_window_dists in one
-    call against the windows of every series. With z-normalization on, the
-    windows are not z-normalized to pick the nearest: each window's standard
-    deviation comes from prefix sums built once per call (SeriesSums), and
-    only the picked windows are z-normalized and measured exactly. The pick
-    is approximate within the bound at distance.RUNNING_VAR_MARGIN.
+    call against the windows of every series. With z-normalization on, no
+    window is copied or z-normalized to pick the nearest: one banded product
+    over the centred series scores every window, weighted by 1/sd from
+    prefix sums built once per call (SeriesSums), and only the picked
+    windows are z-normalized and measured exactly. The pick is approximate
+    within the bound at distance.RUNNING_VAR_MARGIN.
     """
     sums = SeriesSums.of(d.X) if cfg.normalize_windows else None
-
-    def windows(L: int) -> Windows:
-        if sums is None:
-            return Windows.of_series(d.X, L, cfg)
-        return sums.windows(L)
-
     out = np.zeros((d.n, len(shapelets)))
     for L in {s.length for s in shapelets}:
         cols = [j for j, s in enumerate(shapelets) if s.length == L]
         queries = np.array([shapelets[j].values for j in cols])
-        if cfg.normalize_windows:
+        if sums is None:
+            windows = Windows.of_series(d.X, L, cfg)
+        else:
             znorm_rows(queries, out=queries)
-        out[:, cols] = nearest_window_dists(queries, windows(L), cfg).T
+            windows = sums.windows(L)
+        out[:, cols] = nearest_window_dists(queries, windows, cfg).T
     return FeatureMatrix(X=out)
 
 

@@ -1,10 +1,13 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import divshap.dataset as dataset_mod
 from divshap.dataset import (
+    SQUARE_CHUNK,
     Dataset,
     parse_ucr,
     recode_labels,
@@ -168,6 +171,38 @@ def test_znorm_rows_equals_numpy_mean_and_std_bit_for_bit(L):
         t[30:50] = t[30]  # a flat stretch
         w = np.lib.stride_tricks.sliding_window_view(t, L)
         assert np.array_equal(znorm_rows(w), mean_std_znorm_rows(w))
+
+
+@pytest.mark.parametrize("L", [1, 5, 17])
+@pytest.mark.parametrize("chunk_rows", [1, 7, 64])
+def test_znorm_rows_in_chunks_equals_numpy_bit_for_bit(monkeypatch, L, chunk_rows):
+    """Above SQUARE_CHUNK bytes the std is taken a chunk of rows at a time;
+    each row's sum of squares keeps its bits, ragged last chunk included,
+    and in a column slice as Windows.of_series passes it."""
+    rng = np.random.default_rng(100 + L)
+    M = (rng.normal(size=(300, L)) + rng.uniform(-1e3, 1e3, (300, 1))) * 10.0 ** rng.uniform(-9, 150, (300, 1))
+    M[::7] = M[::7, :1]
+    want = mean_std_znorm_rows(M)
+    monkeypatch.setattr(dataset_mod, "SQUARE_CHUNK", 8 * L * chunk_rows)
+    assert np.array_equal(znorm_rows(M), want)
+    wide = np.full((300, L + 1), 7.0)
+    wide[:, :L] = M
+    znorm_rows(wide[:, :L], out=wide[:, :L])
+    assert np.array_equal(wide[:, :L], want) and np.all(wide[:, L] == 7.0)
+
+
+def test_znorm_rows_in_place_holds_one_chunk_of_squares():
+    W = np.random.default_rng(4).normal(size=(4 * SQUARE_CHUNK // (8 * 50), 50))
+    want = mean_std_znorm_rows(W)
+    tracemalloc.start()
+    try:
+        znorm_rows(W, out=W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(W, want)
+    # the chunk's squares, plus the row means and stds
+    assert peak <= SQUARE_CHUNK + 4 * 8 * len(W), peak
 
 
 def test_stratified_folds_balanced():

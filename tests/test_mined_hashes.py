@@ -1,9 +1,9 @@
 """scripts/mined_hashes.py at the smoke test's sizes.
 
 The script is the check behind every claim that a change leaves mined
-tables, selections and saved models bit-identical, so it must cover the
-15 training sets, hash what mining returns, and print the same lines
-whatever the number of BLAS threads.
+tables, selections, saved models and transform features bit-identical, so
+it must cover the 15 training sets, hash what mining and transform return,
+and print the same lines whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ def test_one_line_per_training_set_with_three_hashes(lines_by_blas_threads):
     names = [line.split()[0] for line in lines]
     draws = [f"{w}/draw{j}" for w in ("fit-long", "fit-wide") for j in range(6)]
     assert names == draws + ["fit-long/model", "fit-wide/model", "predict-batch/model"]
-    for line in lines:
+    for name, line in zip(names, lines):
         fields = dict(f.split("=") for f in line.split()[1:])
-        assert list(fields) == ["mined", "selected", "model"]
+        served = ["features"] if name.endswith("/model") else []
+        assert list(fields) == ["mined", "selected", "model"] + served
         assert all(len(v) == 64 and int(v, 16) >= 0 for v in fields.values())
     assert len({line.split()[1] for line in lines}) == len(lines)
 
@@ -60,6 +61,23 @@ def test_mined_hash_is_of_the_table_mine_shapelets_returns(lines_by_blas_threads
     table = mine_shapelets(TINY["fit-wide"].make(0, 3)[0], MiningConfig(normalize=cfg.distance))
     want = hashlib.sha256(b"".join(c.tobytes() for c in table.columns)).hexdigest()
     assert lines_by_blas_threads["1"][9].split()[1] == f"mined={want}"
+
+
+def test_features_hash_is_of_what_transform_and_predict_return(lines_by_blas_threads, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    from divshap import PipelineConfig, fit, predict_pipeline
+    from divshap.transform import transform
+
+    wl = TINY["predict-batch"]
+    model = fit(wl.model_data()[0], PipelineConfig())
+    parts = []
+    for j in range(wl.draws):
+        batch = wl.batch(0, j)
+        parts += [transform(batch, model.shapelets).X, predict_pipeline(model, batch)[0]]
+    want = hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+    assert lines_by_blas_threads["1"][-1].split()[-1] == f"features={want}"
 
 
 def test_lines_independent_of_blas_threads(lines_by_blas_threads):

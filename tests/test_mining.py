@@ -546,6 +546,26 @@ def test_mine_peak_memory_within_scoring_budget():
     assert SCORING_BUDGET / 2 < working <= SCORING_BUDGET
 
 
+def test_mine_peak_memory_on_long_series_within_window_matrix_and_half_budget():
+    """Long series, where the longest length's window matrix (10.5 MB) is
+    above half the budget. As the SCORING_BUDGET comment allows, the
+    working memory may then reach that matrix plus half the budget, no
+    more: znorm_rows squared the whole matrix into a temporary of its own
+    size (24.9 MB peak) before it squared it a chunk of rows at a time."""
+    d = bump_dataset(seed=0, per_class=10, m=512)
+    cfg = MiningConfig(length_stride=32)
+    table = generate_candidates(d, cfg)
+    largest = max(8 * d.n * (d.m - L + 1) * (L + 1) for L in np.unique(table.length))
+    assert largest > SCORING_BUDGET / 2
+    tracemalloc.start()
+    try:
+        mine_shapelets(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 9 * 8 * len(table) <= largest + SCORING_BUDGET / 2
+
+
 @pytest.mark.parametrize("kind", ["bump", "integer"])
 def test_generate_peak_memory_within_scoring_budget(kind):
     """Long series, where generation held about three copies of every

@@ -3,8 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from divshap.dataset import FLAT_STD, Dataset, znormalize
-from divshap.distance import DistanceConfig, SeriesSums, Windows, nearest_window_dists
+import divshap.distance as distance_mod
+from divshap.dataset import FLAT_STD, Dataset, znorm_rows, znormalize
+from divshap.distance import (
+    RUNNING_VAR_MARGIN,
+    DistanceConfig,
+    SeriesSums,
+    Windows,
+    nearest_window_dists,
+    znorm_offset,
+)
 from divshap.errors import ShapeletLongerThanSeriesError
 from divshap.mining import MiningConfig, Shapelet, generate_candidates
 from divshap.pipeline import EvalConfig, PipelineConfig, fit
@@ -16,7 +24,7 @@ from divshap.transform import (
     transform,
 )
 
-from conftest import bump_dataset, xor_dataset
+from conftest import REPO_ROOT, bump_dataset, xor_dataset
 from test_distance import naive_subsequence_dist, series_with_flat_stretches
 
 
@@ -116,8 +124,8 @@ def test_transform_pick_single_series_full_length_query():
 
 @pytest.mark.parametrize("n, lengths", [(1, (1, 2, 3)), (3, (1,))])
 def test_transform_direct_windows_in_a_window_view(n, lengths):
-    """With one series, or with L = 1, the centred windows are a read-only
-    view of the series; flat windows, z-normalized directly, still go in."""
+    """With one series, or with L = 1, flat windows, z-normalized
+    directly, still go in (they once crashed a read-only window view)."""
     rng = np.random.default_rng(35)
     X = rng.normal(size=(n, 80))
     X[:, 10:20] = 1.5
@@ -163,6 +171,117 @@ def test_transform_equals_znormalized_window_kernel_bit_for_bit(make):
             assert np.array_equal(got[:, cols], want.T), L
 
 
+def window_copy_pick(Q, X):
+    """The pick before the banded product, kept as its oracle: (nearest
+    starts, distances, scale, offset) from a copy of every centred window,
+    its product with the z-normalized queries Q, x scale - offset, and the
+    rows of the windows z-normalized directly written into the copy."""
+    k, L = Q.shape
+    sums = SeriesSums.of(X)
+    n, m = sums.series.shape
+    wcount = m - L + 1
+    mean = (sums.s1[:, L:] - sums.s1[:, :wcount]) / L
+    var = (sums.s2[:, L:] - sums.s2[:, :wcount]) / L - mean * mean
+    bound = 3 * m * np.finfo(np.float64).eps * sums.s2[:, -1:] * np.sqrt(m / L) / L
+    direct = (var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)).ravel()
+    view = np.lib.stride_tricks.sliding_window_view
+    scan = view(sums.centered, L, axis=1).reshape(n * wcount, L).copy()
+    scale = 1.0 / np.sqrt(np.where(direct, 1.0, var.ravel()))
+    offset = np.full(n * wcount, 0.5 * L)
+    idx = np.flatnonzero(direct)
+    scan[idx] = znorm_rows(view(sums.series, L, axis=1)[idx // wcount, idx % wcount])
+    offset[idx] = znorm_offset(scan[idx])
+    score = Q @ scan.T
+    score *= scale
+    score -= offset
+    nearest = score.reshape(k, n, wcount).argmax(axis=2)
+    picked = view(sums.series, L, axis=1)[np.arange(n), nearest].reshape(k * n, L)
+    diff = znorm_rows(picked).reshape(k, n, L) - Q[:, None]
+    dist = np.einsum("ijk,ijk->ij", diff, diff) / L
+    return nearest, dist, scale, offset
+
+
+def assert_pick_matches_window_copy(X, Q):
+    """The banded pick gives the oracle's starts, scale, offset and
+    distances bit for bit."""
+    want_nearest, want, scale, offset = window_copy_pick(Q, np.asarray(X, dtype=np.float64))
+    windows = SeriesSums.of(X).windows(Q.shape[1])
+    assert np.array_equal(windows.scale, scale)
+    assert np.array_equal(windows.offset, offset)
+    assert np.array_equal(windows.scores(Q).argmax(axis=2), want_nearest)
+    assert np.array_equal(nearest_window_dists(Q, windows), want)
+
+
+def znormalized_queries(shapelets, L):
+    return znorm_rows(np.array([s.values for s in shapelets if s.length == L]))
+
+
+@pytest.mark.parametrize("tile_starts", [distance_mod.TILE_STARTS, 8, 1])
+@pytest.mark.parametrize("kind", sorted(EDGE_SERIES))
+def test_banded_pick_equals_window_copy_on_edge_series(monkeypatch, kind, tile_starts):
+    """Four queries of each length, in one tile, in tiles of 8 or more
+    starts with a ragged last one, and in tiles of L starts."""
+    monkeypatch.setattr(distance_mod, "TILE_STARTS", tile_starts)
+    rng = np.random.default_rng(sorted(EDGE_SERIES).index(kind))
+    X = EDGE_SERIES[kind](rng, 5, 36)
+    shapelets = edge_queries(rng, X, (1, 3, 8, 17, 36))
+    for L in (1, 3, 8, 17, 36):
+        assert_pick_matches_window_copy(X, znormalized_queries(shapelets, L))
+
+
+@pytest.mark.parametrize(
+    "m, L, tiles, B",
+    [
+        (10, 4, 1, 7),  # fewer windows than one tile
+        (43, 4, 5, 8),  # a whole number of tiles
+        (45, 4, 5, 9),  # a ragged last tile
+        (40, 1, 5, 8),
+        (40, 40, 1, 1),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 4])
+def test_banded_pick_tiles(monkeypatch, m, L, tiles, B, n):
+    monkeypatch.setattr(distance_mod, "TILE_STARTS", 8)
+    wcount = m - L + 1
+    assert max(1, wcount // max(L, 8)) == tiles and -(-wcount // tiles) == B
+    rng = np.random.default_rng(m + L + n)
+    X = series_with_flat_stretches(rng, n, m)
+    Q = znorm_rows(np.vstack([rng.normal(size=(3, L)), X[:1, m - L :]]))
+    assert_pick_matches_window_copy(X, Q)
+
+
+def test_banded_pick_on_read_only_and_integer_series():
+    rng = np.random.default_rng(36)
+    X = rng.integers(-3, 4, size=(4, 30))
+    Q = znorm_rows(rng.normal(size=(2, 6)))
+    frozen = X.astype(np.float64)
+    frozen.flags.writeable = False
+    for series in (X, frozen):
+        assert_pick_matches_window_copy(series, Q)
+    assert np.array_equal(X, frozen)
+
+
+def test_banded_pick_rejects_long_query():
+    with pytest.raises(ShapeletLongerThanSeriesError):
+        SeriesSums.of(np.zeros((2, 5))).windows(6)
+
+
+@pytest.mark.parametrize("workload", ["fit-long", "fit-wide", "predict-batch"])
+def test_banded_pick_equals_window_copy_on_serving_batches(monkeypatch, workload):
+    """Every seed-0 to seed-2 predict batch of a serving model at the smoke
+    test's sizes, every shapelet length of the model."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    wl = TINY[workload]
+    model = fit(wl.model_data()[0], PipelineConfig())
+    for seed in range(3):
+        for j in range(wl.draws):
+            X = wl.batch(seed, j).X
+            for L in {s.length for s in model.shapelets}:
+                assert_pick_matches_window_copy(X, znormalized_queries(model.shapelets, L))
+
+
 def test_transform_peak_memory_within_window_copy_budget():
     d = xor_dataset(seed=5, per_cell=125, m=80)
     lengths = (10, 15, 21, 26, 26, 27)
@@ -180,6 +299,29 @@ def test_transform_peak_memory_within_window_copy_budget():
     # and score-sized arrays; z-normalizing every window would add about two
     # more window copies
     budget = 8 * (max(n * (m - L + 1) * L for L in lengths) + 6 * n * m + 2 * k * n * m)
+    assert peak < budget, (peak, budget)
+
+
+def test_transform_peak_memory_without_a_window_copy():
+    """The set of the test above, within its budget less the window copy:
+    the banded product reads the centred series in place, plus its band."""
+    d = xor_dataset(seed=5, per_cell=125, m=80)
+    lengths = (10, 15, 21, 26, 26, 27)
+    shapelets = [make_shapelet(d.X[j, 3 : 3 + L], start=3) for j, L in enumerate(lengths)]
+    n, m, k = d.n, d.m, len(shapelets)
+    transform(d, shapelets)  # warm up
+    tracemalloc.start()
+    try:
+        transform(d, shapelets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band = 0
+    for L in set(lengths):
+        wcount = m - L + 1
+        B = -(-wcount // max(1, wcount // max(L, distance_mod.TILE_STARTS)))
+        band = max(band, 8 * lengths.count(L) * (B + L - 1) * B)
+    budget = 8 * (6 * n * m + 2 * k * n * m) + band
     assert peak < budget, (peak, budget)
 
 
