@@ -33,10 +33,9 @@ from .errors import (
 
 FLAT_STD = 1e-8
 
-# znorm_rows squares a block of rows larger than this many bytes a chunk of
-# rows at a time to take the std, so that mining's largest window matrix is
-# not held twice; a smaller block, such as one pair check's windows, is
-# squared whole.
+# znorm_rows squares its rows at most this many bytes at a time to take the
+# std, so that mining's largest window matrix is not held twice; a smaller
+# block, such as one pair check's windows, is one chunk.
 SQUARE_CHUNK = 2 * 2**20
 
 
@@ -222,19 +221,16 @@ def znorm_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     The mean and std are bit-identical to w.mean(axis=1) and w.std(axis=1):
     the mean is taken once, as np.mean takes it (a sum along the row, then
     / L), and the std from the centred rows by the steps np.std runs after
-    its own mean (square, sum, / L, sqrt). Above SQUARE_CHUNK bytes the
-    rows are squared and summed a chunk at a time; each row's sum is the
-    same sum of the same squares.
+    its own mean (square, sum, / L, sqrt). The rows are squared and summed
+    SQUARE_CHUNK bytes at a time; each row's sum is the same sum of the
+    same squares.
     """
     L = w.shape[1]
     out = np.subtract(w, np.add.reduce(w, axis=1, keepdims=True) / L, out=out)
-    if out.nbytes <= SQUARE_CHUNK:
-        sd = np.add.reduce(np.square(out), axis=1, keepdims=True)
-    else:
-        sd = np.empty((len(out), 1))
-        step = max(1, SQUARE_CHUNK // (8 * L))
-        for lo in range(0, len(out), step):
-            np.add.reduce(np.square(out[lo : lo + step]), axis=1, keepdims=True, out=sd[lo : lo + step])
+    sd = np.empty((len(out), 1))
+    step = max(1, SQUARE_CHUNK // (8 * L))
+    for lo in range(0, len(out), step):
+        np.add.reduce(np.square(out[lo : lo + step]), axis=1, keepdims=True, out=sd[lo : lo + step])
     sd = np.sqrt(sd / L)
     flat = sd[:, 0] < FLAT_STD
     if flat.any():  # masking costs more than this test when no row is flat

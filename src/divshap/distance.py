@@ -26,9 +26,11 @@ mean and std, is the oracle both are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dataset import FLAT_STD, znorm_rows, znormalize
 from .errors import LengthMismatchError, ShapeletLongerThanSeriesError
@@ -120,7 +122,23 @@ RUNNING_VAR_MARGIN = 1e8
 # longer windows: a tile row holds B + L - 1 values for B windows, so the
 # band's zeros stay a bounded share of the product on long series, while a
 # series with fewer than twice this many windows is one tile and no copy.
+# band_tiles may narrow the tiles below it, so that the band stays no larger
+# than the tiles.
 TILE_STARTS = 64
+
+
+def band_tiles(n: int, k: int, L: int, wcount: int) -> tuple[int, int]:
+    """(tiles, B) for k length-L queries against n series of wcount windows:
+    tiles of B starts, the last one ragged, that cover every start.
+
+    B is as near max(L, TILE_STARTS) as balanced tiles allow, but at most
+    sqrt(n * wcount / k), so the band's k (B + L - 1) B values never exceed
+    the n * tiles * (B + L - 1) of the tiles, or the k L of the queries when
+    B is 1.
+    """
+    B = -(-wcount // max(1, wcount // max(L, TILE_STARTS)))
+    B = min(B, max(1, math.isqrt(n * wcount // k)))
+    return -(-wcount // B), B
 
 
 @dataclass(frozen=True)
@@ -209,35 +227,34 @@ class ScaledWindows:
         """(k, n, wcount) pick scores of the k rows of Q, from one banded
         product over the centred series.
 
-        Starts are split into as many tiles of at least max(L, TILE_STARTS)
-        as fit, B each, the last one ragged: tile j of a series holds its
-        B + L - 1 centred values from start jB, zero past its end, and
-        band[q, b + t, b] = Q[q, t], so tile j times band[q] gives q . c(w)
-        for the B windows that start in it. With one tile, the tiles are
-        the centred series themselves.
+        Starts are split into tiles of B starts (band_tiles), the last one
+        ragged: tile j of a series holds its B + L - 1 centred values from
+        start jB, zero past its end, and band[q, b + t, b] = Q[q, t], so
+        tile j times band[q] gives q . c(w) for the B windows that start in
+        it. With one tile, the tiles are the centred series themselves.
         """
         k, L = Q.shape
         centered = self.sums.centered
         n, m = centered.shape
         wcount = m - L + 1
-        tiles = max(1, wcount // max(L, TILE_STARTS))
-        B = -(-wcount // tiles)
+        tiles, B = band_tiles(n, k, L, wcount)
         width = B + L - 1
         if tiles == 1:
             rows = centered
         else:
-            padded = np.pad(centered, ((0, 0), (0, tiles * B - wcount)))
-            view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)[:, ::B]
-            rows = view.reshape(n * tiles, width)
+            padded = np.zeros((n, tiles * B + L - 1))
+            padded[:, :m] = centered
+            rows = as_strided(padded, (n, tiles, width), (padded.strides[0], 8 * B, 8)).reshape(n * tiles, width)
         band = np.zeros((k, width, B))
-        b = np.arange(B)
-        band[:, np.arange(L)[:, None] + b, b] = Q[:, :, None]
+        # view[q, b, t] is band[q, b + t, b]: b steps B + 1 values, t one row
+        as_strided(band, (k, B, L), (8 * width * B, 8 * (B + 1), 8 * B))[...] = Q[:, None]
         score = np.matmul(rows, band).reshape(k, n, tiles * B)[:, :, :wcount]
+        offset = self.offset
         score *= self.scale.reshape(n, wcount)
-        score -= 0.5 * L
+        score -= offset.reshape(n, wcount)
         if len(self.direct):
             i, start = np.divmod(self.direct, wcount)
-            score[:, i, start] = Q @ self.zdirect.T - znorm_offset(self.zdirect)
+            score[:, i, start] = Q @ self.zdirect.T - offset[self.direct]
         return score
 
     def measured(self, nearest: np.ndarray) -> np.ndarray:

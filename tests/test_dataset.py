@@ -176,9 +176,9 @@ def test_znorm_rows_equals_numpy_mean_and_std_bit_for_bit(L):
 @pytest.mark.parametrize("L", [1, 5, 17])
 @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
 def test_znorm_rows_in_chunks_equals_numpy_bit_for_bit(monkeypatch, L, chunk_rows):
-    """Above SQUARE_CHUNK bytes the std is taken a chunk of rows at a time;
-    each row's sum of squares keeps its bits, ragged last chunk included,
-    and in a column slice as Windows.of_series passes it."""
+    """The std is taken SQUARE_CHUNK bytes of rows at a time; each row's
+    sum of squares keeps its bits, ragged last chunk included, and in a
+    column slice as Windows.of_series passes it."""
     rng = np.random.default_rng(100 + L)
     M = (rng.normal(size=(300, L)) + rng.uniform(-1e3, 1e3, (300, 1))) * 10.0 ** rng.uniform(-9, 150, (300, 1))
     M[::7] = M[::7, :1]

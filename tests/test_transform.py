@@ -10,6 +10,7 @@ from divshap.distance import (
     DistanceConfig,
     SeriesSums,
     Windows,
+    band_tiles,
     nearest_window_dists,
     znorm_offset,
 )
@@ -219,34 +220,37 @@ def znormalized_queries(shapelets, L):
 @pytest.mark.parametrize("tile_starts", [distance_mod.TILE_STARTS, 8, 1])
 @pytest.mark.parametrize("kind", sorted(EDGE_SERIES))
 def test_banded_pick_equals_window_copy_on_edge_series(monkeypatch, kind, tile_starts):
-    """Four queries of each length, in one tile, in tiles of 8 or more
+    """Four queries of each length against 80 series: in one tile, in tiles
+    narrowed so that the band stays within them, in tiles of 8 or more
     starts with a ragged last one, and in tiles of L starts."""
     monkeypatch.setattr(distance_mod, "TILE_STARTS", tile_starts)
     rng = np.random.default_rng(sorted(EDGE_SERIES).index(kind))
-    X = EDGE_SERIES[kind](rng, 5, 36)
+    X = EDGE_SERIES[kind](rng, 80, 36)
     shapelets = edge_queries(rng, X, (1, 3, 8, 17, 36))
     for L in (1, 3, 8, 17, 36):
         assert_pick_matches_window_copy(X, znormalized_queries(shapelets, L))
 
 
 @pytest.mark.parametrize(
-    "m, L, tiles, B",
+    "m, L, n, k, tiles, B",
     [
-        (10, 4, 1, 7),  # fewer windows than one tile
-        (43, 4, 5, 8),  # a whole number of tiles
-        (45, 4, 5, 9),  # a ragged last tile
-        (40, 1, 5, 8),
-        (40, 40, 1, 1),
+        (10, 4, 8, 1, 1, 7),  # fewer windows than one tile
+        (43, 4, 4, 1, 5, 8),  # a whole number of tiles
+        (45, 4, 4, 1, 5, 9),  # a ragged last tile
+        (40, 1, 4, 1, 5, 8),
+        (40, 40, 1, 4, 1, 1),
+        (45, 4, 1, 1, 7, 6),  # one series: tiles narrowed to bound the band
+        (40, 4, 1, 4, 13, 3),  # and narrower for more queries
+        (10, 8, 1, 4, 3, 1),  # more queries than windows
     ],
 )
-@pytest.mark.parametrize("n", [1, 4])
-def test_banded_pick_tiles(monkeypatch, m, L, tiles, B, n):
+def test_banded_pick_tiles(monkeypatch, m, L, n, k, tiles, B):
     monkeypatch.setattr(distance_mod, "TILE_STARTS", 8)
-    wcount = m - L + 1
-    assert max(1, wcount // max(L, 8)) == tiles and -(-wcount // tiles) == B
+    assert band_tiles(n, k, L, m - L + 1) == (tiles, B)
+    assert k * (B + L - 1) * B <= max(n * tiles * (B + L - 1), k * L)
     rng = np.random.default_rng(m + L + n)
     X = series_with_flat_stretches(rng, n, m)
-    Q = znorm_rows(np.vstack([rng.normal(size=(3, L)), X[:1, m - L :]]))
+    Q = znorm_rows(np.vstack([rng.normal(size=(k - 1, L)), X[:1, m - L :]]))
     assert_pick_matches_window_copy(X, Q)
 
 
@@ -318,11 +322,33 @@ def test_transform_peak_memory_without_a_window_copy():
         tracemalloc.stop()
     band = 0
     for L in set(lengths):
-        wcount = m - L + 1
-        B = -(-wcount // max(1, wcount // max(L, distance_mod.TILE_STARTS)))
+        B = band_tiles(n, lengths.count(L), L, m - L + 1)[1]
         band = max(band, 8 * lengths.count(L) * (B + L - 1) * B)
     budget = 8 * (6 * n * m + 2 * k * n * m) + band
     assert peak < budget, (peak, budget)
+
+
+def test_transform_one_long_series_within_window_copy_budget():
+    """Nine long queries against one series: the tiles narrow, so the band
+    stays within the window copy it replaces, and the features are the
+    oracle's."""
+    rng = np.random.default_rng(37)
+    d = Dataset(X=rng.normal(size=(1, 1100)), y=np.array([0]))
+    L, k = 512, 9
+    shapelets = [make_shapelet(d.X[0, 60 * j : 60 * j + L], start=60 * j) for j in range(k)]
+    n, m = d.n, d.m
+    transform(d, shapelets)  # warm up
+    tracemalloc.start()
+    try:
+        got = transform(d, shapelets).X
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the budget of test_transform_peak_memory_within_window_copy_budget
+    budget = 8 * (n * (m - L + 1) * L + 6 * n * m + 2 * k * n * m)
+    assert peak < budget, (peak, budget)
+    Q = znorm_rows(np.array([s.values for s in shapelets]))
+    assert np.array_equal(got.T, window_copy_pick(Q, d.X)[1])
 
 
 def test_transform_without_window_normalization_matches_naive_scan():
