@@ -15,7 +15,10 @@ library defaults, and its line gives the sha256 of:
 - ``model``: the model JSON that ``save_pipeline`` writes;
 - ``features`` (serving-model lines only): the ``transform`` features and the
   ``predict_pipeline`` predictions of each of the workload's seed-0 predict
-  batches, in batch order.
+  batches, in batch order;
+- ``raw_features`` (serving-model lines only): the ``transform`` features of
+  the same batches and shapelets with raw windows
+  (``DistanceConfig(normalize_windows=False)``), in batch order.
 
 Two checkouts mine, select, save and predict bit for bit alike when their
 outputs are equal, e.g. ``diff <(python3 scripts/mined_hashes.py PARENT)
@@ -50,7 +53,7 @@ def digest(data: bytes) -> str:
 def set_hashes(train, batches: list) -> dict[str, str]:
     """The hashes of one training set, features included when it has predict
     batches."""
-    from divshap import PipelineConfig, predict_pipeline, save_pipeline
+    from divshap import DistanceConfig, PipelineConfig, predict_pipeline, save_pipeline
     from divshap.pipeline import _fit_from_graph, mine_graph, prepare_series
     from divshap.transform import transform
 
@@ -69,11 +72,14 @@ def set_hashes(train, batches: list) -> dict[str, str]:
     if batches:
         # the features predict_pipeline classifies: transform of the series
         # as the model prepares them
+        series = [prepare_series(b, cfg) for b in batches]
         served = [
-            (transform(prepare_series(b, cfg), model.shapelets, cfg.distance).X, predict_pipeline(model, b)[0])
-            for b in batches
+            (transform(s, model.shapelets, cfg.distance).X, predict_pipeline(model, b)[0])
+            for s, b in zip(series, batches)
         ]
         hashes["features"] = digest(b"".join(a.tobytes() for pair in served for a in pair))
+        raw = DistanceConfig(normalize_windows=False)
+        hashes["raw_features"] = digest(b"".join(transform(s, model.shapelets, raw).X.tobytes() for s in series))
     return hashes
 
 

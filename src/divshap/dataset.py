@@ -66,8 +66,8 @@ class Dataset:
             raise NonNumericFieldError("series values must be finite")
         # Every sum of squares a kernel takes is at most 4 m max|x|^2: prefix
         # sums of centred squares and window stds (|x - mean| <= 2 max|x|),
-        # the |w|^2/2 column without window normalization, and a window's
-        # squared distance to a query.
+        # the |w|^2/2 offsets of raw windows, and a window's squared distance
+        # to a query.
         if X.size and max(X.max(), -X.min()) > np.sqrt(np.finfo(np.float64).max / (4 * X.shape[1])):
             raise ValueRangeError("series values are too large to square without overflow")
         X.flags.writeable = False

@@ -9,14 +9,15 @@ nearest_window_dists is the batched kernel behind mining and transform: a
 matrix product picks each query's nearest window in each series, and direct
 squared differences measure the picked window exactly. The two callers
 differ only in how their windows score (Windows or ScaledWindows). Mining
-scans its z-normalized window matrix (Windows.of_series), since every window
-is also a query; each row carries the window's offset |w|^2/2 in one extra
-column, so the product itself yields the pick score. Transform copies no
-window: one banded product of the mean-centred series with the queries
-gives q . w for every window, weighted by 1/sd from prefix sums
-(SeriesSums), and only the windows it picks are z-normalized; its pick is
-approximate within the bound given at RUNNING_VAR_MARGIN. Transform without
-window normalization scans Windows.of_series as mining does.
+scans its window matrix (Windows.of_series), since every window is also a
+query; each row carries the window's offset |w|^2/2 in one extra column, so
+the product itself yields the pick score. Transform copies no window, raw
+or z-normalized (SeriesSums): one banded product of the series with the
+queries gives q . w for every window, less an offset. A raw window's offset
+|w|^2/2 is summed from the series in place. For z-normalized windows the
+series are mean-centred and each score is weighted by 1/sd from prefix
+sums; only the windows picked are z-normalized, and the pick is
+approximate within the bound given at RUNNING_VAR_MARGIN.
 window_distances is the per-pair scan behind shapelet_dist (each pair check
 of the diversity graph) and the orderline oracle; it reads the windows as a
 strided view of the series, built without sliding_window_view's per-call
@@ -115,7 +116,8 @@ class Windows:
 # normalized), beyond the rounding of the product q . w itself. That product
 # is banded (ScaledWindows.scores): the band's zeros add exactly, so each
 # score is the same L products summed in another order, and the bound is
-# unchanged.
+# unchanged. Raw windows take no running variance, and their scores no
+# such error.
 RUNNING_VAR_MARGIN = 1e8
 
 # Fewest window starts per tile of the banded product, raised to L for
@@ -143,19 +145,23 @@ def band_tiles(n: int, k: int, L: int, wcount: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SeriesSums:
-    """Each series, its mean-centred values, and prefix sums of those and
-    of their squares. Built once per batch, they score every window at any
+    """Each series and the rows the banded product multiplies: for
+    z-normalized windows, the mean-centred series, with prefix sums s1 and
+    s2 of those and of their squares; for raw windows, the series, with no
+    sums (None). Built once per batch, they score every window at any
     length without a copy of the windows (ScaledWindows)."""
 
     series: np.ndarray
-    centered: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
+    rows: np.ndarray
+    s1: np.ndarray | None
+    s2: np.ndarray | None
 
     @classmethod
-    def of(cls, X: np.ndarray) -> "SeriesSums":
-        """The sums of the rows of X, each with a leading zero."""
+    def of(cls, X: np.ndarray, cfg: DistanceConfig = DEFAULT_CONFIG) -> "SeriesSums":
+        """The rows of X for cfg; each prefix sum has a leading zero."""
         X = np.asarray(X, dtype=np.float64)
+        if not cfg.normalize_windows:
+            return cls(X, X, None, None)
         centered = X - X.mean(axis=1, keepdims=True)
         s1, s2 = np.zeros((2, len(X), X.shape[1] + 1))
         np.cumsum(centered, axis=1, out=s1[:, 1:])
@@ -163,19 +169,26 @@ class SeriesSums:
         return cls(X, centered, s1, s2)
 
     def windows(self, L: int) -> "ScaledWindows":
-        """The length-L windows for a z-normalized pick.
+        """The length-L windows, with the scale and offset of each.
+
+        A raw window w scores q . w - |w|^2/2: scale 1 and offset |w|^2/2,
+        taken from the windows in place.
 
         A z-normalized query q sums to zero, so for a non-flat window w,
         q . z(w) = (q . c(w)) / sd(w), for c(w) its centred values, and
         |z(w)|^2 = L: scale is 1/sd and offset L/2. A window whose running
         variance could be off by more than 1/RUNNING_VAR_MARGIN of itself,
-        or which is close to flat, is z-normalized directly instead (scale
-        1, offset L/2 or 0 when flat), as Windows.of_series would.
+        or which is close to flat, is z-normalized directly instead (offset
+        L/2, or 0 when flat), as Windows.of_series would.
         """
         n, m = self.series.shape
         if L > m:
             raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
         wcount = m - L + 1
+        if self.s1 is None:
+            w = np.lib.stride_tricks.sliding_window_view(self.series, L, axis=1)
+            offset = 0.5 * np.einsum("ijk,ijk->ij", w, w).ravel()
+            return ScaledWindows(self, L, None, offset, np.empty(0, np.intp), np.empty((0, L)))
         mean = self.s1[:, L:] - self.s1[:, :wcount]
         mean /= L
         var = self.s2[:, L:] - self.s2[:, :wcount]
@@ -190,25 +203,29 @@ class SeriesSums:
         idx = np.flatnonzero(direct)
         i, start = np.divmod(idx, wcount)
         zdirect = znorm_rows(self.series[i[:, None], start[:, None] + np.arange(L)])
-        return ScaledWindows(self, L, scale, idx, zdirect)
+        offset = np.full(n * wcount, 0.5 * L)
+        offset[idx] = znorm_offset(zdirect)
+        return ScaledWindows(self, L, scale, offset, idx, zdirect)
 
 
 @dataclass(frozen=True)
 class ScaledWindows:
-    """The length-L windows of n series for a z-normalized pick, read in
-    place from their SeriesSums.
+    """The length-L windows of n series, read in place from their
+    SeriesSums.
 
     Window i starts at i % wcount in series i // wcount, for wcount =
-    m - L + 1. Its pick score is (q . c(w)) * scale[i] - offset[i], for c(w)
-    its centred values; the windows listed in direct are z-normalized
-    directly instead, into the rows of zdirect, and score q . zdirect -
-    offset. A picked window is measured as the z-normalization of its raw
-    values.
+    m - L + 1. Its pick score is (q . r(w)) * scale[i] - offset[i], for r(w)
+    its values in the rows of the sums: the centred values of a
+    z-normalized window, the values of a raw one, whose scale is None (1).
+    The windows listed in direct are z-normalized directly instead, into
+    the rows of zdirect, and score q . zdirect - offset. A picked window is
+    measured as its values, z-normalized when its scale is not None.
     """
 
     sums: SeriesSums
     L: int
-    scale: np.ndarray
+    scale: np.ndarray | None
+    offset: np.ndarray
     direct: np.ndarray
     zdirect: np.ndarray
 
@@ -216,52 +233,45 @@ class ScaledWindows:
     def n(self) -> int:
         return len(self.sums.series)
 
-    @property
-    def offset(self) -> np.ndarray:
-        """|z(w)|^2/2 of each window: L/2, or 0 for a flat one."""
-        offset = np.full(len(self.scale), 0.5 * self.L)
-        offset[self.direct] = znorm_offset(self.zdirect)
-        return offset
-
     def scores(self, Q: np.ndarray) -> np.ndarray:
         """(k, n, wcount) pick scores of the k rows of Q, from one banded
-        product over the centred series.
+        product over the rows of the sums.
 
         Starts are split into tiles of B starts (band_tiles), the last one
-        ragged: tile j of a series holds its B + L - 1 centred values from
-        start jB, zero past its end, and band[q, b + t, b] = Q[q, t], so
-        tile j times band[q] gives q . c(w) for the B windows that start in
-        it. With one tile, the tiles are the centred series themselves.
+        ragged: tile j of a series holds its B + L - 1 values from start
+        jB, zero past its end, and band[q, b + t, b] = Q[q, t], so tile j
+        times band[q] gives q . r(w) for the B windows that start in it.
+        With one tile, the tiles are the rows themselves.
         """
         k, L = Q.shape
-        centered = self.sums.centered
-        n, m = centered.shape
+        rows = self.sums.rows
+        n, m = rows.shape
         wcount = m - L + 1
         tiles, B = band_tiles(n, k, L, wcount)
         width = B + L - 1
-        if tiles == 1:
-            rows = centered
-        else:
+        if tiles > 1:
             padded = np.zeros((n, tiles * B + L - 1))
-            padded[:, :m] = centered
+            padded[:, :m] = rows
             rows = as_strided(padded, (n, tiles, width), (padded.strides[0], 8 * B, 8)).reshape(n * tiles, width)
         band = np.zeros((k, width, B))
         # view[q, b, t] is band[q, b + t, b]: b steps B + 1 values, t one row
         as_strided(band, (k, B, L), (8 * width * B, 8 * (B + 1), 8 * B))[...] = Q[:, None]
         score = np.matmul(rows, band).reshape(k, n, tiles * B)[:, :, :wcount]
-        offset = self.offset
-        score *= self.scale.reshape(n, wcount)
-        score -= offset.reshape(n, wcount)
+        if self.scale is not None:
+            score *= self.scale.reshape(n, wcount)
+        score -= self.offset.reshape(n, wcount)
         if len(self.direct):
             i, start = np.divmod(self.direct, wcount)
-            score[:, i, start] = Q @ self.zdirect.T - offset[self.direct]
+            score[:, i, start] = Q @ self.zdirect.T - self.offset[self.direct]
         return score
 
     def measured(self, nearest: np.ndarray) -> np.ndarray:
-        """(k, n, L) z-normalized rows of the picked windows, as
+        """(k, n, L) rows of the picked windows, a fresh array, as
         Windows.measured gives them."""
         k, n, L = len(nearest), self.n, self.L
         rows = self.sums.series[np.arange(n)[:, None], nearest[:, :, None] + np.arange(L)]
+        if self.scale is None:
+            return rows
         return znorm_rows(rows.reshape(k * n, L)).reshape(k, n, L)
 
 
@@ -276,8 +286,8 @@ def nearest_window_dists(
     so the first maximum of windows.scores picks it (see Windows and
     ScaledWindows for how each scores); the picked window is then measured
     by direct squared differences. The distance is exact for the picked
-    window; for ScaledWindows, the pick itself is exact only up to the
-    bound at RUNNING_VAR_MARGIN.
+    window; for z-normalized ScaledWindows, the pick itself is exact only
+    up to the bound at RUNNING_VAR_MARGIN.
     """
     k, L = Q.shape
     n = windows.n

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, znorm_rows
-from .distance import DEFAULT_CONFIG, DistanceConfig, SeriesSums, Windows, nearest_window_dists
+from .distance import DEFAULT_CONFIG, DistanceConfig, SeriesSums, nearest_window_dists
 from .mining import Shapelet
 
 
@@ -47,24 +47,22 @@ def transform(
 
     Entry (i, j) is the minimum window distance from series i to shapelet j.
     Shapelets of one length go through distance.nearest_window_dists in one
-    call against the windows of every series. With z-normalization on, no
-    window is copied or z-normalized to pick the nearest: one banded product
-    over the centred series scores every window, weighted by 1/sd from
-    prefix sums built once per call (SeriesSums), and only the picked
-    windows are z-normalized and measured exactly. The pick is approximate
-    within the bound at distance.RUNNING_VAR_MARGIN.
+    call against the windows of every series, raw or z-normalized alike
+    (SeriesSums, built once per call). No window is copied to pick the
+    nearest: one banded product over the series scores every window, and
+    only the picked windows are measured exactly. z-normalized windows are
+    scored from the mean-centred series, weighted by 1/sd from prefix sums,
+    so their pick is approximate within the bound at
+    distance.RUNNING_VAR_MARGIN.
     """
-    sums = SeriesSums.of(d.X) if cfg.normalize_windows else None
+    sums = SeriesSums.of(d.X, cfg)
     out = np.zeros((d.n, len(shapelets)))
     for L in {s.length for s in shapelets}:
         cols = [j for j, s in enumerate(shapelets) if s.length == L]
         queries = np.array([shapelets[j].values for j in cols])
-        if sums is None:
-            windows = Windows.of_series(d.X, L, cfg)
-        else:
+        if cfg.normalize_windows:
             znorm_rows(queries, out=queries)
-            windows = sums.windows(L)
-        out[:, cols] = nearest_window_dists(queries, windows, cfg).T
+        out[:, cols] = nearest_window_dists(queries, sums.windows(L), cfg).T
     return FeatureMatrix(X=out)
 
 

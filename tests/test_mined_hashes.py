@@ -1,9 +1,10 @@
 """scripts/mined_hashes.py at the smoke test's sizes.
 
 The script is the check behind every claim that a change leaves mined
-tables, selections, saved models and transform features bit-identical, so
-it must cover the 15 training sets, hash what mining and transform return,
-and print the same lines whatever the number of BLAS threads.
+tables, selections, saved models and transform features (of z-normalized
+and of raw windows) bit-identical, so it must cover the 15 training sets,
+hash what mining and transform return, and print the same lines whatever
+the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -38,14 +39,19 @@ def lines_by_blas_threads():
     return runs
 
 
+def line_fields(line):
+    """{hash name: value} of one printed line."""
+    return dict(f.split("=") for f in line.split()[1:])
+
+
 def test_one_line_per_training_set_with_three_hashes(lines_by_blas_threads):
     lines = lines_by_blas_threads["1"]
     names = [line.split()[0] for line in lines]
     draws = [f"{w}/draw{j}" for w in ("fit-long", "fit-wide") for j in range(6)]
     assert names == draws + ["fit-long/model", "fit-wide/model", "predict-batch/model"]
     for name, line in zip(names, lines):
-        fields = dict(f.split("=") for f in line.split()[1:])
-        served = ["features"] if name.endswith("/model") else []
+        fields = line_fields(line)
+        served = ["features", "raw_features"] if name.endswith("/model") else []
         assert list(fields) == ["mined", "selected", "model"] + served
         assert all(len(v) == 64 and int(v, 16) >= 0 for v in fields.values())
     assert len({line.split()[1] for line in lines}) == len(lines)
@@ -77,7 +83,22 @@ def test_features_hash_is_of_what_transform_and_predict_return(lines_by_blas_thr
         batch = wl.batch(0, j)
         parts += [transform(batch, model.shapelets).X, predict_pipeline(model, batch)[0]]
     want = hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
-    assert lines_by_blas_threads["1"][-1].split()[-1] == f"features={want}"
+    assert line_fields(lines_by_blas_threads["1"][-1])["features"] == want
+
+
+def test_raw_features_hash_is_of_what_transform_returns_for_raw_windows(lines_by_blas_threads, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    from divshap import DistanceConfig, PipelineConfig, fit
+    from divshap.transform import transform
+
+    wl = TINY["fit-long"]
+    model = fit(wl.model_data()[0], PipelineConfig())
+    raw = DistanceConfig(normalize_windows=False)
+    parts = [transform(wl.batch(0, j), model.shapelets, raw).X for j in range(wl.draws)]
+    want = hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+    assert line_fields(lines_by_blas_threads["1"][-3])["raw_features"] == want
 
 
 def test_lines_independent_of_blas_threads(lines_by_blas_threads):

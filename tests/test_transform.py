@@ -186,7 +186,7 @@ def window_copy_pick(Q, X):
     bound = 3 * m * np.finfo(np.float64).eps * sums.s2[:, -1:] * np.sqrt(m / L) / L
     direct = (var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)).ravel()
     view = np.lib.stride_tricks.sliding_window_view
-    scan = view(sums.centered, L, axis=1).reshape(n * wcount, L).copy()
+    scan = view(sums.rows, L, axis=1).reshape(n * wcount, L).copy()
     scale = 1.0 / np.sqrt(np.where(direct, 1.0, var.ravel()))
     offset = np.full(n * wcount, 0.5 * L)
     idx = np.flatnonzero(direct)
@@ -213,8 +213,36 @@ def assert_pick_matches_window_copy(X, Q):
     assert np.array_equal(nearest_window_dists(Q, windows), want)
 
 
+RAW = DistanceConfig(normalize_windows=False)
+
+
+def assert_raw_pick_matches_window_copy(X, Q):
+    """The banded pick of raw windows gives the window copy's offsets,
+    picked windows and distances bit for bit, with and without length
+    normalization; it reads no prefix sums and z-normalizes no window.
+
+    A start may differ only between windows of equal values: the copy
+    scores those exactly alike, while the band sums each window's products
+    in an order set by its place in the tile, so they may score a rounding
+    apart (a flat query against a flat stretch does)."""
+    L = Q.shape[1]
+    copy = Windows.of_series(X, L, RAW)
+    sums = SeriesSums.of(X, RAW)
+    windows = sums.windows(L)
+    assert sums.s1 is None and windows.scale is None and len(windows.direct) == 0
+    assert np.array_equal(windows.offset, copy.scan[:, L])
+    picked = windows.measured(windows.scores(Q).argmax(axis=2))
+    assert np.array_equal(picked, copy.measured(copy.scores(Q).argmax(axis=2)))
+    for cfg in (RAW, DistanceConfig(False, False)):
+        assert np.array_equal(nearest_window_dists(Q, windows, cfg), nearest_window_dists(Q, copy, cfg))
+
+
+def raw_queries(shapelets, L):
+    return np.array([s.values for s in shapelets if s.length == L])
+
+
 def znormalized_queries(shapelets, L):
-    return znorm_rows(np.array([s.values for s in shapelets if s.length == L]))
+    return znorm_rows(raw_queries(shapelets, L))
 
 
 @pytest.mark.parametrize("tile_starts", [distance_mod.TILE_STARTS, 8, 1])
@@ -229,6 +257,19 @@ def test_banded_pick_equals_window_copy_on_edge_series(monkeypatch, kind, tile_s
     shapelets = edge_queries(rng, X, (1, 3, 8, 17, 36))
     for L in (1, 3, 8, 17, 36):
         assert_pick_matches_window_copy(X, znormalized_queries(shapelets, L))
+
+
+@pytest.mark.parametrize("tile_starts", [distance_mod.TILE_STARTS, 8, 1])
+@pytest.mark.parametrize("kind", sorted(EDGE_SERIES))
+def test_raw_banded_pick_equals_window_copy_on_edge_series(monkeypatch, kind, tile_starts):
+    """The tiles of the test above, for raw windows: the band multiplies
+    the series themselves."""
+    monkeypatch.setattr(distance_mod, "TILE_STARTS", tile_starts)
+    rng = np.random.default_rng(sorted(EDGE_SERIES).index(kind))
+    X = EDGE_SERIES[kind](rng, 80, 36)
+    shapelets = edge_queries(rng, X, (1, 3, 8, 17, 36))
+    for L in (1, 3, 8, 17, 36):
+        assert_raw_pick_matches_window_copy(X, raw_queries(shapelets, L))
 
 
 @pytest.mark.parametrize(
@@ -250,8 +291,9 @@ def test_banded_pick_tiles(monkeypatch, m, L, n, k, tiles, B):
     assert k * (B + L - 1) * B <= max(n * tiles * (B + L - 1), k * L)
     rng = np.random.default_rng(m + L + n)
     X = series_with_flat_stretches(rng, n, m)
-    Q = znorm_rows(np.vstack([rng.normal(size=(k - 1, L)), X[:1, m - L :]]))
-    assert_pick_matches_window_copy(X, Q)
+    raw = np.vstack([rng.normal(size=(k - 1, L)), X[:1, m - L :]])
+    assert_pick_matches_window_copy(X, znorm_rows(raw))
+    assert_raw_pick_matches_window_copy(X, raw)
 
 
 def test_banded_pick_on_read_only_and_integer_series():
@@ -262,6 +304,8 @@ def test_banded_pick_on_read_only_and_integer_series():
     frozen.flags.writeable = False
     for series in (X, frozen):
         assert_pick_matches_window_copy(series, Q)
+        # integer queries tie exactly, so the first maximum must be kept
+        assert_raw_pick_matches_window_copy(series, np.vstack([Q, X[1, 3:9], np.ones(6)]))
     assert np.array_equal(X, frozen)
 
 
@@ -284,6 +328,7 @@ def test_banded_pick_equals_window_copy_on_serving_batches(monkeypatch, workload
             X = wl.batch(seed, j).X
             for L in {s.length for s in model.shapelets}:
                 assert_pick_matches_window_copy(X, znormalized_queries(model.shapelets, L))
+                assert_raw_pick_matches_window_copy(X, raw_queries(model.shapelets, L))
 
 
 def test_transform_peak_memory_within_window_copy_budget():
@@ -306,17 +351,21 @@ def test_transform_peak_memory_within_window_copy_budget():
     assert peak < budget, (peak, budget)
 
 
-def test_transform_peak_memory_without_a_window_copy():
+@pytest.mark.parametrize("normalize", [True, False])
+def test_transform_peak_memory_without_a_window_copy(normalize):
     """The set of the test above, within its budget less the window copy:
-    the banded product reads the centred series in place, plus its band."""
+    the banded product reads the series (centred, for z-normalized windows)
+    in place, plus its band. Raw windows were once copied with their
+    offsets (12.4 MB peak)."""
     d = xor_dataset(seed=5, per_cell=125, m=80)
     lengths = (10, 15, 21, 26, 26, 27)
     shapelets = [make_shapelet(d.X[j, 3 : 3 + L], start=3) for j, L in enumerate(lengths)]
     n, m, k = d.n, d.m, len(shapelets)
-    transform(d, shapelets)  # warm up
+    cfg = DistanceConfig(normalize_windows=normalize)
+    transform(d, shapelets, cfg)  # warm up
     tracemalloc.start()
     try:
-        transform(d, shapelets)
+        transform(d, shapelets, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
