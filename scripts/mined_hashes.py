@@ -18,7 +18,10 @@ library defaults, and its line gives the sha256 of:
   batches, in batch order;
 - ``raw_features`` (serving-model lines only): the ``transform`` features of
   the same batches and shapelets with raw windows
-  (``DistanceConfig(normalize_windows=False)``), in batch order.
+  (``DistanceConfig(normalize_windows=False)``), in batch order;
+- ``raw_mined`` (serving-model lines only): the bytes of the columns of the
+  table that ``mine_shapelets`` mines from the same series with raw windows,
+  in table order.
 
 Two checkouts mine, select, save and predict bit for bit alike when their
 outputs are equal, e.g. ``diff <(python3 scripts/mined_hashes.py PARENT)
@@ -29,6 +32,7 @@ as it does to any fit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import sys
@@ -50,10 +54,15 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def columns_digest(table) -> str:
+    """The digest of a mined table's columns, in table order."""
+    return digest(b"".join(c.tobytes() for c in table.columns))
+
+
 def set_hashes(train, batches: list) -> dict[str, str]:
     """The hashes of one training set, features included when it has predict
     batches."""
-    from divshap import DistanceConfig, PipelineConfig, predict_pipeline, save_pipeline
+    from divshap import DistanceConfig, PipelineConfig, mine_shapelets, predict_pipeline, save_pipeline
     from divshap.pipeline import _fit_from_graph, mine_graph, prepare_series
     from divshap.transform import transform
 
@@ -65,7 +74,7 @@ def set_hashes(train, batches: list) -> dict[str, str]:
     saved = io.StringIO()
     save_pipeline(model, saved)
     hashes = {
-        "mined": digest(b"".join(c.tobytes() for c in graph.vertices.columns)),
+        "mined": columns_digest(graph.vertices),
         "selected": digest("\n".join(s.id for s in model.shapelets).encode()),
         "model": digest(saved.getvalue().encode()),
     }
@@ -80,6 +89,7 @@ def set_hashes(train, batches: list) -> dict[str, str]:
         hashes["features"] = digest(b"".join(a.tobytes() for pair in served for a in pair))
         raw = DistanceConfig(normalize_windows=False)
         hashes["raw_features"] = digest(b"".join(transform(s, model.shapelets, raw).X.tobytes() for s in series))
+        hashes["raw_mined"] = columns_digest(mine_shapelets(prepared, dataclasses.replace(cfg.mining, normalize=raw)))
     return hashes
 
 

@@ -68,28 +68,33 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def baseline_1nn(train_X: np.ndarray, train_y: np.ndarray, test_X: np.ndarray, test_y: np.ndarray) -> float:
+def _accuracy(pred: np.ndarray, y: np.ndarray) -> float | None:
+    """Share of pred equal to y; None for no rows, as in predict_pipeline."""
+    return float((pred == y).mean()) if len(y) else None
+
+
+def baseline_1nn(train_X: np.ndarray, train_y: np.ndarray, test_X: np.ndarray, test_y: np.ndarray) -> float | None:
     """1NN accuracy on rows of raw series or of features, under squared
-    euclidean distance; ties go to the lower training row. No training rows
-    raises EmptyInputError. Both sides are first divided by the power of two
-    that brings the largest |value| below 1: the squares stay finite, even of
-    features that are squared distances, and, the division being exact, no
-    nearest row moves."""
+    euclidean distance; ties go to the lower training row, and no test rows
+    give None. No training rows raises EmptyInputError. Both sides are
+    first divided by the power of two that brings the largest |value| below
+    1: the squares stay finite, even of features that are squared
+    distances, and, the division being exact, no nearest row moves."""
     if len(train_X) == 0:
         raise EmptyInputError("1NN needs a non-empty training set")
     tx, vx = np.asarray(train_X, dtype=np.float64), np.asarray(test_X, dtype=np.float64)
     _, e = np.frexp(max(np.abs(tx).max(initial=0.0), np.abs(vx).max(initial=0.0)))
     tx, vx = np.ldexp(tx, -e), np.ldexp(vx, -e)
     d2 = (vx * vx).sum(axis=1)[:, None] + (tx * tx).sum(axis=1)[None, :] - 2.0 * vx @ tx.T
-    return float((train_y[d2.argmin(axis=1)] == test_y).mean())
+    return _accuracy(train_y[d2.argmin(axis=1)], test_y)
 
 
-def raw_elm_accuracy(train: Dataset, test: Dataset, cfg: elm.ELMConfig) -> float:
+def raw_elm_accuracy(train: Dataset, test: Dataset, cfg: elm.ELMConfig) -> float | None:
     """ELM trained directly on raw series, min-max scaled per timestep on
-    the training split."""
+    the training split; None for an empty test split."""
     scaling = Scaling.fit(train.X)
     model = elm.train(scaling.apply(train.X), train.y, cfg)
-    return float((elm.predict(model, scaling.apply(test.X)) == test.y).mean())
+    return _accuracy(elm.predict(model, scaling.apply(test.X)), test.y)
 
 
 def run_experiment(

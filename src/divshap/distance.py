@@ -7,17 +7,18 @@ of different-length queries share a per-point scale.
 
 nearest_window_dists is the batched kernel behind mining and transform: a
 matrix product picks each query's nearest window in each series, and direct
-squared differences measure the picked window exactly. The two callers
-differ only in how their windows score (Windows or ScaledWindows). Mining
-scans its window matrix (Windows.of_series), since every window is also a
-query; each row carries the window's offset |w|^2/2 in one extra column, so
-the product itself yields the pick score. Transform copies no window, raw
-or z-normalized (SeriesSums): one banded product of the series with the
-queries gives q . w for every window, less an offset. A raw window's offset
-|w|^2/2 is summed from the series in place. For z-normalized windows the
-series are mean-centred and each score is weighted by 1/sd from prefix
-sums; only the windows picked are z-normalized, and the pick is
-approximate within the bound given at RUNNING_VAR_MARGIN.
+squared differences measure the picked window exactly. Both callers
+address a window by its series and start, and differ only in how their
+windows score (Windows or ScaledWindows). Mining scans a copy of every
+window followed by its offset |w|^2/2 (Windows.of_series), since every
+window is also a query, so the product itself yields the pick score.
+Transform copies no window, raw or z-normalized (SeriesSums): one banded
+product of the series with the queries gives q . w for every window, less
+an offset. A raw window's offset |w|^2/2 is summed from the series in
+place. For z-normalized windows the series are mean-centred and each score
+is weighted by 1/sd from prefix sums; only the windows picked are
+z-normalized, and the pick is approximate within the bound given at
+RUNNING_VAR_MARGIN.
 window_distances is the per-pair scan behind shapelet_dist (each pair check
 of the diversity graph) and the orderline oracle; it reads the windows as a
 strided view of the series, built without sliding_window_view's per-call
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .dataset import FLAT_STD, znorm_rows, znormalize
 from .errors import LengthMismatchError, ShapeletLongerThanSeriesError
@@ -63,47 +64,45 @@ def znorm_offset(rows: np.ndarray) -> np.ndarray:
 class Windows:
     """The length-L windows of n series as mining scans them.
 
-    scan holds one row per window, series by series: the window w followed
-    by its offset |w|^2/2. The kernel gives each query q a last entry of
-    -1, so the matrix product itself scores q . w - |w|^2/2, and a picked
-    window is measured as its scan row.
+    scan[i, j] is the window w of series i that starts at j, followed by
+    its offset |w|^2/2. The kernel gives each query q a last entry of -1,
+    so one matrix product over every window scores q . w - |w|^2/2, and a
+    picked window is measured as its values in scan.
     """
 
     scan: np.ndarray
-    n: int
 
     @classmethod
     def of_series(cls, X: np.ndarray, L: int, cfg: DistanceConfig = DEFAULT_CONFIG) -> "Windows":
         """The length-L windows of the rows of X, measured as they are
-        scanned: the first L columns of scan are every length-L window of
-        every row, in (row, start) order, z-normalized in place when
-        cfg.normalize_windows, and the last is the offset."""
+        scanned: each is z-normalized in place when cfg.normalize_windows,
+        and its offset follows it."""
         X = np.asarray(X, dtype=np.float64)
         n, m = X.shape
         if L > m:
             raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
-        scan = np.empty((n * (m - L + 1), L + 1))
-        scan.reshape(n, m - L + 1, L + 1)[:, :, :L] = np.lib.stride_tricks.sliding_window_view(X, L, axis=1)
-        W = scan[:, :L]
+        scan = np.empty((n, m - L + 1, L + 1))
+        scan[:, :, :L] = sliding_window_view(X, L, axis=1)
+        rows = scan.reshape(-1, L + 1)  # a view: one row per window
+        W = rows[:, :L]
         if cfg.normalize_windows:
             znorm_rows(W, out=W)
-            scan[:, L] = znorm_offset(W)
+            rows[:, L] = znorm_offset(W)
         else:
-            scan[:, L] = 0.5 * np.einsum("ij,ij->i", W, W)
-        return cls(scan, n)
+            rows[:, L] = 0.5 * np.einsum("ij,ij->i", W, W)
+        return cls(scan)
 
     def scores(self, Q: np.ndarray) -> np.ndarray:
-        """(k, n, windows per series) pick scores of the k rows of Q."""
+        """(k, n, windows per series) pick scores of the k rows of Q, from
+        one matrix product over every window."""
         k, L = Q.shape
-        Qx = np.empty((k, L + 1))
-        Qx[:, :L] = Q
-        Qx[:, L] = -1.0
-        return (Qx @ self.scan.T).reshape(k, self.n, -1)
+        Qx = np.concatenate([Q, np.full((k, 1), -1.0)], axis=1)
+        return (Qx @ self.scan.reshape(-1, L + 1).T).reshape(k, *self.scan.shape[:2])
 
     def measured(self, nearest: np.ndarray) -> np.ndarray:
-        """(k, n, L) rows of the picked windows, a fresh array; nearest[j, i]
+        """(k, n, L) values of the picked windows, a fresh array; nearest[j, i]
         is the start of query j's pick in series i."""
-        return self.scan[:, :-1][nearest + (len(self.scan) // self.n) * np.arange(self.n)]
+        return self.scan[np.arange(nearest.shape[1]), nearest, :-1]
 
 
 # A window variance taken from prefix sums is trusted only when it exceeds
@@ -178,17 +177,17 @@ class SeriesSums:
         q . z(w) = (q . c(w)) / sd(w), for c(w) its centred values, and
         |z(w)|^2 = L: scale is 1/sd and offset L/2. A window whose running
         variance could be off by more than 1/RUNNING_VAR_MARGIN of itself,
-        or which is close to flat, is z-normalized directly instead (offset
-        L/2, or 0 when flat), as Windows.of_series would.
+        or which is close to flat, is z-normalized directly instead, as
+        Windows.of_series would.
         """
-        n, m = self.series.shape
+        m = self.series.shape[1]
         if L > m:
             raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
         wcount = m - L + 1
+        view = sliding_window_view(self.series, L, axis=1)
         if self.s1 is None:
-            w = np.lib.stride_tricks.sliding_window_view(self.series, L, axis=1)
-            offset = 0.5 * np.einsum("ijk,ijk->ij", w, w).ravel()
-            return ScaledWindows(self, L, None, offset, np.empty(0, np.intp), np.empty((0, L)))
+            offset = 0.5 * np.einsum("ijk,ijk->ij", view, view)
+            return ScaledWindows(self, view, None, offset, (np.empty(0, np.intp),) * 2, np.empty((0, L)))
         mean = self.s1[:, L:] - self.s1[:, :wcount]
         mean /= L
         var = self.s2[:, L:] - self.s2[:, :wcount]
@@ -199,39 +198,34 @@ class SeriesSums:
         bound = 3 * m * np.finfo(np.float64).eps * self.s2[:, -1:] * np.sqrt(m / L) / L
         direct = var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)
         var[direct] = 1.0
-        scale = np.divide(1.0, np.sqrt(var, out=var), out=var).ravel()
-        idx = np.flatnonzero(direct)
-        i, start = np.divmod(idx, wcount)
-        zdirect = znorm_rows(self.series[i[:, None], start[:, None] + np.arange(L)])
-        offset = np.full(n * wcount, 0.5 * L)
-        offset[idx] = znorm_offset(zdirect)
-        return ScaledWindows(self, L, scale, offset, idx, zdirect)
+        scale = np.divide(1.0, np.sqrt(var, out=var), out=var)
+        # np.nonzero(direct) at a tenth of its cost on a 2-D mask
+        i, start = np.divmod(np.flatnonzero(direct), wcount)
+        zdirect = view[i, start]
+        return ScaledWindows(self, view, scale, 0.5 * L, (i, start), znorm_rows(zdirect, out=zdirect))
 
 
 @dataclass(frozen=True)
 class ScaledWindows:
     """The length-L windows of n series, read in place from their
-    SeriesSums.
+    SeriesSums: view[i, j] is the window w of series i that starts at j.
 
-    Window i starts at i % wcount in series i // wcount, for wcount =
-    m - L + 1. Its pick score is (q . r(w)) * scale[i] - offset[i], for r(w)
-    its values in the rows of the sums: the centred values of a
-    z-normalized window, the values of a raw one, whose scale is None (1).
-    The windows listed in direct are z-normalized directly instead, into
-    the rows of zdirect, and score q . zdirect - offset. A picked window is
-    measured as its values, z-normalized when its scale is not None.
+    Its pick score is (q . r(w)) * scale[i, j] - offset, for r(w) its
+    values in the rows of the sums: the centred values of a z-normalized
+    window, whose offset is the number L/2, or the values of a raw one,
+    whose scale is None (1) and whose offset[i, j] is |w|^2/2. The windows
+    at the (series, start) pairs in direct are z-normalized directly
+    instead, into the rows of zdirect, and score q . z - |z|^2/2 from those
+    rows z. A picked window is measured as its values in view, z-normalized
+    when its scale is not None.
     """
 
     sums: SeriesSums
-    L: int
+    view: np.ndarray
     scale: np.ndarray | None
-    offset: np.ndarray
-    direct: np.ndarray
+    offset: np.ndarray | float
+    direct: tuple[np.ndarray, np.ndarray]
     zdirect: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.sums.series)
 
     def scores(self, Q: np.ndarray) -> np.ndarray:
         """(k, n, wcount) pick scores of the k rows of Q, from one banded
@@ -258,21 +252,21 @@ class ScaledWindows:
         as_strided(band, (k, B, L), (8 * width * B, 8 * (B + 1), 8 * B))[...] = Q[:, None]
         score = np.matmul(rows, band).reshape(k, n, tiles * B)[:, :, :wcount]
         if self.scale is not None:
-            score *= self.scale.reshape(n, wcount)
-        score -= self.offset.reshape(n, wcount)
-        if len(self.direct):
-            i, start = np.divmod(self.direct, wcount)
-            score[:, i, start] = Q @ self.zdirect.T - self.offset[self.direct]
+            score *= self.scale
+        score -= self.offset
+        if len(self.zdirect):
+            i, start = self.direct
+            score[:, i, start] = Q @ self.zdirect.T - znorm_offset(self.zdirect)
         return score
 
     def measured(self, nearest: np.ndarray) -> np.ndarray:
-        """(k, n, L) rows of the picked windows, a fresh array, as
+        """(k, n, L) values of the picked windows, a fresh array, as
         Windows.measured gives them."""
-        k, n, L = len(nearest), self.n, self.L
-        rows = self.sums.series[np.arange(n)[:, None], nearest[:, :, None] + np.arange(L)]
-        if self.scale is None:
-            return rows
-        return znorm_rows(rows.reshape(k * n, L)).reshape(k, n, L)
+        rows = self.view[np.arange(nearest.shape[1]), nearest]
+        if self.scale is not None:
+            flat = rows.reshape(-1, rows.shape[2])  # a view of the fresh rows
+            znorm_rows(flat, out=flat)
+        return rows
 
 
 def nearest_window_dists(
@@ -289,14 +283,11 @@ def nearest_window_dists(
     window; for z-normalized ScaledWindows, the pick itself is exact only
     up to the bound at RUNNING_VAR_MARGIN.
     """
-    k, L = Q.shape
-    n = windows.n
     diff = windows.measured(windows.scores(Q).argmax(axis=2))
     diff -= Q[:, None]
-    diff = diff.reshape(k * n, L)
-    out = np.einsum("ij,ij->i", diff, diff).reshape(k, n)
+    out = np.einsum("ijk,ijk->ij", diff, diff)
     if cfg.length_normalize:
-        out /= L
+        out /= diff.shape[2]
     return out
 
 
@@ -339,7 +330,7 @@ def subsequence_dist(t: np.ndarray, s: np.ndarray, cfg: DistanceConfig = DEFAULT
     wcount = len(t) - L + 1
     if cfg.normalize_windows:
         q = znormalize(s)
-        w = np.lib.stride_tricks.sliding_window_view(t, L)
+        w = sliding_window_view(t, L)
         mus, sds = w.mean(axis=1), w.std(axis=1)
     else:
         q, mus, sds = s, np.zeros(wcount), np.ones(wcount)

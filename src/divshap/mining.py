@@ -353,16 +353,16 @@ def _score_candidates(
         wcount = m - L + 1
         windows = Windows.of_series(train.X, L, dist_cfg)
         # every candidate is one of the windows
-        rows = table.source[idxs] * wcount + table.start[idxs]
+        source, start = table.source[idxs], table.start[idxs]
         free = max(SCORING_BUDGET - windows.scan.nbytes, SCORING_BUDGET // 2)
         per_candidate = 8 * (2 * L + 1 + n * max(wcount + L, SPLIT_ROWS))
         block = int(np.clip(free // per_candidate, 1, len(idxs)))
         for lo in range(0, len(idxs), block):
             sel = slice(lo, lo + block)
-            dist = nearest_window_dists(windows.scan[rows[sel], :L], windows, dist_cfg)
+            dist = nearest_window_dists(windows.scan[source[sel], start[sel], :L], windows, dist_cfg)
             scores[:, idxs[sel]] = _batch_best_split(dist, counts)
         # a z-normalized window is all zeros, and so has offset 0, when flat
-        return not dist_cfg.normalize_windows or bool(windows.scan[rows, L].any())
+        return not dist_cfg.normalize_windows or bool(windows.scan[source, start, L].any())
 
     lengths = np.unique(table.length).tolist()
     if workers > 1 and len(lengths) > 1:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -64,6 +65,23 @@ def test_transformed_1nn_does_not_overflow_on_squared_distance_features():
     at_one = accuracy(1.0)
     assert at_one > 0.5
     assert accuracy(1e80) == at_one and accuracy(1e100) == at_one
+
+
+def test_run_experiment_on_an_empty_test_set_reports_no_accuracy():
+    """Every accuracy of an empty test split is None, as predict_pipeline
+    reports its own: no NaN in the report's JSON or CSV, and no warning."""
+    train = bump_dataset(0, 6, 24)
+    test = dataclasses.replace(train, X=np.zeros((0, 24)), y=np.zeros(0, dtype=np.int64))
+
+    def no_constants(name):
+        raise AssertionError(f"{name} in the report's JSON")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report, _ = run_experiment(train, test, PipelineConfig(kappa=3))
+    assert report.accuracies == dict.fromkeys(["divshap_elm", "raw_elm", "raw_1nn", "transformed_1nn"])
+    assert json.loads(report.to_json(), parse_constant=no_constants)["accuracies"] == report.accuracies
+    assert report.accuracy_csv().splitlines()[1] == f"{report.dataset},,,,,{report.selected_k}"
 
 
 def test_1nn_hand_enumerated_planar_toy():

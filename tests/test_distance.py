@@ -133,10 +133,11 @@ def test_windows_of_series_is_window_matrix_and_offset_column(normalize):
     X = series_with_flat_stretches(rng, 4, 30)
     for L in (4, 9, 30):
         W = naive_windows(X, L, cfg)
+        shape = (len(X), X.shape[1] - L + 1)
         scan = Windows.of_series(X, L, cfg).scan
-        assert np.array_equal(scan[:, :L], W)
+        assert np.array_equal(scan[:, :, :L], W.reshape(*shape, L))
         offset = znorm_offset(W) if normalize else 0.5 * np.einsum("ij,ij->i", W, W)
-        assert np.array_equal(scan[:, L], offset)
+        assert np.array_equal(scan[:, :, L], offset.reshape(shape))
 
 
 def test_nearest_window_dists_batch_equals_single_queries():

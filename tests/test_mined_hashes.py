@@ -1,10 +1,10 @@
 """scripts/mined_hashes.py at the smoke test's sizes.
 
 The script is the check behind every claim that a change leaves mined
-tables, selections, saved models and transform features (of z-normalized
-and of raw windows) bit-identical, so it must cover the 15 training sets,
-hash what mining and transform return, and print the same lines whatever
-the number of BLAS threads.
+tables and transform features (of z-normalized and of raw windows),
+selections and saved models bit-identical, so it must cover the 15
+training sets, hash what mining and transform return, and print the same
+lines whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def test_one_line_per_training_set_with_three_hashes(lines_by_blas_threads):
     assert names == draws + ["fit-long/model", "fit-wide/model", "predict-batch/model"]
     for name, line in zip(names, lines):
         fields = line_fields(line)
-        served = ["features", "raw_features"] if name.endswith("/model") else []
+        served = ["features", "raw_features", "raw_mined"] if name.endswith("/model") else []
         assert list(fields) == ["mined", "selected", "model"] + served
         assert all(len(v) == 64 and int(v, 16) >= 0 for v in fields.values())
     assert len({line.split()[1] for line in lines}) == len(lines)
@@ -99,6 +99,20 @@ def test_raw_features_hash_is_of_what_transform_returns_for_raw_windows(lines_by
     parts = [transform(wl.batch(0, j), model.shapelets, raw).X for j in range(wl.draws)]
     want = hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
     assert line_fields(lines_by_blas_threads["1"][-3])["raw_features"] == want
+
+
+def test_raw_mined_hash_is_of_the_table_mine_shapelets_returns_for_raw_windows(lines_by_blas_threads, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    from divshap import DistanceConfig, MiningConfig, PipelineConfig, mine_shapelets
+    from divshap.pipeline import prepare_series
+
+    train = prepare_series(TINY["fit-wide"].model_data()[0], PipelineConfig())
+    table = mine_shapelets(train, MiningConfig(normalize=DistanceConfig(normalize_windows=False)))
+    want = hashlib.sha256(b"".join(c.tobytes() for c in table.columns)).hexdigest()
+    fields = line_fields(lines_by_blas_threads["1"][-2])
+    assert fields["raw_mined"] == want != fields["mined"]
 
 
 def test_lines_independent_of_blas_threads(lines_by_blas_threads):

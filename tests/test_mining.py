@@ -348,7 +348,7 @@ def assert_mined_equal_scalar_path(d, cfg):
     and provenance): distances are measured as orderline measures them, and
     both take the gap from one cumulative sum."""
     mined = mine_shapelets(d, cfg)
-    scalar = [best_split(orderline(s, d)) for s in mined]
+    scalar = [best_split(orderline(s, d, cfg.normalize)) for s in mined]
     for s, want in zip(mined, scalar):
         assert (s.split_threshold, s.gain, s.gap) == want, s.id
     keys = [(-g, -gap, s.length, s.source_series, s.start) for s, (_, g, gap) in zip(mined, scalar)]
@@ -356,9 +356,15 @@ def assert_mined_equal_scalar_path(d, cfg):
     return mined
 
 
-def test_mine_thresholds_and_gains_equal_scalar_path_exactly():
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("length_normalize", [True, False])
+def test_mine_thresholds_and_gains_equal_scalar_path_exactly(normalize, length_normalize):
+    """Every DistanceConfig flag pair: raw windows take their own branch of
+    Windows.of_series, and each length_normalize its own distances."""
     d = bump_dataset(seed=3, per_class=4, m=24)
-    assert len(assert_mined_equal_scalar_path(d, MiningConfig(min_len=3, max_len=8))) > 500
+    dist_cfg = DistanceConfig(normalize_windows=normalize, length_normalize=length_normalize)
+    cfg = MiningConfig(min_len=3, max_len=8, normalize=dist_cfg)
+    assert len(assert_mined_equal_scalar_path(d, cfg)) > 500
 
 
 @pytest.mark.parametrize("sizes", [(4, 4, 4), (2, 5, 3, 6)])

@@ -150,9 +150,8 @@ def test_transform_near_flat_window_in_offset_series():
     X[2, start : start + L] = 1e3 + 0.5e-8 * shape
     assert FLAT_STD < X[1, start : start + L].std() < 2 * FLAT_STD
     assert X[2, start : start + L].std() < FLAT_STD
-    wcount = X.shape[1] - L + 1
-    offset = SeriesSums.of(X).windows(L).offset
-    assert offset[wcount + start] == L / 2 and offset[2 * wcount + start] == 0.0
+    offset = window_offsets(SeriesSums.of(X).windows(L))
+    assert offset[1, start] == L / 2 and offset[2, start] == 0.0
     query = make_shapelet(shape + 0.3 * rng.normal(size=L))
     assert_matches_naive_scan(X, [query, make_shapelet(rng.normal(size=L))])
     # the query is nearer the near-flat window than a flat window could be
@@ -174,9 +173,11 @@ def test_transform_equals_znormalized_window_kernel_bit_for_bit(make):
 
 def window_copy_pick(Q, X):
     """The pick before the banded product, kept as its oracle: (nearest
-    starts, distances, scale, offset) from a copy of every centred window,
-    its product with the z-normalized queries Q, x scale - offset, and the
-    rows of the windows z-normalized directly written into the copy."""
+    starts, distances, scale, offset, direct, zdirect) from a copy of every
+    centred window, its product with the z-normalized queries Q, x scale -
+    offset, and the rows zdirect of the windows z-normalized directly
+    written into the copy. scale, offset and the mask direct are (series,
+    start) arrays, and zdirect lists its rows in (series, start) order."""
     k, L = Q.shape
     sums = SeriesSums.of(X)
     n, m = sums.series.shape
@@ -184,31 +185,44 @@ def window_copy_pick(Q, X):
     mean = (sums.s1[:, L:] - sums.s1[:, :wcount]) / L
     var = (sums.s2[:, L:] - sums.s2[:, :wcount]) / L - mean * mean
     bound = 3 * m * np.finfo(np.float64).eps * sums.s2[:, -1:] * np.sqrt(m / L) / L
-    direct = (var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)).ravel()
+    direct = var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)
     view = np.lib.stride_tricks.sliding_window_view
-    scan = view(sums.rows, L, axis=1).reshape(n * wcount, L).copy()
-    scale = 1.0 / np.sqrt(np.where(direct, 1.0, var.ravel()))
-    offset = np.full(n * wcount, 0.5 * L)
-    idx = np.flatnonzero(direct)
-    scan[idx] = znorm_rows(view(sums.series, L, axis=1)[idx // wcount, idx % wcount])
-    offset[idx] = znorm_offset(scan[idx])
-    score = Q @ scan.T
+    scan = view(sums.rows, L, axis=1).copy()
+    scale = 1.0 / np.sqrt(np.where(direct, 1.0, var))
+    offset = np.full((n, wcount), 0.5 * L)
+    scan[direct] = znorm_rows(view(sums.series, L, axis=1)[direct])
+    offset[direct] = znorm_offset(scan[direct])
+    score = (Q @ scan.reshape(n * wcount, L).T).reshape(k, n, wcount)
     score *= scale
     score -= offset
-    nearest = score.reshape(k, n, wcount).argmax(axis=2)
+    nearest = score.argmax(axis=2)
     picked = view(sums.series, L, axis=1)[np.arange(n), nearest].reshape(k * n, L)
     diff = znorm_rows(picked).reshape(k, n, L) - Q[:, None]
     dist = np.einsum("ijk,ijk->ij", diff, diff) / L
-    return nearest, dist, scale, offset
+    return nearest, dist, scale, offset, direct, scan[direct]
+
+
+def window_offsets(windows):
+    """(series, start) array of the offset every z-normalized window of
+    windows scores with: windows.offset, or that of its row in zdirect when
+    it is z-normalized directly."""
+    offset = np.full(windows.scale.shape, windows.offset)
+    offset[windows.direct] = znorm_offset(windows.zdirect)
+    return offset
 
 
 def assert_pick_matches_window_copy(X, Q):
-    """The banded pick gives the oracle's starts, scale, offset and
-    distances bit for bit."""
-    want_nearest, want, scale, offset = window_copy_pick(Q, np.asarray(X, dtype=np.float64))
-    windows = SeriesSums.of(X).windows(Q.shape[1])
+    """The banded pick gives the oracle's starts, scale, offsets, directly
+    z-normalized windows and distances bit for bit, and keeps the offset
+    L/2 of the other windows as one number."""
+    L = Q.shape[1]
+    want_nearest, want, scale, offset, direct, zdirect = window_copy_pick(Q, np.asarray(X, dtype=np.float64))
+    windows = SeriesSums.of(X).windows(L)
     assert np.array_equal(windows.scale, scale)
-    assert np.array_equal(windows.offset, offset)
+    assert np.ndim(windows.offset) == 0 and windows.offset == 0.5 * L
+    assert np.array_equal(windows.direct, np.nonzero(direct))
+    assert np.array_equal(windows.zdirect, zdirect)
+    assert np.array_equal(window_offsets(windows), offset)
     assert np.array_equal(windows.scores(Q).argmax(axis=2), want_nearest)
     assert np.array_equal(nearest_window_dists(Q, windows), want)
 
@@ -229,8 +243,9 @@ def assert_raw_pick_matches_window_copy(X, Q):
     copy = Windows.of_series(X, L, RAW)
     sums = SeriesSums.of(X, RAW)
     windows = sums.windows(L)
-    assert sums.s1 is None and windows.scale is None and len(windows.direct) == 0
-    assert np.array_equal(windows.offset, copy.scan[:, L])
+    assert sums.s1 is None and windows.scale is None
+    assert len(windows.direct[0]) == len(windows.direct[1]) == len(windows.zdirect) == 0
+    assert np.array_equal(windows.offset, copy.scan[:, :, L])
     picked = windows.measured(windows.scores(Q).argmax(axis=2))
     assert np.array_equal(picked, copy.measured(copy.scores(Q).argmax(axis=2)))
     for cfg in (RAW, DistanceConfig(False, False)):
