@@ -13,6 +13,10 @@ library defaults, and its line gives the sha256 of:
   start, length, threshold, gain, gap), in table order;
 - ``selected``: the ids of the selected shapelets;
 - ``model``: the model JSON that ``save_pipeline`` writes;
+- ``prefix``: the ids and the hex threshold, gain and gap of the first
+  ``PREFIX_ROWS`` rows of a fresh ``mine_shapelets`` table, read before
+  anything scores the whole table, so it checks the rows a reader gets
+  from the pruned scoring, where ``mined`` checks the whole table;
 - ``features`` (serving-model lines only): the ``transform`` features and the
   ``predict_pipeline`` predictions of each of the workload's seed-0 predict
   batches, in batch order;
@@ -38,6 +42,8 @@ import io
 import sys
 from pathlib import Path
 
+PREFIX_ROWS = 2000
+
 
 def training_sets(workloads) -> list[tuple[str, object, list]]:
     """(name, training Dataset, predict batches) of the 15 sets, in print
@@ -59,6 +65,13 @@ def columns_digest(table) -> str:
     return digest(b"".join(c.tobytes() for c in table.columns))
 
 
+def prefix_digest(table) -> str:
+    """The digest of the first PREFIX_ROWS rows of a table, read as rows."""
+    rows = table[:PREFIX_ROWS]
+    text = "\n".join(f"{s.id} {s.split_threshold.hex()} {s.gain.hex()} {s.gap.hex()}" for s in rows)
+    return digest(text.encode())
+
+
 def set_hashes(train, batches: list) -> dict[str, str]:
     """The hashes of one training set, features included when it has predict
     batches."""
@@ -77,6 +90,7 @@ def set_hashes(train, batches: list) -> dict[str, str]:
         "mined": columns_digest(graph.vertices),
         "selected": digest("\n".join(s.id for s in model.shapelets).encode()),
         "model": digest(saved.getvalue().encode()),
+        "prefix": prefix_digest(mine_shapelets(prepared, dataclasses.replace(cfg.mining, normalize=cfg.distance))),
     }
     if batches:
         # the features predict_pipeline classifies: transform of the series

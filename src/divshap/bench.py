@@ -3,13 +3,15 @@
 run_experiment goes through the pipeline's one path: mine_graph and
 _fit_from_graph, the two stages of fit, then predict_pipeline. It times them
 as the three columns of the paper's runtime table: candidate_selection
-(prepare, mine, and the diversity graph, which stores no edges),
-diversified_selection (the greedy diversified top-k, the k sweep and the
-final ELM fit) and classify (transform, scaling and ELM predict on the test
-split). The greedy scans the mined graph once, for the kappa pool; the
-sweep then runs on the graph of the pool alone, which the greedy keeps
-whole. It reports the pipeline's accuracy next to an ELM on the raw series
-and 1NN on the raw series and on the pool's transformed series.
+(prepare, the first pass of mining, which bounds every candidate's gain
+from a subset of the series, and the diversity graph, which stores no
+edges), diversified_selection (the greedy diversified top-k, which scores
+in full the candidates it reaches, the k sweep and the final ELM fit) and
+classify (transform, scaling and ELM predict on the test split). The
+greedy scans the mined graph once, for the kappa pool; the sweep then runs
+on the graph of the pool alone, which the greedy keeps whole. It reports
+the pipeline's accuracy next to an ELM on the raw series and 1NN on the raw
+series and on the pool's transformed series.
 """
 
 from __future__ import annotations

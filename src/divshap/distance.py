@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .dataset import FLAT_STD, znorm_rows, znormalize
-from .errors import LengthMismatchError, ShapeletLongerThanSeriesError
+from .errors import LengthMismatchError, ShapeletLongerThanSeriesError, require_bool
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,16 @@ class DistanceConfig:
 
     normalize_windows: z-normalize the query and every window before
     comparing. length_normalize: divide the squared distance by the compared
-    length. Both default on.
+    length. Both default on; a flag that is not a bool raises
+    InvalidConfigError.
     """
 
     normalize_windows: bool = True
     length_normalize: bool = True
+
+    def __post_init__(self) -> None:
+        require_bool("normalize_windows", self.normalize_windows)
+        require_bool("length_normalize", self.length_normalize)
 
 
 DEFAULT_CONFIG = DistanceConfig()
@@ -157,8 +162,9 @@ class SeriesSums:
 
     @classmethod
     def of(cls, X: np.ndarray, cfg: DistanceConfig = DEFAULT_CONFIG) -> "SeriesSums":
-        """The rows of X for cfg; each prefix sum has a leading zero."""
-        X = np.asarray(X, dtype=np.float64)
+        """The rows of X for cfg; each prefix sum has a leading zero. The
+        series are held C-contiguous, as windows reads them."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
         if not cfg.normalize_windows:
             return cls(X, X, None, None)
         centered = X - X.mean(axis=1, keepdims=True)
@@ -184,7 +190,10 @@ class SeriesSums:
         if L > m:
             raise ShapeletLongerThanSeriesError(f"query length {L} > series length {m}")
         wcount = m - L + 1
-        view = sliding_window_view(self.series, L, axis=1)
+        # sliding_window_view's view, without its per-call argument checks
+        n = len(self.series)
+        view = np.ndarray((n, wcount, L), dtype=np.float64, buffer=self.series, strides=(8 * m, 8, 8))
+        view.flags.writeable = False
         if self.s1 is None:
             offset = 0.5 * np.einsum("ijk,ijk->ij", view, view)
             return ScaledWindows(self, view, None, offset, (np.empty(0, np.intp),) * 2, np.empty((0, L)))

@@ -8,6 +8,7 @@ target matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class ELMConfig:
     The auto width is min(N, max(20, 2 * n_features)) so small transformed
     feature spaces keep the solve well conditioned. An activation outside
     ACTIVATIONS, a width or seed that is not an integer (width at least 1,
-    seed at least 0), or a ridge that is negative or not finite raises
-    InvalidConfigError.
+    seed at least 0), or a ridge that is not a real number, negative or
+    not finite raises InvalidConfigError.
     """
 
     n_hidden: int | None = None
@@ -49,8 +50,8 @@ class ELMConfig:
         if self.n_hidden is not None:
             require_int("ELM hidden width", self.n_hidden, 1)
         require_int("ELM seed", self.seed, 0)
-        if not (np.isfinite(self.ridge) and self.ridge >= 0.0):
-            raise InvalidConfigError(f"ELM ridge must be finite and at least 0, got {self.ridge}")
+        if not (isinstance(self.ridge, numbers.Real) and np.isfinite(self.ridge) and self.ridge >= 0.0):
+            raise InvalidConfigError(f"ELM ridge must be a finite real number of at least 0, got {self.ridge!r}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""Exception types raised across the divshap modules, and require_int."""
+"""Exception types raised across the divshap modules, require_int and require_bool."""
 
 import numbers
+
+import numpy as np
 
 
 class DivshapError(Exception):
@@ -73,3 +75,10 @@ def require_int(name: str, value, minimum: int) -> None:
     not a bool) of at least minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidConfigError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def require_bool(name: str, value) -> None:
+    """Raise InvalidConfigError unless value is a bool (numpy's too): a
+    string such as "false" is truthy and would read as on."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidConfigError(f"{name} must be True or False, got {value!r}")

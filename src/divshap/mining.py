@@ -3,22 +3,30 @@
 Candidates are every subsequence of every training series inside a length
 band (defaults m/11 .. m/2). Each candidate is scored by the best
 information-gain split of its orderline: the sorted distances from the
-candidate to all training series. Every candidate is scored; there is no
-pre-filter. The batched split reads each split's entropy from a table of
-p log2 p terms over integer class counts (ClassCounts), so it takes no
-logarithm per candidate. Generation, scoring and the best-first ordering
-work on the columns of a CandidateTable; a Shapelet object is built only
-when its row is read, so the greedy scan of the diversity graph builds
-just the prefix it reads.
+candidate to all training series. Every candidate is scored against a
+subset of the series first, and against all of them only as far as a
+reader of the table reaches: the distances to the subset bound the gain
+(after the optimistic gain of Ye & Keogh, KDD 2009), and a row is shown
+once its gain beats every bound still open, as a diversified top-k stops
+on bounds (Qin, Yu & Chang, PVLDB 2012). Every row shown is the row that
+scoring every candidate against every series gives, bit for bit. The
+batched split reads each split's entropy from a table of p log2 p terms
+over integer class counts (ClassCounts), so it takes no logarithm per
+candidate. Generation, scoring and the best-first ordering work on the
+columns of a CandidateTable; a Shapelet object is built only when its row
+is read, so the greedy scan of the diversity graph builds just the prefix
+it reads.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import FLAT_STD, SQUARE_CHUNK, Dataset
 from .distance import (
@@ -115,27 +123,66 @@ class CandidateTable(Sequence[Shapelet]):
     is built when the row is first read and kept, so a row always gives the
     same object and rows never read are never built. A slice is a list of
     those objects; == compares element by element.
+
+    A table that mine_shapelets returns may hold only a certified prefix of
+    its rows (see _PrunedScoring): len() is always the candidate count, and
+    reading a row or a slice scores only as far as it reaches. columns, the
+    column attributes, == and negative indices score the whole table.
     """
 
-    def __init__(self, train: Dataset, source, start, length, threshold, gain, gap):
-        self.columns = (source, start, length, threshold, gain, gap)
-        for column in self.columns:
-            column.flags.writeable = False
-        self.source, self.start, self.length, self.threshold, self.gain, self.gap = self.columns
+    def __init__(self, train: Dataset, source, start, length, threshold, gain, gap, *, pending=None):
         self._train = train
         self._built: dict[int, Shapelet] = {}
+        self._rows = (source, start, length, threshold, gain, gap)
+        self._pending: _PrunedScoring | None = pending
+        self._order = np.arange(len(source)) if pending is None else pending.certified
+        self._columns = self._rows if pending is None else None
+        if pending is None:
+            for column in self._rows:
+                column.flags.writeable = False
+
+    def _certify(self, need: int) -> None:
+        """Score until the first need rows are final."""
+        if self._pending is None or len(self._order) >= need:
+            return
+        self._order = self._pending.certify(need)
+        if len(self._order) == len(self):
+            self._pending = None
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """(source, start, length, threshold, gain, gap), read-only, in table
+        order."""
+        if self._columns is None:
+            self._certify(len(self))
+            self._columns = tuple(c[self._order] for c in self._rows)
+            for column in self._columns:
+                column.flags.writeable = False
+        return self._columns
+
+    source = property(lambda self: self.columns[0])
+    start = property(lambda self: self.columns[1])
+    length = property(lambda self: self.columns[2])
+    threshold = property(lambda self: self.columns[3])
+    gain = property(lambda self: self.columns[4])
+    gap = property(lambda self: self.columns[5])
 
     def __len__(self) -> int:
-        return len(self.source)
+        return len(self._rows[0])
 
     def __getitem__(self, index):
         r = range(len(self))[index]
         if isinstance(r, range):
+            if len(r):
+                self._certify(max(r[0], r[-1]) + 1)
             return [self[i] for i in r]
+        self._certify(r + 1)
         if r not in self._built:
-            src, st, L = int(self.source[r]), int(self.start[r]), int(self.length[r])
+            c = self._order[r]
+            source, start, length, threshold, gain, gap = self._rows
+            src, st, L = int(source[c]), int(start[c]), int(length[c])
             values = self._train.X[src, st : st + L].copy()
-            scores = (float(self.threshold[r]), float(self.gain[r]), float(self.gap[r]))
+            scores = (float(threshold[c]), float(gain[c]), float(gap[c]))
             self._built.setdefault(r, Shapelet(values, src, st, L, int(self._train.y[src]), *scores))
         return self._built[r]
 
@@ -285,14 +332,18 @@ def best_split(ol: list[tuple[float, int]]) -> tuple[float, float, float]:
 def mine_shapelets(
     train: Dataset, cfg: MiningConfig | None = None, *, workers: int = 1
 ) -> CandidateTable:
-    """Score every candidate and order the table best-first.
+    """Score the candidates and order the table best-first.
 
     Scoring is the batched equivalent of best_split(orderline(c)) for each
     candidate c. The order is (gain desc, gap desc, length asc, source
     series asc, start asc), a total order, so output is deterministic for
-    fixed inputs. Scoring and ordering work on the table's columns; a
-    Shapelet is built only when a caller reads its row, so a greedy scan
-    that stops early builds only the prefix it read.
+    fixed inputs. The call returns after the first pass (_PrunedScoring):
+    every candidate scored against a subset of the series, which bounds its
+    gain. Reading rows completes the candidates of highest bound against
+    the rest of the series until the rows read are certain; the rows are
+    then those of scoring every candidate in full. A Shapelet is built only
+    when a caller reads its row, so a greedy scan that stops early builds,
+    and mostly scores, only the prefix it read.
 
     workers threads score the lengths. They pay only when BLAS runs one
     thread (OPENBLAS_NUM_THREADS=1); with more, they slow mining down.
@@ -301,81 +352,35 @@ def mine_shapelets(
     table = generate_candidates(train, cfg)
     if not len(table):
         return table
-    thr, gain, gap = _score_candidates(train, table, cfg.normalize, workers=workers)
-    order = np.lexsort((table.start, table.source, table.length, -gap, -gain))
-    return CandidateTable(train, *(c[order] for c in (*table.columns[:3], thr, gain, gap)))
+    rows = table.columns[:3]
+    del table  # and its zero score columns
+    pending = _PrunedScoring(train, *rows, cfg.normalize, workers)
+    return CandidateTable(train, *rows, *pending.scores, pending=pending)
 
 
-# Bytes one scoring thread may hold for a candidate length: the window
-# matrix (offset column included) plus, per block candidate, its query row
-# and -1 extension, score row and measured windows, counted together though
-# the kernel frees the score row before it gathers. The best split, which
-# runs after that, holds at most SPLIT_ROWS arrays of one row per candidate
-# and series, its input included: the sorted distances, the argsort, a
-# class's running count and what the counted classes leave, the two entropy
-# sums and one class's two terms of them, and a count that is being
-# replaced (eight in all with two classes, whose last count is what the
-# first leaves). Its later arrays fit in what these free. A block gets at
-# least half the budget, so only a window matrix above the other half
-# makes a thread exceed it; z-normalizing that matrix in place adds at
-# most dataset.SQUARE_CHUNK bytes of squares. generate_candidates compares
-# windows a chunk of SCORING_BUDGET / 8 bytes at a time. The threads share
-# one ClassCounts table of (n + 1) (largest class + 1) floats, outside the
-# budget: 3.8 MiB for n = 1,000 in two equal classes, 34 MiB for n = 3,000.
+# Bytes one scoring thread may hold for the candidates of a length that it
+# scores against some of the series: the windows of those series (offset
+# column included) plus, per block candidate, its raw and z-normalized
+# window, its query row and -1 extension, score row and measured windows,
+# counted together though the kernel frees the score row before it
+# gathers. The best split and the gain bound, which run after that, hold
+# at most SPLIT_ROWS arrays of one row per candidate and series scored so
+# far, their input included. For the split: the sorted distances, the
+# argsort, a class's running count and what the counted classes leave,
+# the two entropy sums and one class's two terms of them, and a count that
+# is being replaced (eight in all with two classes, whose last count is
+# what the first leaves). Its later arrays fit in what these free. A block
+# and the kept distances of _PrunedScoring (at most a sixteenth of the
+# budget) get at least half the budget together, so only a window matrix
+# above the other half makes a thread exceed it; z-normalizing that matrix
+# in place adds at most dataset.SQUARE_CHUNK bytes of squares.
+# generate_candidates compares windows a chunk of SCORING_BUDGET / 8 bytes
+# at a time. The threads share one ClassCounts table of (n + 1) (largest
+# class + 1) floats, outside the budget: 3.8 MiB for n = 1,000 in two
+# equal classes, 34 MiB for n = 3,000; and the bound's table of gains, at
+# most SQUARE_CHUNK bytes.
 SCORING_BUDGET = 16 * 2**20
 SPLIT_ROWS = 10
-
-
-def _score_candidates(
-    train: Dataset,
-    table: CandidateTable,
-    dist_cfg: DistanceConfig,
-    *,
-    workers: int = 1,
-) -> np.ndarray:
-    """Batched orderline + best-split scoring: rows threshold, gain and gap,
-    one column per row of the table.
-
-    Each length's windows are prepared once, each block of candidates is
-    gathered from them, and distance.nearest_window_dists scores the block
-    against every series in one call. Blocks are sized so that each thread
-    stays within SCORING_BUDGET. With z-normalized windows, a training set
-    whose candidate windows are all flat raises FlatTrainingSetError: every
-    distance would be zero and every gain 0.
-    """
-    n, m = train.n, train.m
-    counts = ClassCounts.of(train.y)
-    scores = np.zeros((3, len(table)))
-
-    def run_length(L: int) -> bool:
-        """Score the length-L candidates; True if any of them is not flat."""
-        idxs = np.flatnonzero(table.length == L)
-        wcount = m - L + 1
-        windows = Windows.of_series(train.X, L, dist_cfg)
-        # every candidate is one of the windows
-        source, start = table.source[idxs], table.start[idxs]
-        free = max(SCORING_BUDGET - windows.scan.nbytes, SCORING_BUDGET // 2)
-        per_candidate = 8 * (2 * L + 1 + n * max(wcount + L, SPLIT_ROWS))
-        block = int(np.clip(free // per_candidate, 1, len(idxs)))
-        for lo in range(0, len(idxs), block):
-            sel = slice(lo, lo + block)
-            dist = nearest_window_dists(windows.scan[source[sel], start[sel], :L], windows, dist_cfg)
-            scores[:, idxs[sel]] = _batch_best_split(dist, counts)
-        # a z-normalized window is all zeros, and so has offset 0, when flat
-        return not dist_cfg.normalize_windows or bool(windows.scan[source, start, L].any())
-
-    lengths = np.unique(table.length).tolist()
-    if workers > 1 and len(lengths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            informative = list(pool.map(run_length, lengths))
-    else:
-        informative = [run_length(L) for L in lengths]
-    if not any(informative):
-        raise FlatTrainingSetError(
-            f"every candidate window has standard deviation below {FLAT_STD}; "
-            "z-normalized, all are equal, so no split separates the series"
-        )
-    return scores
 
 
 @dataclass(frozen=True)
@@ -503,3 +508,300 @@ def _batch_best_split(
         out_gain = np.where(no_split, 0.0, out_gain)
         out_gap = np.where(no_split, 0.0, out_gap)
     return out_thr, out_gain, out_gap
+
+
+# Shares of each class's series that successive passes score every
+# candidate against before the last pass scores the rest. The passes stop
+# at a share that gives fewer than STAGE_MIN series of some class, or all
+# of them: the bound of so few series prunes too little to pay for its
+# pass, and a lone pass over half the series did not pay either (on the
+# predict-batch serving set, 16 series a class, it left 30% to complete
+# and fit took about 10% longer).
+STAGES = (0.25, 0.5)
+STAGE_MIN = 8
+# A completed gain is certified when it exceeds every uncompleted bound by
+# more than this; a bound and a gain are sums of the same terms and differ
+# from the exact maximum by a few units in the last place.
+GAIN_MARGIN = 1e-12
+# A reader that outruns the certified rows certifies at least this many
+# more: fewer, smaller rounds cost more than the rows they spare.
+CERTIFY_MIN = 16
+
+
+def _stage_sizes(counts: ClassCounts, bounded: bool) -> tuple[np.ndarray, list[int]]:
+    """The series in the order the passes reach them, and how many of them
+    each pass has reached, the last pass all of them. Each pass but the
+    last takes, of each class in index order, the first round(share * size)
+    series for its share of STAGES, until a share gives too few or all;
+    there is only the last pass when the gains cannot be bounded (bounded
+    false) or there is one class. As a pass takes at least STAGE_MIN
+    series of each class, and the bound's table of gains at most
+    SQUARE_CHUNK bytes, passes before the last come with at most four
+    classes, whose bound reads 2^4 corners."""
+    total = counts.total
+    members = [np.flatnonzero(counts.label == k) for k in range(len(total))]
+    sizes, taken = [], np.zeros(len(total), dtype=np.intp)
+    order = []
+    for share in STAGES if bounded and len(total) > 1 else ():
+        want = np.floor(share * total + 0.5).astype(np.intp)
+        if want.min() < STAGE_MIN or want.sum() >= total.sum():
+            break
+        order += [m[a:b] for m, a, b in zip(members, taken, want)]
+        sizes.append(int(want.sum()))
+        taken = want
+    order += [m[a:] for m, a in zip(members, taken)]
+    return np.concatenate(order), sizes + [int(total.sum())]
+
+
+class _PrunedScoring:
+    """The scores behind a mined CandidateTable, completed only as far as a
+    reader needs.
+
+    The series are taken in passes (_stage_sizes). The first pass scores
+    every candidate against the series of the first stage, and a candidate
+    that has had some passes holds _gain_bound's bound on its gain from
+    its distances to their series. Certifying rows for a reader gives
+    further passes to the candidates of highest bound, one pass a round,
+    or every pass left when a round would take all of them. A completed
+    row is certified once its gain exceeds every bound still open by
+    GAIN_MARGIN: no open candidate can then precede it, so certified rows
+    come in the table's order. A candidate's distance to each series is
+    the one the full kernel gives (the same windows, z-normalized row by
+    row, and the same pick and measurement), and _batch_best_split does
+    not depend on the order of the series, so a completed row is bit for
+    bit the row of scoring against every series at once.
+
+    The distances of open candidates are kept for their next pass, those
+    of highest bound first, in at most a sixteenth of SCORING_BUDGET; a
+    candidate whose distances were not kept is measured again against the
+    series of its earlier passes too. Kept rows outlive the blocks around
+    them, so each MiB of them raised a fit-wide process's peak RSS by
+    about 0.75 MB (3.0 MB at a quarter of the budget).
+    """
+
+    def __init__(self, train: Dataset, source, start, length, dist_cfg: DistanceConfig, workers: int):
+        self.train, self.dist_cfg, self.workers = train, dist_cfg, workers
+        self.source, self.start, self.length = source, start, length
+        size = len(source)
+        self.counts = ClassCounts.of(train.y)
+        self.gains = _gain_table(self.counts)
+        self.order, self.sizes = _stage_sizes(self.counts, self.gains is not None)
+        self.final_counts = replace(self.counts, label=self.counts.label[self.order])
+        self.scores = np.zeros((3, size))
+        self.bound = np.full(size, np.inf)
+        # passes each candidate has had; one more than all once certified
+        self.done = np.zeros(size, dtype=np.int8)
+        self.certified = np.empty(0, dtype=np.intp)
+        width = self.sizes[-2] if len(self.sizes) > 1 else 0
+        rows = min(size, SCORING_BUDGET // 16 // (8 * width)) if width else 0
+        self.store = np.empty((rows, width))
+        self.slot = np.full(size, -1, dtype=np.int32)  # row of store, or -1
+        self.owner = np.full(rows, -1, dtype=np.intp)  # candidate of a row
+        self.pinned = np.zeros(rows, dtype=bool)  # rows a round reads
+        self.lock = threading.Lock()
+        informative = self.advance(np.arange(size), final=len(self.sizes) == 1)
+        if dist_cfg.normalize_windows and not any(informative):
+            raise FlatTrainingSetError(
+                f"every candidate window has standard deviation below {FLAT_STD}; "
+                "z-normalized, all are equal, so no split separates the series"
+            )
+
+    def certify(self, need: int) -> np.ndarray:
+        """The certified rows, in table order, once there are at least need
+        of them, or CERTIFY_MIN more than before (at most every row)."""
+        need = min(len(self.source), max(need, len(self.certified) + CERTIFY_MIN))
+        gain, gap = self.scores[1], self.scores[2]
+        final = len(self.sizes)
+        while len(self.certified) < need:
+            open_ = np.flatnonzero(self.done < final)
+            pending = np.flatnonzero(self.done == final)
+            sure = pending[gain[pending] > self.bound.max() + GAIN_MARGIN]
+            if len(sure):
+                self.done[sure] = final + 1
+                key = (self.start[sure], self.source[sure], self.length[sure], -gap[sure], -gain[sure])
+                self.certified = np.concatenate([self.certified, sure[np.lexsort(key)]])
+                continue
+            # the want-th best of the gains and bounds left: an open
+            # candidate of lower bound holds none of the want rows next
+            want = need - len(self.certified)
+            cut = -np.partition(-np.concatenate([gain[pending], self.bound[open_]]), want - 1)[want - 1]
+            ids = open_[self.bound[open_] >= cut - GAIN_MARGIN]
+            self.advance(ids, final=len(ids) == len(open_))
+        return self.certified
+
+    def advance(self, ids: np.ndarray, final: bool) -> list[bool]:
+        """Give each candidate of ids, ascending, its next pass, or every
+        pass left when final. Returns, per length, whether any of its
+        candidates is not flat."""
+        slots = self.slot[ids]
+        self.pinned[slots[slots >= 0]] = True
+        # candidates are in length order, so each length is a run of ids
+        runs = np.searchsorted(ids, np.flatnonzero(np.r_[True, self.length[1:] != self.length[:-1], True]))
+        runs = [(a, b) for a, b in zip(runs[:-1], runs[1:]) if b > a]
+
+        def run(bounds: tuple[int, int]) -> bool:
+            return self._advance_length(ids[bounds[0] : bounds[1]], final)
+
+        if self.workers > 1 and len(runs) > 1:
+            # imported here: concurrent.futures (with logging) took 5-6 ms
+            # of every `import divshap`, and one worker needs no pool
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                informative = list(pool.map(run, runs))
+        else:
+            informative = [run(r) for r in runs]
+        self.pinned[:] = False
+        return informative
+
+    def _advance_length(self, ids: np.ndarray, final: bool) -> bool:
+        """advance for candidates ids of one length: each group that holds
+        its distances to the same first series and goes as far is scored
+        against the rest of them in one call of _score_group."""
+        reach = [0, *self.sizes]  # the series of each pass count
+        done = self.done[ids]
+        stored = self.slot[ids] >= 0
+        informative = False
+        for d in np.unique(done).tolist():
+            to = len(self.sizes) if final else d + 1
+            for held in (False, True) if d else (False,):
+                part = ids[(done == d) & (stored == held)]
+                if len(part):
+                    a = reach[d] if held else 0
+                    informative |= self._score_group(part, int(self.length[ids[0]]), a, reach[to], to)
+        return informative
+
+    def _score_group(self, ids: np.ndarray, L: int, a: int, b: int, to: int) -> bool:
+        """Score the length-L candidates ids, which hold their distances to
+        the first a series of self.order, against the rest of its first b
+        series, those of their first `to` passes. True if any of them is
+        not flat."""
+        series = self.order[a:b]
+        windows = Windows.of_series(self.train.X[series], L, self.dist_cfg)
+        view = sliding_window_view(self.train.X, L, axis=1)
+        every = len(series) == self.train.n  # then windows holds every query
+        at = np.empty(self.train.n, dtype=np.intp)
+        at[series] = np.arange(len(series))
+        free = max(SCORING_BUDGET - windows.scan.nbytes, SCORING_BUDGET // 2) - self.store.nbytes
+        per_candidate = 8 * (3 * L + 2 + max(len(series) * (view.shape[1] + L), SPLIT_ROWS * (b + 1)))
+        block = int(np.clip(free // per_candidate, 1, len(ids)))
+        informative = False
+        for lo in range(0, len(ids), block):
+            part = ids[lo : lo + block]
+            source, start = self.source[part], self.start[part]
+            if every:
+                queries = windows.scan[at[source], start]
+            else:
+                # a row of length L is its one window, z-normalized as
+                # every window is, and followed by its offset
+                queries = Windows.of_series(view[source, start], L, self.dist_cfg).scan[:, 0]
+            # a z-normalized window is all zeros, and so has offset 0, when flat
+            informative = informative or bool(queries[:, L].any())
+            dist = nearest_window_dists(queries[:, :L], windows, self.dist_cfg)
+            if a:
+                with self.lock:
+                    dist = np.concatenate([self.store[self.slot[part], :a], dist], axis=1)
+            self._record(part, dist, to)
+        return informative
+
+    def _record(self, ids: np.ndarray, dist: np.ndarray, to: int) -> None:
+        """Scores, or bounds, of candidates ids from their distances dist to
+        the series of their first `to` passes."""
+        self.done[ids] = to
+        if to == len(self.sizes):
+            self.scores[:, ids] = _batch_best_split(dist, self.final_counts)
+            self.bound[ids] = -np.inf
+            with self.lock:
+                held = self.slot[ids]
+                self.owner[held[held >= 0]] = -1
+                self.slot[ids] = -1
+            return
+        label = self.final_counts.label[: dist.shape[1]]
+        self.bound[ids] = _gain_bound(dist, label, self.counts.total, self.gains)
+        if len(self.store):
+            with self.lock:
+                self._keep(ids, dist)
+
+    def _keep(self, ids: np.ndarray, dist: np.ndarray) -> None:
+        """Keep the rows dist of candidates ids, in their own rows of store
+        or in free ones. When rows run out, those of highest bound stay,
+        among the new ones and those no round is reading."""
+        held = self.slot[ids] >= 0
+        self.store[self.slot[ids[held]], : dist.shape[1]] = dist[held]
+        ids, dist = ids[~held], dist[~held]
+        free = np.flatnonzero(self.owner < 0)
+        if len(free) < len(ids):
+            rivals = np.flatnonzero((self.owner >= 0) & ~self.pinned)
+            contest = np.concatenate([self.bound[self.owner[rivals]], self.bound[ids]])
+            room = len(free) + len(rivals)
+            win = np.zeros(len(contest), dtype=bool)
+            win[np.argpartition(-contest, room - 1)[:room] if room else []] = True
+            lost = rivals[~win[: len(rivals)]]
+            self.slot[self.owner[lost]] = -1
+            self.owner[lost] = -1
+            ids, dist = ids[win[len(rivals) :]], dist[win[len(rivals) :]]
+            free = np.flatnonzero(self.owner < 0)
+        free = free[: len(ids)]
+        self.owner[free] = ids
+        self.slot[ids] = free
+        self.store[free, : dist.shape[1]] = dist
+
+
+def _gain_table(counts: ClassCounts) -> np.ndarray | None:
+    """The gain of a split that leaves left[k] of class k's series on its
+    left, for every vector left with left[k] <= counts.total[k], raveled in
+    C order, then -inf; None when it would take more than SQUARE_CHUNK
+    bytes. Each gain is _batch_best_split's: the same h terms, added in
+    class order, and the same formula."""
+    shape = counts.total + 1
+    if 8 * np.prod(shape) > SQUARE_CHUNK:
+        return None
+    n = len(counts.label)
+    left = np.indices(shape).reshape(len(shape), -1)
+    nl = left.sum(axis=0)
+    nr = n - nl
+    h, stride = counts.h.ravel(), counts.h.shape[1]
+    h_left = h.take(nl * stride + left[0])
+    h_right = h.take(nr * stride + counts.total[0] - left[0])
+    for k in range(1, len(shape)):
+        h_left += h.take(nl * stride + left[k])
+        h_right += h.take(nr * stride + counts.total[k] - left[k])
+    gains = h_left
+    gains *= nl / n
+    np.subtract(entropy(counts.total), gains, out=gains)
+    h_right *= nr / n
+    gains -= h_right
+    return np.append(gains, -np.inf)
+
+
+def _gain_bound(dist: np.ndarray, label: np.ndarray, total: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Per row of dist, the distances to a subset S of the series whose
+    class indices are label, a bound on the gain of the best split of the
+    row's full orderline, over classes of sizes total; gains is
+    _gain_table's.
+
+    A valid split of the full orderline leaves on its left a prefix of S's
+    sorted distances, cut at p = 0, p = |S| or where they rise, and between
+    0 and u_k of the u_k series of class k outside S. Gain is convex in the
+    left class counts, since each side's size times its entropy is concave,
+    so its maximum over that box is at a vertex: the series outside S of
+    each class all left or all right. Each prefix and vertex is one
+    position of gains.
+    """
+    c, s = dist.shape
+    strides = np.r_[np.cumprod((total + 1)[:0:-1])[::-1], 1]
+    order = np.argsort(dist, axis=1)
+    sd = np.take_along_axis(dist, order, axis=1)
+    prefix = np.zeros((c, s + 1), dtype=np.intp)
+    np.cumsum(strides[label][order], axis=1, out=prefix[:, 1:])
+    del order
+    # a cut between equal distances is no split: it reads past the table,
+    # and reads clipped to the table's end read its last entry, -inf
+    prefix[:, 1:s][sd[:, 1:] <= sd[:, :-1]] = len(gains) - 1
+    del sd
+    unknown = (total - np.bincount(label, minlength=len(total))) * strides
+    corners = np.array(list(itertools.product((0, 1), repeat=len(total))))
+    best = np.full(c, -np.inf)
+    for shift in np.unique(corners @ unknown).tolist():
+        np.maximum(best, gains.take(prefix + shift, mode="clip").max(axis=1), out=best)
+    return best

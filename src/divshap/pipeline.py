@@ -22,7 +22,7 @@ from . import elm
 from .dataset import Dataset, recode_labels, stratified_folds, znorm_rows
 from .distance import DistanceConfig
 from .errors import EmptyInputError, InvalidConfigError, LengthMismatchError, ModelFormatError
-from .errors import SingleClassTrainingError, require_int
+from .errors import SingleClassTrainingError, require_bool, require_int
 from .graph import DiversityGraph, build_graph, div_topk
 from .mining import MiningConfig, Shapelet, mine_shapelets
 from .transform import Scaling, transform
@@ -66,7 +66,8 @@ class PipelineConfig:
     """kappa bounds the k sweep; znormalize_series applies whole-series
     z-normalization before mining and again at predict time (window-level
     normalization is governed by `distance` instead). A kappa that is not an
-    integer of at least 1 raises InvalidConfigError."""
+    integer of at least 1, or a flag that is not a bool, raises
+    InvalidConfigError."""
 
     kappa: int = 9
     mining: MiningConfig = field(default_factory=MiningConfig)
@@ -78,6 +79,8 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         require_int("kappa", self.kappa, 1)
+        require_bool("same_class_only", self.same_class_only)
+        require_bool("znormalize_series", self.znormalize_series)
 
 
 @dataclass
@@ -174,8 +177,10 @@ def mine_graph(
     train: Dataset, cfg: PipelineConfig, *, workers: int = 1
 ) -> tuple[Dataset, DiversityGraph]:
     """Candidate selection, the first stage of fit: prepare the series, mine
-    every candidate under the pipeline's distance settings, and wrap them in
+    the candidates under the pipeline's distance settings, and wrap them in
     the diversity graph. Returns the prepared training set and the graph.
+    Mining returns after its first pass; the graph's readers score the
+    rows they reach (mine_shapelets).
     """
     train = prepare_series(train, cfg)
     mining_cfg = dataclasses.replace(cfg.mining, normalize=cfg.distance)

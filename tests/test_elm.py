@@ -224,6 +224,13 @@ def test_elm_config_rejects_unknown_activation_and_width_below_one(bad):
         elm.ELMConfig(**bad)
 
 
+@pytest.mark.parametrize("ridge", ["x", None, [1.0], 1j])
+def test_elm_config_rejects_a_ridge_that_is_not_a_real_number(ridge):
+    """Before, np.isfinite raised a bare TypeError on these."""
+    with pytest.raises(InvalidConfigError, match="ridge"):
+        elm.ELMConfig(ridge=ridge)
+
+
 def test_hidden_layer_rejects_unknown_activation_when_built():
     """Before, such a layer was built and failed only in hidden_output."""
     with pytest.raises(InvalidConfigError):

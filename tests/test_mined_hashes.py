@@ -1,7 +1,8 @@
 """scripts/mined_hashes.py at the smoke test's sizes.
 
 The script is the check behind every claim that a change leaves mined
-tables and transform features (of z-normalized and of raw windows),
+tables (whole, and the first rows a reader gets before the whole table is
+scored) and transform features (of z-normalized and of raw windows),
 selections and saved models bit-identical, so it must cover the 15
 training sets, hash what mining and transform return, and print the same
 lines whatever the number of BLAS threads.
@@ -44,7 +45,7 @@ def line_fields(line):
     return dict(f.split("=") for f in line.split()[1:])
 
 
-def test_one_line_per_training_set_with_three_hashes(lines_by_blas_threads):
+def test_one_line_per_training_set_with_four_hashes(lines_by_blas_threads):
     lines = lines_by_blas_threads["1"]
     names = [line.split()[0] for line in lines]
     draws = [f"{w}/draw{j}" for w in ("fit-long", "fit-wide") for j in range(6)]
@@ -52,7 +53,7 @@ def test_one_line_per_training_set_with_three_hashes(lines_by_blas_threads):
     for name, line in zip(names, lines):
         fields = line_fields(line)
         served = ["features", "raw_features", "raw_mined"] if name.endswith("/model") else []
-        assert list(fields) == ["mined", "selected", "model"] + served
+        assert list(fields) == ["mined", "selected", "model", "prefix"] + served
         assert all(len(v) == 64 and int(v, 16) >= 0 for v in fields.values())
     assert len({line.split()[1] for line in lines}) == len(lines)
 
@@ -67,6 +68,21 @@ def test_mined_hash_is_of_the_table_mine_shapelets_returns(lines_by_blas_threads
     table = mine_shapelets(TINY["fit-wide"].make(0, 3)[0], MiningConfig(normalize=cfg.distance))
     want = hashlib.sha256(b"".join(c.tobytes() for c in table.columns)).hexdigest()
     assert lines_by_blas_threads["1"][9].split()[1] == f"mined={want}"
+
+
+def test_prefix_hash_is_of_the_first_rows_of_a_fresh_table(lines_by_blas_threads, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    from divshap import MiningConfig, PipelineConfig, mine_shapelets
+
+    cfg = PipelineConfig()
+    table = mine_shapelets(TINY["fit-wide"].make(0, 3)[0], MiningConfig(normalize=cfg.distance))
+    assert len(table) > 2000
+    rows = [table[i] for i in range(2000)]
+    text = "\n".join(f"{s.id} {s.split_threshold.hex()} {s.gain.hex()} {s.gap.hex()}" for s in rows)
+    want = hashlib.sha256(text.encode()).hexdigest()
+    assert line_fields(lines_by_blas_threads["1"][9])["prefix"] == want
 
 
 def test_features_hash_is_of_what_transform_and_predict_return(lines_by_blas_threads, monkeypatch):

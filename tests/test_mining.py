@@ -21,6 +21,8 @@ from divshap.mining import (
     MiningConfig,
     Shapelet,
     _batch_best_split,
+    _gain_bound,
+    _gain_table,
     best_split,
     entropy,
     generate_candidates,
@@ -30,7 +32,7 @@ from divshap.mining import (
 from divshap.distance import DistanceConfig, subsequence_dist
 from divshap.pipeline import EvalConfig, PipelineConfig, fit
 
-from conftest import bump_dataset
+from conftest import REPO_ROOT, bump_dataset, xor_dataset
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -561,7 +563,8 @@ def test_mine_peak_memory_within_scoring_budget():
     n_cands = len(generate_candidates(d, cfg))
     tracemalloc.start()
     try:
-        mine_shapelets(d, cfg)
+        # the call returns after the first pass; columns scores the rest
+        mine_shapelets(d, cfg).columns
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -584,7 +587,7 @@ def test_mine_peak_memory_on_long_series_within_window_matrix_and_half_budget():
     assert largest > SCORING_BUDGET / 2
     tracemalloc.start()
     try:
-        mine_shapelets(d, cfg)
+        mine_shapelets(d, cfg).columns
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -720,3 +723,109 @@ def test_mine_gain_bounded_by_class_entropy(toy_train):
     h = entropy(counts)
     for s in mined:
         assert -1e-12 <= s.gain <= h + 1e-12
+
+
+def subset_block(n_classes, seed, rows=300):
+    """A tie-heavy block of distances to 21 + n_classes series, as
+    tie_heavy_block draws it, and a random subset of its columns."""
+    dist, y = tie_heavy_block(n_classes, 3 + seed % 3, rows)
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    if kind == 0:  # a stratified half
+        subset = np.concatenate([rng.permutation(np.flatnonzero(y == k))[: (y == k).sum() // 2 + 1] for k in range(n_classes)])
+    elif kind == 1:  # any columns
+        subset = rng.choice(len(y), size=int(rng.integers(1, len(y))), replace=False)
+    else:  # one class only
+        subset = rng.permutation(np.flatnonzero(y == rng.integers(n_classes)))[: int(rng.integers(1, 4))]
+    return dist, y, subset
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 7])
+def test_gain_bound_is_at_least_the_full_gain(n_classes):
+    """On every row, the bound from the distances to a subset of the
+    series holds the gain of the best split of the full row; subsets
+    stratified, arbitrary or of one class."""
+    for seed in range(9):
+        dist, y, subset = subset_block(n_classes, seed)
+        counts = ClassCounts.of(y)
+        gain = _batch_best_split(dist, counts)[1]
+        bound = _gain_bound(dist[:, subset], counts.label[subset], counts.total, _gain_table(counts))
+        assert (bound >= gain).all(), (seed, np.min(bound - gain))
+        # a subset of every series bounds each row by its own gain
+        whole = _gain_bound(dist, counts.label, counts.total, _gain_table(counts))
+        assert np.array_equal(whole, gain)
+
+
+def assert_lazy_reads_equal_forced(d, cfg, monkeypatch):
+    """Fresh tables read row by row, by slices and through div_topk give
+    the rows of a table first scored in full."""
+    monkeypatch.setattr(mining, "STAGE_MIN", 2)
+    forced = mine_shapelets(d, cfg)
+    forced.columns
+    n = len(forced)
+    table = mine_shapelets(d, cfg)
+    assert len(table._pending.sizes) == 3  # two bounded passes before the last
+    assert [table[i] for i in range(n)] == [forced[i] for i in range(n)]
+    table = mine_shapelets(d, cfg)
+    cuts = [0, 1, 17, 18, 300, n // 2, n]
+    assert [s for a, b in zip(cuts, cuts[1:]) for s in table[a:b]] == forced[:]
+    table = mine_shapelets(d, cfg)
+    assert table[40:3:-3] == forced[40:3:-3]
+    table = mine_shapelets(d, cfg, workers=2)
+    assert [table[i] for i in range(n)] == [forced[i] for i in range(n)]
+    for kappa in (1, 9):
+        graph = build_graph(mine_shapelets(d, cfg), cfg.normalize)
+        assert div_topk(graph, kappa) == div_topk(build_graph(forced, cfg.normalize), kappa)
+
+
+@pytest.mark.parametrize("kind", ["bump", "xor", "three-class"])
+def test_lazy_table_reads_equal_a_table_scored_in_full(kind, monkeypatch):
+    if kind == "bump":
+        d = bump_dataset(seed=4, per_class=12, m=24)
+    elif kind == "xor":
+        d = xor_dataset(seed=4, per_cell=6, m=24)
+    else:
+        d = motif_dataset((8, 9, 10), m=20, seed=5)
+    assert_lazy_reads_equal_forced(d, MiningConfig(min_len=3, max_len=9), monkeypatch)
+
+
+def test_select_k_scores_fewer_than_half_of_a_fit_wide_table(monkeypatch):
+    """The greedy scan of select_k reads a fresh table of the benchmark's
+    fit-wide draw 0, and fewer than half of its candidates are scored
+    against every series."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import WORKLOADS
+
+    from divshap.pipeline import select_k
+
+    train = WORKLOADS["fit-wide"].make(0, 0)[0]
+    cfg = PipelineConfig()
+    completed = []
+    split = mining._batch_best_split
+    monkeypatch.setattr(mining, "_batch_best_split", lambda dist, counts: completed.append(len(dist)) or split(dist, counts))
+    table = mine_shapelets(train, MiningConfig(normalize=cfg.distance))
+    assert sum(completed) == 0 and len(table) == 44100
+    select_k(build_graph(table, cfg.distance), train, cfg)
+    assert 0 < sum(completed) < len(table) / 2
+
+
+def test_lazy_table_read_by_more_threads_than_cores_while_distances_are_evicted(monkeypatch):
+    """Scoring threads share the kept distances of _PrunedScoring, and a
+    budget of 64 KiB keeps a few hundred rows, so rounds evict often while
+    eight threads score lengths at a switch interval of a microsecond. A
+    lost update of a kept row or its owner would give a wrong row."""
+    monkeypatch.setattr(mining, "STAGE_MIN", 2)
+    monkeypatch.setattr(mining, "SCORING_BUDGET", 2**16)
+    d = bump_dataset(seed=6, per_class=12, m=24)
+    cfg = MiningConfig(min_len=3, max_len=9)
+    forced = mine_shapelets(d, cfg)
+    forced.columns
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table = mine_shapelets(d, cfg, workers=8)
+        assert 0 < len(table._pending.store) < len(table) / 4
+        rows = [table[i] for i in range(len(table))]
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == forced[:]

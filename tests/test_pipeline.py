@@ -10,6 +10,7 @@ import pytest
 
 from divshap import elm
 from divshap.dataset import Dataset
+from divshap.distance import DistanceConfig
 from divshap.errors import (
     DivshapError,
     EmptyInputError,
@@ -288,6 +289,29 @@ def test_pipeline_config_rejects_kappa_below_one(kappa):
     kept exactly 2.5 shapelets."""
     with pytest.raises(InvalidConfigError):
         PipelineConfig(kappa=kappa)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DistanceConfig(normalize_windows="false"),
+        lambda: DistanceConfig(length_normalize=1),
+        lambda: PipelineConfig(same_class_only="no"),
+        lambda: PipelineConfig(znormalize_series="no"),
+        lambda: PipelineConfig(znormalize_series=None),
+    ],
+)
+def test_configs_reject_flags_that_are_not_bools(build):
+    """Before, each was accepted and read as its truth value: the string
+    "false" z-normalized windows, and "no" kept same-class edges only and
+    z-normalized every series."""
+    with pytest.raises(InvalidConfigError, match="True or False"):
+        build()
+
+
+def test_configs_accept_numpy_bools():
+    assert not DistanceConfig(normalize_windows=np.bool_(False)).normalize_windows
+    assert PipelineConfig(same_class_only=np.bool_(True), znormalize_series=False).same_class_only
 
 
 def test_configs_accept_numpy_integers():

@@ -480,3 +480,21 @@ def test_scaling_train_maps_into_unit_interval():
     fm = _fm([rng.uniform(-10, 10, size=12) for _ in range(4)])
     scaled = apply_scaling(fm, fit_scaling(fm))
     assert (scaled.X >= 0).all() and (scaled.X <= 1).all()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_series_sums_of_non_contiguous_series_give_a_contiguous_copy_s_distances(normalize):
+    """SeriesSums reads its windows as a strided view of C-contiguous
+    series, so a Fortran-ordered batch, or the first columns of a wider
+    one, must give the distances of a contiguous copy."""
+    cfg = DistanceConfig(normalize_windows=normalize)
+    rng = np.random.default_rng(8)
+    wide = np.cumsum(rng.normal(size=(9, 50)), axis=1)
+    for X in (np.asfortranarray(wide[:, :40]), wide[:, :40], wide[::2, 3:43]):
+        copy = np.array(X, order="C")
+        for L in (1, 5, 17, 40):
+            Q = rng.normal(size=(4, L))
+            if normalize:
+                znorm_rows(Q, out=Q)
+            got = nearest_window_dists(Q, SeriesSums.of(X, cfg).windows(L), cfg)
+            assert np.array_equal(got, nearest_window_dists(Q, SeriesSums.of(copy, cfg).windows(L), cfg)), L
