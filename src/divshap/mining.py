@@ -3,27 +3,26 @@
 Candidates are every subsequence of every training series inside a length
 band (defaults m/11 .. m/2). Each candidate is scored by the best
 information-gain split of its orderline: the sorted distances from the
-candidate to all training series. Every candidate is scored against a
-subset of the series first, and against all of them only as far as a
-reader of the table reaches: the distances to the subset bound the gain
-(after the optimistic gain of Ye & Keogh, KDD 2009), and a row is shown
-once its gain beats every bound still open, as a diversified top-k stops
-on bounds (Qin, Yu & Chang, PVLDB 2012). Every row shown is the row that
-scoring every candidate against every series gives, bit for bit. The
-batched split reads each split's entropy from a table of p log2 p terms
-over integer class counts (ClassCounts), so it takes no logarithm per
-candidate. Generation, scoring and the best-first ordering work on the
-columns of a CandidateTable; a Shapelet object is built only when its row
-is read, so the greedy scan of the diversity graph builds just the prefix
-it reads.
+candidate to all training series. When each class is large enough,
+every candidate is first scored against a quarter of each class's series,
+and against all of them only as far as a reader of the table reaches: the
+distances to the quarter bound the gain (after the optimistic gain of Ye &
+Keogh, KDD 2009), and a row is shown once its gain beats every bound still
+open, as a diversified top-k stops on bounds (Qin, Yu & Chang, PVLDB
+2012). Every row shown is the row that scoring every candidate against
+every series gives, bit for bit. The batched split reads each split's
+entropy from a table of p log2 p terms over integer class counts
+(ClassCounts), so it takes no logarithm per candidate. Generation, scoring
+and the best-first ordering work on the columns of a CandidateTable; a
+Shapelet object is built only when its row is read, so the greedy scan of
+the diversity graph builds just the prefix it reads.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -338,12 +337,13 @@ def mine_shapelets(
     candidate c. The order is (gain desc, gap desc, length asc, source
     series asc, start asc), a total order, so output is deterministic for
     fixed inputs. The call returns after the first pass (_PrunedScoring):
-    every candidate scored against a subset of the series, which bounds its
-    gain. Reading rows completes the candidates of highest bound against
-    the rest of the series until the rows read are certain; the rows are
-    then those of scoring every candidate in full. A Shapelet is built only
-    when a caller reads its row, so a greedy scan that stops early builds,
-    and mostly scores, only the prefix it read.
+    every candidate scored against a quarter of each class's series, which
+    bounds its gain, or, when the classes are too small for that, scored in
+    full. Reading rows scores the candidates of highest bound against every
+    series until the rows read are certain; the rows are those of scoring
+    every candidate in full. A Shapelet is built only when a caller reads
+    its row, so a greedy scan that stops early builds, and mostly scores,
+    only the prefix it read.
 
     workers threads score the lengths. They pay only when BLAS runs one
     thread (OPENBLAS_NUM_THREADS=1); with more, they slow mining down.
@@ -370,10 +370,9 @@ def mine_shapelets(
 # the two entropy sums and one class's two terms of them, and a count that
 # is being replaced (eight in all with two classes, whose last count is
 # what the first leaves). Its later arrays fit in what these free. A block
-# and the kept distances of _PrunedScoring (at most a sixteenth of the
-# budget) get at least half the budget together, so only a window matrix
-# above the other half makes a thread exceed it; z-normalizing that matrix
-# in place adds at most dataset.SQUARE_CHUNK bytes of squares.
+# gets at least half the budget, so only a window matrix above the other
+# half makes a thread exceed it; z-normalizing that matrix in place adds at
+# most dataset.SQUARE_CHUNK bytes of squares.
 # generate_candidates compares windows a chunk of SCORING_BUDGET / 8 bytes
 # at a time. The threads share one ClassCounts table of (n + 1) (largest
 # class + 1) floats, outside the budget: 3.8 MiB for n = 1,000 in two
@@ -510,73 +509,52 @@ def _batch_best_split(
     return out_thr, out_gain, out_gap
 
 
-# Shares of each class's series that successive passes score every
-# candidate against before the last pass scores the rest. The passes stop
-# at a share that gives fewer than STAGE_MIN series of some class, or all
-# of them: the bound of so few series prunes too little to pay for its
-# pass, and a lone pass over half the series did not pay either (on the
-# predict-batch serving set, 16 series a class, it left 30% to complete
-# and fit took about 10% longer).
-STAGES = (0.25, 0.5)
+# Share of each class's series that the first pass scores every candidate
+# against, before completion scores the candidates a reader needs against
+# all of them. There is a first pass only when each class gives at least
+# STAGE_MIN series: the bound of so few series prunes too little to pay for
+# its pass. A second pass over half of each class, and keeping the first
+# pass's distances for completion, both made fit-wide's fit slower than
+# this one pass (ROADMAP item 3).
+FIRST_SHARE = 0.25
 STAGE_MIN = 8
 # A completed gain is certified when it exceeds every uncompleted bound by
 # more than this; a bound and a gain are sums of the same terms and differ
 # from the exact maximum by a few units in the last place.
 GAIN_MARGIN = 1e-12
-# A reader that outruns the certified rows certifies at least this many
-# more: fewer, smaller rounds cost more than the rows they spare.
-CERTIFY_MIN = 16
+# The states of a candidate in _PrunedScoring.done.
+BOUNDED, COMPLETED, CERTIFIED = 0, 1, 2
 
 
-def _stage_sizes(counts: ClassCounts, bounded: bool) -> tuple[np.ndarray, list[int]]:
-    """The series in the order the passes reach them, and how many of them
-    each pass has reached, the last pass all of them. Each pass but the
-    last takes, of each class in index order, the first round(share * size)
-    series for its share of STAGES, until a share gives too few or all;
-    there is only the last pass when the gains cannot be bounded (bounded
-    false) or there is one class. As a pass takes at least STAGE_MIN
-    series of each class, and the bound's table of gains at most
-    SQUARE_CHUNK bytes, passes before the last come with at most four
+def _first_series(counts: ClassCounts, bounded: bool) -> np.ndarray | None:
+    """The series of the first pass, in class order: of each class, in
+    index order, the first round(FIRST_SHARE * size) series. None, for no
+    first pass, when the gains cannot be bounded (bounded false), there is
+    one class, or some class gives fewer than STAGE_MIN series. As the pass
+    takes at least STAGE_MIN series of each class, and the bound's table of
+    gains at most SQUARE_CHUNK bytes, a first pass comes with at most four
     classes, whose bound reads 2^4 corners."""
-    total = counts.total
-    members = [np.flatnonzero(counts.label == k) for k in range(len(total))]
-    sizes, taken = [], np.zeros(len(total), dtype=np.intp)
-    order = []
-    for share in STAGES if bounded and len(total) > 1 else ():
-        want = np.floor(share * total + 0.5).astype(np.intp)
-        if want.min() < STAGE_MIN or want.sum() >= total.sum():
-            break
-        order += [m[a:b] for m, a, b in zip(members, taken, want)]
-        sizes.append(int(want.sum()))
-        taken = want
-    order += [m[a:] for m, a in zip(members, taken)]
-    return np.concatenate(order), sizes + [int(total.sum())]
+    want = np.floor(FIRST_SHARE * counts.total + 0.5).astype(np.intp)
+    if not bounded or len(want) < 2 or want.min() < STAGE_MIN:
+        return None
+    return np.concatenate([np.flatnonzero(counts.label == k)[:w] for k, w in enumerate(want)])
 
 
 class _PrunedScoring:
     """The scores behind a mined CandidateTable, completed only as far as a
     reader needs.
 
-    The series are taken in passes (_stage_sizes). The first pass scores
-    every candidate against the series of the first stage, and a candidate
-    that has had some passes holds _gain_bound's bound on its gain from
-    its distances to their series. Certifying rows for a reader gives
-    further passes to the candidates of highest bound, one pass a round,
-    or every pass left when a round would take all of them. A completed
-    row is certified once its gain exceeds every bound still open by
-    GAIN_MARGIN: no open candidate can then precede it, so certified rows
-    come in the table's order. A candidate's distance to each series is
-    the one the full kernel gives (the same windows, z-normalized row by
-    row, and the same pick and measurement), and _batch_best_split does
-    not depend on the order of the series, so a completed row is bit for
-    bit the row of scoring against every series at once.
-
-    The distances of open candidates are kept for their next pass, those
-    of highest bound first, in at most a sixteenth of SCORING_BUDGET; a
-    candidate whose distances were not kept is measured again against the
-    series of its earlier passes too. Kept rows outlive the blocks around
-    them, so each MiB of them raised a fit-wide process's peak RSS by
-    about 0.75 MB (3.0 MB at a quarter of the budget).
+    The first pass scores every candidate against the series of
+    _first_series, S, and keeps only _gain_bound's bound on its gain.
+    Certifying rows for a reader completes the candidates whose bound
+    reaches the cut (those that may hold a row the reader needs): each is
+    scored against every series, as mining with no first pass scores it. A
+    completed row is certified once its gain exceeds every bound still open
+    by GAIN_MARGIN: no open candidate can then precede it, so certified
+    rows come in the table's order. Reading every row thus measures each
+    candidate against |S| + n series. A completed row is the row of scoring
+    against every series at once, bit for bit, as completion is that
+    scoring. With no first pass, every candidate is completed at once.
     """
 
     def __init__(self, train: Dataset, source, start, length, dist_cfg: DistanceConfig, workers: int):
@@ -585,21 +563,12 @@ class _PrunedScoring:
         size = len(source)
         self.counts = ClassCounts.of(train.y)
         self.gains = _gain_table(self.counts)
-        self.order, self.sizes = _stage_sizes(self.counts, self.gains is not None)
-        self.final_counts = replace(self.counts, label=self.counts.label[self.order])
+        self.first = _first_series(self.counts, self.gains is not None)
         self.scores = np.zeros((3, size))
         self.bound = np.full(size, np.inf)
-        # passes each candidate has had; one more than all once certified
-        self.done = np.zeros(size, dtype=np.int8)
+        self.done = np.full(size, BOUNDED, dtype=np.int8)
         self.certified = np.empty(0, dtype=np.intp)
-        width = self.sizes[-2] if len(self.sizes) > 1 else 0
-        rows = min(size, SCORING_BUDGET // 16 // (8 * width)) if width else 0
-        self.store = np.empty((rows, width))
-        self.slot = np.full(size, -1, dtype=np.int32)  # row of store, or -1
-        self.owner = np.full(rows, -1, dtype=np.intp)  # candidate of a row
-        self.pinned = np.zeros(rows, dtype=bool)  # rows a round reads
-        self.lock = threading.Lock()
-        informative = self.advance(np.arange(size), final=len(self.sizes) == 1)
+        informative = self.advance(np.arange(size), self.first)
         if dist_cfg.normalize_windows and not any(informative):
             raise FlatTrainingSetError(
                 f"every candidate window has standard deviation below {FLAT_STD}; "
@@ -608,16 +577,15 @@ class _PrunedScoring:
 
     def certify(self, need: int) -> np.ndarray:
         """The certified rows, in table order, once there are at least need
-        of them, or CERTIFY_MIN more than before (at most every row)."""
-        need = min(len(self.source), max(need, len(self.certified) + CERTIFY_MIN))
+        of them (at most every row)."""
+        need = min(len(self.source), need)
         gain, gap = self.scores[1], self.scores[2]
-        final = len(self.sizes)
         while len(self.certified) < need:
-            open_ = np.flatnonzero(self.done < final)
-            pending = np.flatnonzero(self.done == final)
+            open_ = np.flatnonzero(self.done == BOUNDED)
+            pending = np.flatnonzero(self.done == COMPLETED)
             sure = pending[gain[pending] > self.bound.max() + GAIN_MARGIN]
             if len(sure):
-                self.done[sure] = final + 1
+                self.done[sure] = CERTIFIED
                 key = (self.start[sure], self.source[sure], self.length[sure], -gap[sure], -gain[sure])
                 self.certified = np.concatenate([self.certified, sure[np.lexsort(key)]])
                 continue
@@ -625,22 +593,21 @@ class _PrunedScoring:
             # candidate of lower bound holds none of the want rows next
             want = need - len(self.certified)
             cut = -np.partition(-np.concatenate([gain[pending], self.bound[open_]]), want - 1)[want - 1]
-            ids = open_[self.bound[open_] >= cut - GAIN_MARGIN]
-            self.advance(ids, final=len(ids) == len(open_))
+            self.advance(open_[self.bound[open_] >= cut - GAIN_MARGIN])
         return self.certified
 
-    def advance(self, ids: np.ndarray, final: bool) -> list[bool]:
-        """Give each candidate of ids, ascending, its next pass, or every
-        pass left when final. Returns, per length, whether any of its
-        candidates is not flat."""
-        slots = self.slot[ids]
-        self.pinned[slots[slots >= 0]] = True
+    def advance(self, ids: np.ndarray, series: np.ndarray | None = None) -> list[bool]:
+        """Score each candidate of ids, ascending, against series, which
+        bounds its gain, or, when series is None, against every series,
+        which completes it. Returns, per length, whether any of its
+        candidates is not flat. Threads score the lengths, whose candidates
+        are disjoint, so their writes to the score arrays need no lock."""
         # candidates are in length order, so each length is a run of ids
         runs = np.searchsorted(ids, np.flatnonzero(np.r_[True, self.length[1:] != self.length[:-1], True]))
         runs = [(a, b) for a, b in zip(runs[:-1], runs[1:]) if b > a]
 
         def run(bounds: tuple[int, int]) -> bool:
-            return self._advance_length(ids[bounds[0] : bounds[1]], final)
+            return self._score_length(ids[bounds[0] : bounds[1]], series)
 
         if self.workers > 1 and len(runs) > 1:
             # imported here: concurrent.futures (with logging) took 5-6 ms
@@ -648,49 +615,25 @@ class _PrunedScoring:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                informative = list(pool.map(run, runs))
-        else:
-            informative = [run(r) for r in runs]
-        self.pinned[:] = False
-        return informative
+                return list(pool.map(run, runs))
+        return [run(r) for r in runs]
 
-    def _advance_length(self, ids: np.ndarray, final: bool) -> bool:
-        """advance for candidates ids of one length: each group that holds
-        its distances to the same first series and goes as far is scored
-        against the rest of them in one call of _score_group."""
-        reach = [0, *self.sizes]  # the series of each pass count
-        done = self.done[ids]
-        stored = self.slot[ids] >= 0
-        informative = False
-        for d in np.unique(done).tolist():
-            to = len(self.sizes) if final else d + 1
-            for held in (False, True) if d else (False,):
-                part = ids[(done == d) & (stored == held)]
-                if len(part):
-                    a = reach[d] if held else 0
-                    informative |= self._score_group(part, int(self.length[ids[0]]), a, reach[to], to)
-        return informative
-
-    def _score_group(self, ids: np.ndarray, L: int, a: int, b: int, to: int) -> bool:
-        """Score the length-L candidates ids, which hold their distances to
-        the first a series of self.order, against the rest of its first b
-        series, those of their first `to` passes. True if any of them is
+    def _score_length(self, ids: np.ndarray, series: np.ndarray | None) -> bool:
+        """advance for candidates ids of one length. True if any of them is
         not flat."""
-        series = self.order[a:b]
-        windows = Windows.of_series(self.train.X[series], L, self.dist_cfg)
+        L = int(self.length[ids[0]])
+        X = self.train.X if series is None else self.train.X[series]
+        windows = Windows.of_series(X, L, self.dist_cfg)
         view = sliding_window_view(self.train.X, L, axis=1)
-        every = len(series) == self.train.n  # then windows holds every query
-        at = np.empty(self.train.n, dtype=np.intp)
-        at[series] = np.arange(len(series))
-        free = max(SCORING_BUDGET - windows.scan.nbytes, SCORING_BUDGET // 2) - self.store.nbytes
-        per_candidate = 8 * (3 * L + 2 + max(len(series) * (view.shape[1] + L), SPLIT_ROWS * (b + 1)))
+        free = max(SCORING_BUDGET - windows.scan.nbytes, SCORING_BUDGET // 2)
+        per_candidate = 8 * (3 * L + 2 + max(len(X) * (view.shape[1] + L), SPLIT_ROWS * (len(X) + 1)))
         block = int(np.clip(free // per_candidate, 1, len(ids)))
         informative = False
         for lo in range(0, len(ids), block):
             part = ids[lo : lo + block]
             source, start = self.source[part], self.start[part]
-            if every:
-                queries = windows.scan[at[source], start]
+            if series is None:
+                queries = windows.scan[source, start]
             else:
                 # a row of length L is its one window, z-normalized as
                 # every window is, and followed by its offset
@@ -698,53 +641,13 @@ class _PrunedScoring:
             # a z-normalized window is all zeros, and so has offset 0, when flat
             informative = informative or bool(queries[:, L].any())
             dist = nearest_window_dists(queries[:, :L], windows, self.dist_cfg)
-            if a:
-                with self.lock:
-                    dist = np.concatenate([self.store[self.slot[part], :a], dist], axis=1)
-            self._record(part, dist, to)
+            if series is None:
+                self.scores[:, part] = _batch_best_split(dist, self.counts)
+                self.bound[part] = -np.inf
+                self.done[part] = COMPLETED
+            else:
+                self.bound[part] = _gain_bound(dist, self.counts.label[series], self.counts.total, self.gains)
         return informative
-
-    def _record(self, ids: np.ndarray, dist: np.ndarray, to: int) -> None:
-        """Scores, or bounds, of candidates ids from their distances dist to
-        the series of their first `to` passes."""
-        self.done[ids] = to
-        if to == len(self.sizes):
-            self.scores[:, ids] = _batch_best_split(dist, self.final_counts)
-            self.bound[ids] = -np.inf
-            with self.lock:
-                held = self.slot[ids]
-                self.owner[held[held >= 0]] = -1
-                self.slot[ids] = -1
-            return
-        label = self.final_counts.label[: dist.shape[1]]
-        self.bound[ids] = _gain_bound(dist, label, self.counts.total, self.gains)
-        if len(self.store):
-            with self.lock:
-                self._keep(ids, dist)
-
-    def _keep(self, ids: np.ndarray, dist: np.ndarray) -> None:
-        """Keep the rows dist of candidates ids, in their own rows of store
-        or in free ones. When rows run out, those of highest bound stay,
-        among the new ones and those no round is reading."""
-        held = self.slot[ids] >= 0
-        self.store[self.slot[ids[held]], : dist.shape[1]] = dist[held]
-        ids, dist = ids[~held], dist[~held]
-        free = np.flatnonzero(self.owner < 0)
-        if len(free) < len(ids):
-            rivals = np.flatnonzero((self.owner >= 0) & ~self.pinned)
-            contest = np.concatenate([self.bound[self.owner[rivals]], self.bound[ids]])
-            room = len(free) + len(rivals)
-            win = np.zeros(len(contest), dtype=bool)
-            win[np.argpartition(-contest, room - 1)[:room] if room else []] = True
-            lost = rivals[~win[: len(rivals)]]
-            self.slot[self.owner[lost]] = -1
-            self.owner[lost] = -1
-            ids, dist = ids[win[len(rivals) :]], dist[win[len(rivals) :]]
-            free = np.flatnonzero(self.owner < 0)
-        free = free[: len(ids)]
-        self.owner[free] = ids
-        self.slot[ids] = free
-        self.store[free, : dist.shape[1]] = dist
 
 
 def _gain_table(counts: ClassCounts) -> np.ndarray | None:

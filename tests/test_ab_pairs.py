@@ -23,3 +23,15 @@ def test_gain_needs_nine_wins_in_ten_and_a_move_beyond_the_parent_spread():
     assert not ab_pairs.summarize(parent, [p - 0.01 for p in parent], "lower")["gain"]
     assert not ab_pairs.summarize(parent, faster[:8] + parent[8:], "lower")["gain"]
     assert ab_pairs.summarize([2.0], [1.0], "lower")["move"] == -0.5
+
+
+def test_draw_medians_take_fit_i_as_draw_i_mod_draws():
+    report = {"failed": 0, "sizes": {"draws": 3}, "fit_times_s": [1.0, 2.0, 3.0, 5.0, 4.0, 3.0, 9.0]}
+    assert ab_pairs.draw_medians(report) == [5.0, 3.0, 3.0]
+    report["sizes"]["draws"] = 7
+    assert ab_pairs.draw_medians(report) == report["fit_times_s"]
+
+
+def test_draw_medians_skip_a_run_that_failed_an_operation():
+    report = {"failed": 1, "sizes": {"draws": 2}, "fit_times_s": [1.0, 2.0, 3.0]}
+    assert ab_pairs.draw_medians(report) is None

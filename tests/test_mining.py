@@ -764,7 +764,7 @@ def assert_lazy_reads_equal_forced(d, cfg, monkeypatch):
     forced.columns
     n = len(forced)
     table = mine_shapelets(d, cfg)
-    assert len(table._pending.sizes) == 3  # two bounded passes before the last
+    assert table._pending.first is not None  # a bounded first pass ran
     assert [table[i] for i in range(n)] == [forced[i] for i in range(n)]
     table = mine_shapelets(d, cfg)
     cuts = [0, 1, 17, 18, 300, n // 2, n]
@@ -809,11 +809,11 @@ def test_select_k_scores_fewer_than_half_of_a_fit_wide_table(monkeypatch):
     assert 0 < sum(completed) < len(table) / 2
 
 
-def test_lazy_table_read_by_more_threads_than_cores_while_distances_are_evicted(monkeypatch):
-    """Scoring threads share the kept distances of _PrunedScoring, and a
-    budget of 64 KiB keeps a few hundred rows, so rounds evict often while
-    eight threads score lengths at a switch interval of a microsecond. A
-    lost update of a kept row or its owner would give a wrong row."""
+def test_lazy_table_read_by_more_threads_than_cores_in_small_blocks(monkeypatch):
+    """Scoring threads write the shared score, bound and state arrays of
+    _PrunedScoring, and a budget of 64 KiB makes their blocks small, so
+    eight threads write them often at a switch interval of a microsecond.
+    A lost or misplaced write would give a wrong row."""
     monkeypatch.setattr(mining, "STAGE_MIN", 2)
     monkeypatch.setattr(mining, "SCORING_BUDGET", 2**16)
     d = bump_dataset(seed=6, per_class=12, m=24)
@@ -824,8 +824,57 @@ def test_lazy_table_read_by_more_threads_than_cores_while_distances_are_evicted(
     sys.setswitchinterval(1e-6)
     try:
         table = mine_shapelets(d, cfg, workers=8)
-        assert 0 < len(table._pending.store) < len(table) / 4
         rows = [table[i] for i in range(len(table))]
     finally:
         sys.setswitchinterval(interval)
     assert rows == forced[:]
+
+
+def classes_of(*sizes):
+    return ClassCounts.of(np.repeat(np.arange(len(sizes)), sizes))
+
+
+def test_first_pass_takes_a_rounded_quarter_of_each_class():
+    """Two classes of 30 give 8 + 8 series, since round(7.5) rounds up;
+    a class of 29 gives 7, too few, and one class is not bounded."""
+    counts = classes_of(30, 30)
+    first = mining._first_series(counts, True)
+    assert np.array_equal(first, np.r_[0:8, 30:38])
+    assert mining._first_series(counts, False) is None
+    assert mining._first_series(classes_of(29, 30), True) is None
+    assert mining._first_series(classes_of(60), True) is None
+
+
+def test_no_first_pass_when_the_gain_table_exceeds_square_chunk():
+    """Four classes of 40 would give 10 series each, but their gain table
+    of 41^4 entries is above SQUARE_CHUNK, so the gains are not bounded."""
+    counts = classes_of(40, 40, 40, 40)
+    assert 8 * 41**4 > SQUARE_CHUNK and _gain_table(counts) is None
+    d = Dataset(X=np.random.default_rng(0).normal(size=(160, 12)), y=np.repeat(np.arange(4), 40))
+    table = mine_shapelets(d, MiningConfig(min_len=6, max_len=6))
+    assert table._pending.first is None
+
+
+def test_reading_a_fit_wide_table_measures_each_candidate_against_a_quarter_and_then_every_series(monkeypatch):
+    """Every row of a fresh table of the benchmark's fit-wide draw 0, read in
+    turn, costs one first pass against 16 of the 60 series and one
+    completion against all 60, and no distance is measured twice: 44,100 x
+    (16 + 60) = 3,351,600 (candidate, series) cells."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import WORKLOADS
+
+    train = WORKLOADS["fit-wide"].make(0, 0)[0]
+    cells = []
+    measure = mining.nearest_window_dists
+
+    def counted(queries, windows, cfg):
+        cells.append(len(queries) * len(windows.scan))
+        return measure(queries, windows, cfg)
+
+    monkeypatch.setattr(mining, "nearest_window_dists", counted)
+    table = mine_shapelets(train, MiningConfig(normalize=PipelineConfig().distance))
+    first = len(table._pending.first)
+    assert first == 16 and sum(cells) == len(table) * first
+    for i in range(len(table)):
+        table[i]
+    assert sum(cells) == len(table) * (first + train.n) == 3_351_600
