@@ -12,6 +12,9 @@ library defaults, and its line gives the sha256 of:
 - ``mined``: the bytes of the mined ``CandidateTable``'s columns (source,
   start, length, threshold, gain, gap), in table order;
 - ``selected``: the ids of the selected shapelets;
+- ``pool``: the ids of the kappa pool that ``select_k`` sweeps, from the
+  greedy scan that ``select_k`` calls (``batch_div_topk``, or ``div_topk`` in
+  a checkout without it) on the fitted graph; ``selected`` is its first k;
 - ``model``: the model JSON that ``save_pipeline`` writes;
 - ``prefix``: the ids and the hex threshold, gain and gap of the first
   ``PREFIX_ROWS`` rows of a fresh ``mine_shapelets`` table, read before
@@ -75,7 +78,7 @@ def prefix_digest(table) -> str:
 def set_hashes(train, batches: list) -> dict[str, str]:
     """The hashes of one training set, features included when it has predict
     batches."""
-    from divshap import DistanceConfig, PipelineConfig, mine_shapelets, predict_pipeline, save_pipeline
+    from divshap import DistanceConfig, PipelineConfig, mine_shapelets, pipeline, predict_pipeline, save_pipeline
     from divshap.pipeline import _fit_from_graph, mine_graph, prepare_series
     from divshap.transform import transform
 
@@ -84,11 +87,13 @@ def set_hashes(train, batches: list) -> dict[str, str]:
     cfg = PipelineConfig()
     prepared, graph = mine_graph(train, cfg)
     model = _fit_from_graph(graph, prepared, cfg)
+    scan = getattr(pipeline, "batch_div_topk", None) or pipeline.div_topk
     saved = io.StringIO()
     save_pipeline(model, saved)
     hashes = {
         "mined": columns_digest(graph.vertices),
         "selected": digest("\n".join(s.id for s in model.shapelets).encode()),
+        "pool": digest("\n".join(s.id for s in scan(graph, cfg.kappa)).encode()),
         "model": digest(saved.getvalue().encode()),
         "prefix": prefix_digest(mine_shapelets(prepared, dataclasses.replace(cfg.mining, normalize=cfg.distance))),
     }

@@ -7,9 +7,9 @@ with an analytically trained single-hidden-layer network.
 """
 
 from .dataset import Dataset, parse_ucr, read_ucr, stratified_folds, write_ucr, znormalize
-from .distance import DistanceConfig, shapelet_dist, subsequence_dist, window_distances
+from .distance import DistanceConfig, shapelet_dist, shapelet_dists, subsequence_dist, window_distances
 from .elm import ELMConfig, ELMModel, HiddenLayer, hidden_output, pinv_solve
-from .graph import DiversityGraph, build_graph, div_topk, similar
+from .graph import DiversityGraph, batch_div_topk, build_graph, div_topk, similar
 from .mining import (
     MiningConfig,
     Shapelet,
@@ -44,6 +44,7 @@ __all__ = [
     "subsequence_dist",
     "window_distances",
     "shapelet_dist",
+    "shapelet_dists",
     "Shapelet",
     "MiningConfig",
     "generate_candidates",
@@ -55,6 +56,7 @@ __all__ = [
     "similar",
     "build_graph",
     "div_topk",
+    "batch_div_topk",
     "FeatureMatrix",
     "Scaling",
     "transform",

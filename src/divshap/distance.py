@@ -20,10 +20,17 @@ is weighted by 1/sd from prefix sums; only the windows picked are
 z-normalized, and the pick is approximate within the bound given at
 RUNNING_VAR_MARGIN.
 window_distances is the per-pair scan behind shapelet_dist (each pair check
-of the diversity graph) and the orderline oracle; it reads the windows as a
-strided view of the series, built without sliding_window_view's per-call
-checks. subsequence_dist, an early-abandoning scalar loop on numpy's own
-mean and std, is the oracle both are checked against.
+of the scalar greedy, graph.div_topk) and the orderline oracle; it reads
+the windows as a strided view of the series, built without
+sliding_window_view's per-call checks. subsequence_dist, an early-abandoning
+scalar loop on numpy's own mean and std, is the oracle both are checked
+against.
+shapelet_dists, and pair_dists for many shapelets at once, give the
+distances of shapelet_dist, their oracle, bit for bit, for a batch of
+pairs: the greedy scan fit runs (graph.batch_div_topk) measures a block of
+candidates against the kept shapelets in one call. They run
+window_distances' own row operations on many pairs at once, with no BLAS
+product.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .dataset import FLAT_STD, znorm_rows, znormalize
+from .dataset import FLAT_STD, SQUARE_CHUNK, znorm_rows, znormalize
 from .errors import LengthMismatchError, ShapeletLongerThanSeriesError, require_bool
 
 
@@ -376,3 +383,76 @@ def shapelet_dist(s1, s2, cfg: DistanceConfig = DEFAULT_CONFIG) -> float:
     if len(a) < len(b):
         a, b = b, a
     return float(window_distances(a, b, cfg).min())
+
+
+def shapelet_dists(u, vs, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """shapelet_dist(v, u, cfg) for every v of vs, bit for bit, as one array
+    (pair_dists of u alone)."""
+    return pair_dists([u], vs, cfg)[0]
+
+
+def pair_dists(us, vs, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """(len(us), len(vs)) matrix of shapelet_dist(v, u, cfg), bit for bit.
+
+    The pairs are taken a length L at a time, L the shorter side's length:
+    the vs of length L against the windows of each u at least as long, then
+    the us of length L against the windows of each longer v, each group in
+    one _window_mins call. A pair of equal lengths, whose one window is the
+    longer side itself, gives the same squares whichever side is subtracted.
+    """
+    us = [np.ascontiguousarray(getattr(u, "values", u), dtype=np.float64) for u in us]
+    vs = [np.ascontiguousarray(getattr(v, "values", v), dtype=np.float64) for v in vs]
+    lu, lv = (np.array([len(x) for x in xs], dtype=np.intp) for xs in (us, vs))
+    if not (lu.all() and lv.all()):
+        raise LengthMismatchError("shapelets must be non-empty")
+    # each side in length order, so that its rows of a length, and those
+    # longer, are slices
+    pu, pv = np.argsort(lu, kind="stable"), np.argsort(lv, kind="stable")
+    lu, lv = lu[pu], lv[pv]
+    us, vs = [us[i] for i in pu], [vs[j] for j in pv]
+    out = np.empty((len(us), len(vs)))
+    for L in np.union1d(lu, lv).tolist():
+        u0, u1 = np.searchsorted(lu, [L, L + 1]).tolist()
+        v0, v1 = np.searchsorted(lv, [L, L + 1]).tolist()
+        if v1 > v0 and u0 < len(us):
+            out[u0:, v0:v1] = _window_mins(us[u0:], vs[v0:v1], L, cfg).T
+        if u1 > u0 and v1 < len(vs):
+            out[u0:u1, v1:] = _window_mins(vs[v1:], us[u0:u1], L, cfg)
+    unsorted = np.empty_like(out)
+    unsorted[np.ix_(pu, pv)] = out
+    return unsorted
+
+
+def _window_mins(longs: list, shorts: list, L: int, cfg: DistanceConfig) -> np.ndarray:
+    """(len(shorts), len(longs)) minimum distances from each short row, of
+    length L, to the length-L windows of each long one (contiguous float64
+    rows): min(window_distances(t, s, cfg)) for every pair, bit for bit.
+
+    The windows of many longs and the shorts go into one matrix, z-normalized
+    by one znorm_rows call; every short is then subtracted from every window,
+    a row einsum sums the squares, and a segment minimum takes each long's
+    least. No step is a BLAS product, so no bit depends on the BLAS thread
+    count. The matrix holds at most SQUARE_CHUNK bytes of windows (or one
+    long's windows), and the differences at most SQUARE_CHUNK bytes (or one
+    short's).
+    """
+    out = np.empty((len(shorts), len(longs)))
+    counts = np.array([len(t) for t in longs]) - L + 1
+    per = max(1, SQUARE_CHUNK // (8 * L * int(counts.max())))
+    for lo in range(0, len(longs), per):
+        wc = counts[lo : lo + per]
+        # window_distances' view of each long, and each short as a row
+        views = [np.ndarray((n, L), dtype=np.float64, buffer=t, strides=(8, 8)) for t, n in zip(longs[lo:], wc)]
+        rows = np.concatenate(views + [s[None] for s in shorts])
+        if cfg.normalize_windows:
+            znorm_rows(rows, out=rows)
+        windows, queries = rows[: -len(shorts)], rows[-len(shorts) :]
+        first = np.cumsum(wc) - wc
+        step = max(1, SQUARE_CHUNK // (8 * windows.size))
+        for a in range(0, len(queries), step):
+            diff = (windows - queries[a : a + step, None]).reshape(-1, L)
+            d = np.einsum("ij,ij->i", diff, diff).reshape(-1, len(windows))
+            if cfg.length_normalize:
+                d /= L
+            out[a : a + step, lo : lo + per] = np.minimum.reduceat(d, first, axis=1)
+    return out

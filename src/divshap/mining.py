@@ -166,6 +166,23 @@ class CandidateTable(Sequence[Shapelet]):
     gain = property(lambda self: self.columns[4])
     gap = property(lambda self: self.columns[5])
 
+    @property
+    def ready(self) -> int:
+        """The number of leading rows that read without scoring any more."""
+        return len(self._order)
+
+    def peek(self, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """(values, class labels, split thresholds) of rows lo to hi - 1, all
+        of them ready, as their Shapelets would give them, without building
+        those: each values array is a read-only view of the training series."""
+        if hi > self.ready:
+            raise IndexError(f"rows up to {hi} read, {self.ready} ready")
+        c = self._order[lo:hi]
+        source, start, length, threshold = (column[c] for column in self._rows[:4])
+        X = self._train.X
+        values = [X[i, a : a + L] for i, a, L in zip(source.tolist(), start.tolist(), length.tolist())]
+        return values, self._train.y[source], threshold
+
     def __len__(self) -> int:
         return len(self._rows[0])
 

@@ -23,7 +23,7 @@ from .dataset import Dataset, recode_labels, stratified_folds, znorm_rows
 from .distance import DistanceConfig
 from .errors import EmptyInputError, InvalidConfigError, LengthMismatchError, ModelFormatError
 from .errors import SingleClassTrainingError, require_bool, require_int
-from .graph import DiversityGraph, build_graph, div_topk
+from .graph import DiversityGraph, batch_div_topk, build_graph
 from .mining import MiningConfig, Shapelet, mine_shapelets
 from .transform import Scaling, transform
 
@@ -130,15 +130,17 @@ def select_k(
 ) -> tuple[int, list[Shapelet], list[dict]]:
     """Sweep k in [1, kappa] and pick the best-evaluating shapelet count.
 
-    Each split of _eval_splits is scaled once on all pool columns (scaling
-    is per column), and cell (k, repeat) fits one ELM per split on the
-    first k. The sweep stops early if the greedy pool holds fewer than
-    kappa shapelets. Ties in mean accuracy resolve to the smaller k. An
-    empty graph raises EmptyInputError.
+    The pool is the graph's diversified top-kappa from batch_div_topk, the
+    batched greedy scan; div_topk is its scalar reference and selects the
+    same shapelets. Each split of _eval_splits is scaled once on all pool
+    columns (scaling is per column), and cell (k, repeat) fits one ELM per
+    split on the first k. The sweep stops early if the greedy pool holds
+    fewer than kappa shapelets. Ties in mean accuracy resolve to the smaller
+    k. An empty graph raises EmptyInputError.
     """
     if graph.n == 0:
         raise EmptyInputError("diversity graph has no vertices")
-    pool = div_topk(graph, cfg.kappa)
+    pool = batch_div_topk(graph, cfg.kappa)
     feats = transform(train, pool, cfg.distance).X
 
     splits = []

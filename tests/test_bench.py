@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import divshap.bench as bench_mod
 import divshap.graph as graph_mod
+import divshap.pipeline as pipeline_mod
 from divshap.bench import (
     ExperimentReport,
     baseline_1nn,
@@ -132,23 +134,26 @@ def test_run_experiment_compare_fields(toy_train, toy_test):
 
 
 def test_run_experiment_scans_the_mined_graph_once(toy_train, toy_test, monkeypatch):
-    """One greedy scan of the mined graph, then only the kappa pool's own
-    pairs when the sweep takes its pool again."""
+    """One greedy scan of the mined graph, then one of the kappa pool alone
+    when the sweep takes its pool again; both batched, with no scalar pair
+    check."""
     cfg = fast_cfg()
-    calls = []
-    real = graph_mod.similar
+    scans = []
+    real = graph_mod.batch_div_topk
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def recorded(g, k):
+        scans.append((list(g.vertices), real(g, k)))
+        return scans[-1][1]
 
-    monkeypatch.setattr(graph_mod, "similar", counted)
+    monkeypatch.setattr(bench_mod, "batch_div_topk", recorded)
+    monkeypatch.setattr(pipeline_mod, "batch_div_topk", recorded)
     pool = graph_mod.div_topk(mine_graph(toy_train, cfg)[1], cfg.kappa)
-    scan = len(calls)
-    calls.clear()
-    run_experiment(toy_train, toy_test, cfg)
-    assert len(pool) == cfg.kappa
-    assert len(calls) == scan + cfg.kappa * (cfg.kappa - 1) // 2
+    monkeypatch.setattr(graph_mod, "similar", lambda *args: pytest.fail("scalar pair check"))
+    report, _ = run_experiment(toy_train, toy_test, cfg)
+    (mined, first), (again, second) = scans
+    assert len(pool) == cfg.kappa and len(mined) == report.notes["n_candidates"]
+    assert [s.id for s in first] == [s.id for s in pool]
+    assert again == first and second == first
 
 
 def test_run_experiment_deterministic_accuracies(toy_train, toy_test):

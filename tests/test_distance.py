@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import divshap.distance as distance_mod
 import divshap.graph as graph_mod
 from divshap.distance import (
     DistanceConfig,
     Windows,
     nearest_window_dists,
+    pair_dists,
     shapelet_dist,
+    shapelet_dists,
     subsequence_dist,
     window_distances,
     znorm_offset,
@@ -235,3 +238,58 @@ def test_shapelet_dist_symmetric():
 def test_shapelet_dist_empty():
     with pytest.raises(LengthMismatchError):
         shapelet_dist([], [1.0])
+
+
+def pair_set(rng, n, lengths):
+    """n value arrays of the given lengths (cycled): random walks, some at a
+    large or tiny scale, and some with a flat stretch, so that flat windows
+    z-normalize to zeros."""
+    out = []
+    for j in range(n):
+        L = lengths[j % len(lengths)]
+        v = np.cumsum(rng.normal(size=L)) * (1e3, 1.0, 1e-3)[j % 3]
+        if j % 4 == 1:
+            v[: max(2, L // 2)] = 1.5
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_shapelet_dists_equal_shapelet_dist_bit_for_bit(cfg):
+    """Longer, shorter and equal-length vs, flat windows and a flat u."""
+    rng = np.random.default_rng(20)
+    for L in (2, 5, 8, 13, 24):
+        for u in pair_set(rng, 2, [L]) + [np.full(L, 3.0)]:
+            vs = pair_set(rng, 40, [2, L - 1 or 1, L, L + 1, 3 * L, 7, 9, 17, 40])
+            got = shapelet_dists(u, vs, cfg)
+            want = np.array([shapelet_dist(v, u, cfg) for v in vs])
+            assert got.dtype == np.float64 and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_pair_dists_equal_shapelet_dist_bit_for_bit(cfg):
+    rng = np.random.default_rng(21)
+    us = pair_set(rng, 9, [4, 11, 11, 30, 6])
+    vs = pair_set(rng, 60, [3, 4, 5, 11, 12, 30, 31, 45])
+    want = np.array([[shapelet_dist(v, u, cfg) for v in vs] for u in us])
+    assert np.array_equal(pair_dists(us, vs, cfg).view(np.uint64), want.view(np.uint64))
+    assert pair_dists(us, [], cfg).shape == (9, 0) and pair_dists([], vs, cfg).shape == (0, 60)
+
+
+def test_pair_dists_in_small_batches_give_the_same_bits(monkeypatch):
+    """A batch of windows and one of differences each hold at most
+    SQUARE_CHUNK bytes, or one sequence's windows; at 256 bytes every
+    sequence is a batch of its own, and nothing changes."""
+    rng = np.random.default_rng(22)
+    us = pair_set(rng, 5, [6, 20, 33])
+    vs = pair_set(rng, 30, [4, 6, 9, 20, 41])
+    want = pair_dists(us, vs)
+    monkeypatch.setattr(distance_mod, "SQUARE_CHUNK", 256)
+    assert np.array_equal(pair_dists(us, vs).view(np.uint64), want.view(np.uint64))
+
+
+def test_shapelet_dists_reject_empty_values():
+    with pytest.raises(LengthMismatchError):
+        shapelet_dists(np.ones(3), [np.ones(4), np.array([])])
+    with pytest.raises(LengthMismatchError):
+        shapelet_dists(np.array([]), [np.ones(4)])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,20 @@ import pytest
 import divshap.graph as graph_mod
 from divshap.distance import DistanceConfig
 from divshap.errors import InvalidConfigError
+from divshap import mining
+from divshap.dataset import SQUARE_CHUNK, Dataset
 from divshap.graph import (
     DiversityGraph,
+    batch_div_topk,
     build_graph,
     div_topk,
     independence_violations,
     similar,
 )
 from divshap.mining import MiningConfig, Shapelet, mine_shapelets
+from divshap.pipeline import PipelineConfig, fit, select_k
 
-from conftest import bump_dataset
+from conftest import REPO_ROOT, bump_dataset, xor_dataset
 
 RAW = DistanceConfig(normalize_windows=False, length_normalize=False)
 
@@ -246,3 +251,123 @@ def test_graph_dump_rows(toy_train):
     edges = g.edges()
     assert all(0 <= i < j < g.n for i, j in edges)
     assert all(similar(g.vertices[i], g.vertices[j], g.cfg) for i, j in edges)
+
+
+def three_class_dataset(seed=5, per_class=10, m=24):
+    """Three classes, each with its own motif at a random offset."""
+    rng = np.random.default_rng(seed)
+    bump = np.array([0.0, 1.5, 2.5, 1.5, 0.0])
+    motifs = (bump, -bump, np.array([0.0, 2.0, 0.0, -2.0, 0.0]))
+    y = np.repeat(np.arange(3), per_class)
+    X = rng.normal(0.0, 0.2, (len(y), m))
+    for row, label in zip(X, y):
+        off = rng.integers(2, m - 7)
+        row[off : off + 5] += motifs[label]
+    return Dataset(X=X, y=y)
+
+
+SCAN_SETS = {
+    "bump": lambda: bump_dataset(seed=4, per_class=12, m=24),
+    "xor": lambda: xor_dataset(seed=4, per_cell=6, m=24),
+    "three-class": three_class_dataset,
+}
+
+
+@pytest.mark.parametrize("same_class_only", [True, False], ids=["same-class", "any-class"])
+@pytest.mark.parametrize("kind", list(SCAN_SETS))
+def test_batch_div_topk_returns_the_objects_div_topk_returns(kind, same_class_only, monkeypatch):
+    """For k = 1..kappa: on a plain list, and on a fresh pruned table (a
+    first pass over a quarter of each class), which each scan reads first
+    in turn."""
+    monkeypatch.setattr(mining, "STAGE_MIN", 2)
+    d = SCAN_SETS[kind]()
+    cfg = MiningConfig(min_len=3, max_len=9)
+    listed = list(mine_shapelets(d, cfg)[:400])
+    for k in range(1, 10):
+        g = build_graph(listed, same_class_only=same_class_only)
+        want = div_topk(g, k)
+        got = batch_div_topk(g, k)
+        assert len(got) == len(want) == k and all(a is b for a, b in zip(got, want))
+        for first, second in ((batch_div_topk, div_topk), (div_topk, batch_div_topk)):
+            table = mine_shapelets(d, cfg)
+            assert table._pending is not None and table._pending.first is not None
+            g = build_graph(table, same_class_only=same_class_only)
+            a, b = first(g, k), second(g, k)
+            assert len(a) == k and all(x is y for x, y in zip(a, b)) and len(a) == len(b)
+
+
+@pytest.mark.parametrize("same_class_only", [True, False], ids=["same-class", "any-class"])
+def test_batch_div_topk_keeps_fewer_than_k_as_div_topk_does(same_class_only, monkeypatch):
+    """A greedy that keeps fewer than k reads every row, of a list and of a
+    pruned table alike."""
+    monkeypatch.setattr(mining, "STAGE_MIN", 2)
+    d = bump_dataset(seed=4, per_class=12, m=24)
+    table = mine_shapelets(d, MiningConfig(min_len=6, max_len=7))
+    g = build_graph(table, same_class_only=same_class_only)
+    got = batch_div_topk(g, len(table))
+    assert table.ready == len(table) and 0 < len(got) < len(table)
+    assert all(a is b for a, b in zip(got, div_topk(g, len(table))))
+    listed = build_graph(list(table), same_class_only=same_class_only)
+    assert all(a is b for a, b in zip(batch_div_topk(listed, len(table)), got))
+    clique = [shapelet_at(0.0, 1.0, idx=i) for i in range(5)]
+    assert batch_div_topk(build_graph(clique, RAW), 3) == [clique[0]]
+    assert batch_div_topk(build_graph([], RAW), 3) == []
+
+
+def test_batch_div_topk_k_validation():
+    g = build_graph([shapelet_at(0.0, 1.0)], RAW)
+    for k in (0, 2.5, True):
+        with pytest.raises(InvalidConfigError):
+            batch_div_topk(g, k)
+
+
+def fit_wide_draw(draw, monkeypatch, workload="fit-wide"):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import WORKLOADS
+
+    return WORKLOADS[workload].make(0, draw)[0]
+
+
+def test_fit_on_fit_wide_draw_0_makes_no_scalar_pair_check(monkeypatch):
+    train = fit_wide_draw(0, monkeypatch)
+    calls = []
+    monkeypatch.setattr(graph_mod, "similar", lambda *args: calls.append(args))
+    fit(train, PipelineConfig())
+    assert calls == []
+
+
+def test_select_k_completes_the_rows_div_topk_completes(monkeypatch):
+    """On a fresh table of fit-wide draw 0, the batched scan of select_k
+    scores in full exactly the candidates div_topk scores, counted as the
+    rows of every best split that completion takes."""
+    train = fit_wide_draw(0, monkeypatch)
+    cfg = PipelineConfig()
+    completed = []
+    split = mining._batch_best_split
+    monkeypatch.setattr(
+        mining, "_batch_best_split", lambda dist, counts: completed.append(len(dist)) or split(dist, counts)
+    )
+    mining_cfg = MiningConfig(normalize=cfg.distance)
+    select_k(build_graph(mine_shapelets(train, mining_cfg), cfg.distance), train, cfg)
+    batched = sum(completed)
+    completed.clear()
+    div_topk(build_graph(mine_shapelets(train, mining_cfg), cfg.distance), cfg.kappa)
+    assert 0 < batched == sum(completed) < 44100 / 2
+
+
+def test_batch_div_topk_peak_memory_on_fit_long_draw_1(monkeypatch):
+    """Past the read of row 0, which certifies the table for div_topk too,
+    the scan holds at most two SQUARE_CHUNKs: a batch of windows and one of
+    their differences, on top of rows read as views of the series."""
+    train = fit_wide_draw(1, monkeypatch, "fit-long")
+    cfg = PipelineConfig()
+    table = mine_shapelets(train, MiningConfig(normalize=cfg.distance))
+    table[0]
+    g = build_graph(table, cfg.distance)
+    tracemalloc.start()
+    try:
+        pool = batch_div_topk(g, cfg.kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pool) == cfg.kappa and peak <= 2 * SQUARE_CHUNK

@@ -53,7 +53,7 @@ def test_one_line_per_training_set_with_four_hashes(lines_by_blas_threads):
     for name, line in zip(names, lines):
         fields = line_fields(line)
         served = ["features", "raw_features", "raw_mined"] if name.endswith("/model") else []
-        assert list(fields) == ["mined", "selected", "model", "prefix"] + served
+        assert list(fields) == ["mined", "selected", "pool", "model", "prefix"] + served
         assert all(len(v) == 64 and int(v, 16) >= 0 for v in fields.values())
     assert len({line.split()[1] for line in lines}) == len(lines)
 
@@ -129,6 +129,21 @@ def test_raw_mined_hash_is_of_the_table_mine_shapelets_returns_for_raw_windows(l
     want = hashlib.sha256(b"".join(c.tobytes() for c in table.columns)).hexdigest()
     fields = line_fields(lines_by_blas_threads["1"][-2])
     assert fields["raw_mined"] == want != fields["mined"]
+
+
+def test_pool_hash_is_of_the_kappa_pool_select_k_sweeps(lines_by_blas_threads, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    from divshap import PipelineConfig, build_graph, div_topk, mine_shapelets
+    from divshap.mining import MiningConfig
+
+    cfg = PipelineConfig()
+    table = mine_shapelets(TINY["fit-long"].make(0, 2)[0], MiningConfig(normalize=cfg.distance))
+    pool = div_topk(build_graph(table, cfg.distance), cfg.kappa)
+    want = hashlib.sha256("\n".join(s.id for s in pool).encode()).hexdigest()
+    fields = line_fields(lines_by_blas_threads["1"][2])
+    assert len(pool) == cfg.kappa and fields["pool"] == want != fields["selected"]
 
 
 def test_lines_independent_of_blas_threads(lines_by_blas_threads):
