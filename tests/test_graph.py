@@ -314,6 +314,14 @@ def test_batch_div_topk_keeps_fewer_than_k_as_div_topk_does(same_class_only, mon
     assert batch_div_topk(build_graph([], RAW), 3) == []
 
 
+def test_batch_div_topk_links_pairs_at_exactly_the_threshold():
+    """Distance 1 against thresholds of 1 is an edge, inside the first block
+    (rows 1-31, after row 0 is kept) and in the next (rows 32-39)."""
+    verts = [shapelet_at(0.0, 1.0)] + [shapelet_at(1.0, 1.0, idx=i) for i in range(1, 40)]
+    g = build_graph(verts, RAW)
+    assert div_topk(g, 2) == batch_div_topk(g, 2) == [verts[0]]
+
+
 def test_batch_div_topk_k_validation():
     g = build_graph([shapelet_at(0.0, 1.0)], RAW)
     for k in (0, 2.5, True):
