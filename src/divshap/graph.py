@@ -126,11 +126,10 @@ def batch_div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
     before it, by bit-identical distances against the same thresholds.
 
     A block's rows are read as arrays (_peek), and only a kept row's
-    Shapelet is built. On a pruned CandidateTable a block ends at the rows
-    already scored (CandidateTable.ready); a block that starts there first
-    reads its row, as div_topk reads it, so the scan scores the same
-    candidates as div_topk. A k that is not an integer of at least 1 raises
-    InvalidConfigError.
+    Shapelet is built. On a pruned CandidateTable a block scores as far as
+    div_topk's read of its first row does and ends at the rows scored then,
+    so the scan scores the same candidates as div_topk. A k that is not an
+    integer of at least 1 raises InvalidConfigError.
     """
     require_int("k", k, 1)
     vertices, kept = g.vertices, []
@@ -138,10 +137,7 @@ def batch_div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
     seen: tuple[list, list, list] = ([], [], [])
     i = 0
     while i < g.n and len(kept) < k:
-        vertices[i]  # scores as far as div_topk's read of row i does
-        ready = vertices.ready if isinstance(vertices, CandidateTable) else g.n
-        size = min(max(i, BLOCK_ROWS[0]), BLOCK_ROWS[1])
-        values, label, threshold = _peek(vertices, i, min(i + size, ready))
+        values, label, threshold = _peek(vertices, i, i + min(max(i, BLOCK_ROWS[0]), BLOCK_ROWS[1]))
         if not g.same_class_only:
             label = np.zeros_like(label)
         open_ = ~_similar(seen, (values, label, threshold), g.cfg).any(axis=0)
@@ -162,7 +158,8 @@ def batch_div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
 
 def _peek(vertices: Sequence[Shapelet], lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """(values, class labels, split thresholds) of rows lo to hi - 1; a
-    CandidateTable gives them without building the rows' Shapelets."""
+    CandidateTable gives them without building Shapelets, and may stop
+    early (CandidateTable.peek)."""
     if isinstance(vertices, CandidateTable):
         return vertices.peek(lo, hi)
     rows = vertices[lo:hi]

@@ -14,8 +14,9 @@ every series gives, bit for bit. The batched split reads each split's
 entropy from a table of p log2 p terms over integer class counts
 (ClassCounts), so it takes no logarithm per candidate. Generation, scoring
 and the best-first ordering work on the columns of a CandidateTable; a
-Shapelet object is built only when its row is read, so the greedy scan of
-the diversity graph builds just the prefix it reads.
+Shapelet object is built only when its row is read, and the greedy scan of
+the diversity graph reads its blocks of rows as arrays (CandidateTable.peek)
+and builds only the Shapelets it keeps.
 """
 
 from __future__ import annotations
@@ -166,17 +167,13 @@ class CandidateTable(Sequence[Shapelet]):
     gain = property(lambda self: self.columns[4])
     gap = property(lambda self: self.columns[5])
 
-    @property
-    def ready(self) -> int:
-        """The number of leading rows that read without scoring any more."""
-        return len(self._order)
-
     def peek(self, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """(values, class labels, split thresholds) of rows lo to hi - 1, all
-        of them ready, as their Shapelets would give them, without building
-        those: each values array is a read-only view of the training series."""
-        if hi > self.ready:
-            raise IndexError(f"rows up to {hi} read, {self.ready} ready")
+        """(values, class labels, split thresholds) of rows lo to hi - 1, as
+        their Shapelets would give them, without building those; each values
+        array is a read-only view of the training series. It scores as far
+        as a read of row lo does, and stops early at the last row that then
+        reads without scoring any more."""
+        self._certify(lo + 1)
         c = self._order[lo:hi]
         source, start, length, threshold = (column[c] for column in self._rows[:4])
         X = self._train.X

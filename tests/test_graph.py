@@ -305,7 +305,7 @@ def test_batch_div_topk_keeps_fewer_than_k_as_div_topk_does(same_class_only, mon
     table = mine_shapelets(d, MiningConfig(min_len=6, max_len=7))
     g = build_graph(table, same_class_only=same_class_only)
     got = batch_div_topk(g, len(table))
-    assert table.ready == len(table) and 0 < len(got) < len(table)
+    assert table._pending is None and 0 < len(got) < len(table)
     assert all(a is b for a, b in zip(got, div_topk(g, len(table))))
     listed = build_graph(list(table), same_class_only=same_class_only)
     assert all(a is b for a, b in zip(batch_div_topk(listed, len(table)), got))
