@@ -329,7 +329,8 @@ def test_batch_div_topk_k_validation():
             batch_div_topk(g, k)
 
 
-def fit_wide_draw(draw, monkeypatch, workload="fit-wide"):
+def seed_0_draw(workload, draw, monkeypatch):
+    """The training set of the benchmark's seed-0 draw of workload."""
     monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
     from workloads import WORKLOADS
 
@@ -337,7 +338,7 @@ def fit_wide_draw(draw, monkeypatch, workload="fit-wide"):
 
 
 def test_fit_on_fit_wide_draw_0_makes_no_scalar_pair_check(monkeypatch):
-    train = fit_wide_draw(0, monkeypatch)
+    train = seed_0_draw("fit-wide", 0, monkeypatch)
     calls = []
     monkeypatch.setattr(graph_mod, "similar", lambda *args: calls.append(args))
     fit(train, PipelineConfig())
@@ -348,7 +349,7 @@ def test_select_k_completes_the_rows_div_topk_completes(monkeypatch):
     """On a fresh table of fit-wide draw 0, the batched scan of select_k
     scores in full exactly the candidates div_topk scores, counted as the
     rows of every best split that completion takes."""
-    train = fit_wide_draw(0, monkeypatch)
+    train = seed_0_draw("fit-wide", 0, monkeypatch)
     cfg = PipelineConfig()
     completed = []
     split = mining._batch_best_split
@@ -367,7 +368,7 @@ def test_batch_div_topk_peak_memory_on_fit_long_draw_1(monkeypatch):
     """Past the read of row 0, which certifies the table for div_topk too,
     the scan holds at most two SQUARE_CHUNKs: a batch of windows and one of
     their differences, on top of rows read as views of the series."""
-    train = fit_wide_draw(1, monkeypatch, "fit-long")
+    train = seed_0_draw("fit-long", 1, monkeypatch)
     cfg = PipelineConfig()
     table = mine_shapelets(train, MiningConfig(normalize=cfg.distance))
     table[0]
