@@ -20,6 +20,12 @@ library defaults, and its line gives the sha256 of:
   ``PREFIX_ROWS`` rows of a fresh ``mine_shapelets`` table, read before
   anything scores the whole table, so it checks the rows a reader gets
   from the pruned scoring, where ``mined`` checks the whole table;
+- ``edges``: the edges ``DiversityGraph.edges`` gives on the first
+  ``GRAPH_TOP`` mined rows, the graph ``graph-dump`` writes at its default
+  ``--top``;
+- ``oracle``: the ids of the selected shapelets and the float bits of each
+  one's ``orderline`` over the training set, as the benchmark's oracle check
+  (``benchmark/checks.py``) computes them;
 - ``features`` (serving-model lines only): the ``transform`` features and the
   ``predict_pipeline`` predictions of each of the workload's seed-0 predict
   batches, in batch order;
@@ -46,6 +52,7 @@ import sys
 from pathlib import Path
 
 PREFIX_ROWS = 2000
+GRAPH_TOP = 200
 
 
 def training_sets(workloads) -> list[tuple[str, object, list]]:
@@ -75,6 +82,18 @@ def prefix_digest(table) -> str:
     return digest(text.encode())
 
 
+def oracle_digest(model, train) -> str:
+    """The digest of the orderline of each selected shapelet, in selection
+    order: distances as hex floats, with their class labels."""
+    from divshap import orderline
+
+    lines = []
+    for s in model.shapelets:
+        ol = orderline(s, train, model.config.distance)
+        lines.append(" ".join([s.id] + [f"{d.hex()},{y}" for d, y in ol]))
+    return digest("\n".join(lines).encode())
+
+
 def set_hashes(train, batches: list) -> dict[str, str]:
     """The hashes of one training set, features included when it has predict
     batches."""
@@ -96,6 +115,8 @@ def set_hashes(train, batches: list) -> dict[str, str]:
         "pool": digest("\n".join(s.id for s in scan(graph, cfg.kappa)).encode()),
         "model": digest(saved.getvalue().encode()),
         "prefix": prefix_digest(mine_shapelets(prepared, dataclasses.replace(cfg.mining, normalize=cfg.distance))),
+        "edges": digest(str(dataclasses.replace(graph, vertices=graph.vertices[:GRAPH_TOP]).edges()).encode()),
+        "oracle": oracle_digest(model, train),
     }
     if batches:
         # the features predict_pipeline classifies: transform of the series

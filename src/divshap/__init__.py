@@ -7,7 +7,7 @@ with an analytically trained single-hidden-layer network.
 """
 
 from .dataset import Dataset, parse_ucr, read_ucr, stratified_folds, write_ucr, znormalize
-from .distance import DistanceConfig, shapelet_dist, shapelet_dists, subsequence_dist, window_distances
+from .distance import DistanceConfig, shapelet_dist, subsequence_dist
 from .elm import ELMConfig, ELMModel, HiddenLayer, hidden_output, pinv_solve
 from .graph import DiversityGraph, batch_div_topk, build_graph, div_topk, similar
 from .mining import (
@@ -42,9 +42,7 @@ __all__ = [
     "stratified_folds",
     "DistanceConfig",
     "subsequence_dist",
-    "window_distances",
     "shapelet_dist",
-    "shapelet_dists",
     "Shapelet",
     "MiningConfig",
     "generate_candidates",

@@ -19,18 +19,11 @@ place. For z-normalized windows the series are mean-centred and each score
 is weighted by 1/sd from prefix sums; only the windows picked are
 z-normalized, and the pick is approximate within the bound given at
 RUNNING_VAR_MARGIN.
-window_distances is the per-pair scan behind shapelet_dist (each pair check
-of the scalar greedy, graph.div_topk) and the orderline oracle; it reads
-the windows as a strided view of the series, built without
-sliding_window_view's per-call checks. subsequence_dist, an early-abandoning
-scalar loop on numpy's own mean and std, is the oracle both are checked
-against.
-shapelet_dists, and pair_dists for many shapelets at once, give the
-distances of shapelet_dist, their oracle, bit for bit, for a batch of
-pairs: the greedy scan fit runs (graph.batch_div_topk) measures a block of
-candidates against the kept shapelets in one call. They run
-window_distances' own row operations on many pairs at once, with no BLAS
-product.
+pair_dists is the one pair kernel, behind the greedy scan fit runs
+(graph.batch_div_topk), the graph's edges, shapelet_dist and the orderline
+oracle: it slides the shorter of each pair along the longer, as row
+operations on many pairs at once, with no BLAS product. subsequence_dist, an
+early-abandoning scalar loop on numpy's own mean and std, is its oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .dataset import FLAT_STD, SQUARE_CHUNK, znorm_rows, znormalize
-from .errors import LengthMismatchError, ShapeletLongerThanSeriesError, require_bool
+from .errors import DimensionMismatchError, LengthMismatchError, ShapeletLongerThanSeriesError, require_bool
 
 
 @dataclass(frozen=True)
@@ -307,38 +300,13 @@ def nearest_window_dists(
     return out
 
 
-def window_distances(t: np.ndarray, s: np.ndarray, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Distance from s to every aligned window of t, vectorized.
-
-    The windows are the view sliding_window_view gives, (len(t) - L + 1, L)
-    with strides (8, 8) over a contiguous float64 copy of t, built directly:
-    each pair check of the diversity graph pays this call's fixed cost.
-    """
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    L = len(s)
-    if L > len(t):
-        raise ShapeletLongerThanSeriesError(f"query length {L} > series length {len(t)}")
-    w = np.ndarray((len(t) - L + 1, L), dtype=np.float64, buffer=t, strides=(8, 8))
-    if cfg.normalize_windows:
-        diff = znorm_rows(w)
-        diff -= znormalize(s)
-    else:
-        diff = w - s
-    out = np.einsum("ij,ij->i", diff, diff)
-    if cfg.length_normalize:
-        out /= L
-    return out
-
-
 def subsequence_dist(t: np.ndarray, s: np.ndarray, cfg: DistanceConfig = DEFAULT_CONFIG) -> float:
     """Minimum window distance of query s slid along series t.
 
     The early-abandoning scan drops a window as soon as its running sum
     exceeds the best seen so far; the result is identical to the full scan.
     """
-    t = np.asarray(t, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
+    t, s = _sequence(t), _sequence(s)
     L = len(s)
     if L > len(t):
         raise ShapeletLongerThanSeriesError(f"query length {L} > series length {len(t)}")
@@ -374,25 +342,26 @@ def shapelet_dist(s1, s2, cfg: DistanceConfig = DEFAULT_CONFIG) -> float:
 
     Equal lengths compare directly; otherwise the shorter sequence slides
     along the longer and the minimum window distance is returned, making the
-    function symmetric in its arguments.
+    function symmetric in its arguments. It is pair_dists of the one pair.
     """
-    a = np.asarray(getattr(s1, "values", s1), dtype=np.float64)
-    b = np.asarray(getattr(s2, "values", s2), dtype=np.float64)
-    if len(a) == 0 or len(b) == 0:
-        raise LengthMismatchError("shapelets must be non-empty")
-    if len(a) < len(b):
-        a, b = b, a
-    return float(window_distances(a, b, cfg).min())
+    return float(pair_dists([s2], [s1], cfg)[0, 0])
 
 
-def shapelet_dists(u, vs, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """shapelet_dist(v, u, cfg) for every v of vs, bit for bit, as one array
-    (pair_dists of u alone)."""
-    return pair_dists([u], vs, cfg)[0]
+def _sequence(x) -> np.ndarray:
+    """The values of a shapelet or value array x, as a contiguous float64
+    array: DimensionMismatchError unless 1-D, LengthMismatchError if empty."""
+    x = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionMismatchError(f"a sequence must be 1-D, got shape {x.shape}")
+    if not len(x):
+        raise LengthMismatchError("sequences must be non-empty")
+    return np.ascontiguousarray(x)
 
 
 def pair_dists(us, vs, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """(len(us), len(vs)) matrix of shapelet_dist(v, u, cfg), bit for bit.
+    """(len(us), len(vs)) matrix of the distances between each u of us and
+    each v of vs (shapelets or value arrays): the minimum window distance of
+    the shorter slid along the longer.
 
     The pairs are taken a length L at a time, L the shorter side's length:
     the vs of length L against the windows of each u at least as long, then
@@ -400,11 +369,8 @@ def pair_dists(us, vs, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
     one _window_mins call. A pair of equal lengths, whose one window is the
     longer side itself, gives the same squares whichever side is subtracted.
     """
-    us = [np.ascontiguousarray(getattr(u, "values", u), dtype=np.float64) for u in us]
-    vs = [np.ascontiguousarray(getattr(v, "values", v), dtype=np.float64) for v in vs]
+    us, vs = [_sequence(u) for u in us], [_sequence(v) for v in vs]
     lu, lv = (np.array([len(x) for x in xs], dtype=np.intp) for xs in (us, vs))
-    if not (lu.all() and lv.all()):
-        raise LengthMismatchError("shapelets must be non-empty")
     # each side in length order, so that its rows of a length, and those
     # longer, are slices
     pu, pv = np.argsort(lu, kind="stable"), np.argsort(lv, kind="stable")
@@ -426,7 +392,7 @@ def pair_dists(us, vs, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
 def _window_mins(longs: list, shorts: list, L: int, cfg: DistanceConfig) -> np.ndarray:
     """(len(shorts), len(longs)) minimum distances from each short row, of
     length L, to the length-L windows of each long one (contiguous float64
-    rows): min(window_distances(t, s, cfg)) for every pair, bit for bit.
+    rows).
 
     The windows of many longs and the shorts go into one matrix, z-normalized
     by one znorm_rows call; every short is then subtracted from every window,
@@ -441,7 +407,8 @@ def _window_mins(longs: list, shorts: list, L: int, cfg: DistanceConfig) -> np.n
     per = max(1, SQUARE_CHUNK // (8 * L * int(counts.max())))
     for lo in range(0, len(longs), per):
         wc = counts[lo : lo + per]
-        # window_distances' view of each long, and each short as a row
+        # sliding_window_view's view of each long, without its per-call
+        # argument checks, and each short as a row
         views = [np.ndarray((n, L), dtype=np.float64, buffer=t, strides=(8, 8)) for t, n in zip(longs[lo:], wc)]
         rows = np.concatenate(views + [s[None] for s in shorts])
         if cfg.normalize_windows:

@@ -47,7 +47,8 @@ class FlatTrainingSetError(DivshapError):
 
 
 class DimensionMismatchError(DivshapError):
-    """Matrix dimensions are incompatible with the model."""
+    """Matrix dimensions are incompatible with the model, or a sequence of
+    values is not 1-D."""
 
 
 class NumericalFailureError(DivshapError):

@@ -8,19 +8,21 @@ with the ones already kept. The graph is an immutable record of vertices
 and distance settings; it stores no edges.
 
 fit runs batch_div_topk, which compares the kept shapelets with a block of
-candidates at once (distance.pair_dists). div_topk, similar and
-independence_violations are its scalar references: one shapelet_dist per
-pair, and the same selection.
+candidates at once (distance.pair_dists), and DiversityGraph.edges measures
+every pair of its vertices in one call. div_topk, similar and
+independence_violations are their scalar references: one shapelet_dist per
+pair, and the same selection and edges.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import DEFAULT_CONFIG, DistanceConfig, pair_dists, shapelet_dist, shapelet_dists
+from .distance import DEFAULT_CONFIG, DistanceConfig, pair_dists, shapelet_dist
 from .errors import require_int
 from .mining import CandidateTable, Shapelet
 
@@ -51,8 +53,9 @@ class DiversityGraph:
     """Score-ordered shapelet vertices whose edges are the "similar" predicate.
 
     The graph stores no edges, so building one costs nothing: the scan fit
-    runs, batch_div_topk, measures the pairs it needs in batches, and the
-    scalar references div_topk and edges ask similar once for each pair.
+    runs, batch_div_topk, measures the pairs it needs in batches, edges
+    measures every pair at once, and the scalar reference div_topk asks
+    similar once for each pair it needs.
     Vertex order must be the mining output order; the graph reads the given
     sequence by index and does not copy it.
     """
@@ -66,14 +69,12 @@ class DiversityGraph:
         return len(self.vertices)
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (i, j) with i < j, from n(n-1)/2 calls of similar."""
-        v = self.vertices
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if similar(v[i], v[j], self.cfg, self.same_class_only)
-        ]
+        """All edges as (i, j) with i < j, in order, from one _similar call
+        on whole rows (_rows; CandidateTable.peek may stop early)."""
+        values, label, threshold = _rows(self.vertices)
+        rows = (values, label if self.same_class_only else np.zeros_like(label), threshold)
+        i, j = np.nonzero(np.triu(_similar(rows, rows, self.cfg), 1))
+        return list(zip(i.tolist(), j.tolist()))
 
 
 def build_graph(
@@ -121,7 +122,7 @@ def batch_div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
     kept before a block meet all its rows of their class at once
     (_similar), and a row similar to one of them is closed. The open rows
     are then kept in order, and each row kept meets the open rows after it
-    in its block (shapelet_dists) before the next is taken. A row is thus
+    in its block (pair_dists) before the next is taken. A row is thus
     kept exactly when div_topk keeps it: it is similar to no shapelet kept
     before it, by bit-identical distances against the same thresholds.
 
@@ -150,7 +151,7 @@ def batch_div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
                     break
                 rest = np.flatnonzero(open_[r + 1 :]) + r + 1
                 rest = rest[label[rest] == label[r]]
-                dist = shapelet_dists(values[r], [values[j] for j in rest], g.cfg)
+                dist = pair_dists([values[r]], [values[j] for j in rest], g.cfg)[0]
                 open_[rest[dist <= np.minimum(threshold[r], threshold[rest])]] = False
         i += len(values)
     return kept
@@ -162,9 +163,13 @@ def _peek(vertices: Sequence[Shapelet], lo: int, hi: int) -> tuple[list[np.ndarr
     early (CandidateTable.peek)."""
     if isinstance(vertices, CandidateTable):
         return vertices.peek(lo, hi)
-    rows = vertices[lo:hi]
-    label = np.array([s.class_label for s in rows], dtype=np.int64)
-    return [s.values for s in rows], label, np.array([s.split_threshold for s in rows])
+    return _rows(vertices[lo:hi])
+
+
+def _rows(shapelets: Sequence[Shapelet]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """(values, class labels, split thresholds) of every shapelet given."""
+    label = np.array([s.class_label for s in shapelets], dtype=np.int64)
+    return [s.values for s in shapelets], label, np.array([s.split_threshold for s in shapelets])
 
 
 def _similar(us: tuple, vs: tuple, cfg: DistanceConfig) -> np.ndarray:
@@ -186,7 +191,8 @@ def independence_violations(
     cfg: DistanceConfig = DEFAULT_CONFIG,
     same_class_only: bool = True,
 ) -> list[tuple[int, int]]:
-    """Pairs in a selection that violate the dissimilarity condition: the
-    edges of the selection's own graph, from similar, the scalar reference
-    that checks what either scan selects."""
-    return DiversityGraph(shapelets, cfg, same_class_only).edges()
+    """Pairs (i, j), i < j, of a selection that violate the dissimilarity
+    condition: the edges of the selection's own graph, from one similar call
+    per pair, the scalar reference that checks what either scan selects."""
+    pairs = itertools.combinations(range(len(shapelets)), 2)
+    return [(i, j) for i, j in pairs if similar(shapelets[i], shapelets[j], cfg, same_class_only)]

@@ -34,9 +34,9 @@ from .distance import (
     DistanceConfig,
     Windows,
     nearest_window_dists,
-    window_distances,
+    pair_dists,
 )
-from .errors import BandEmptyError, FlatTrainingSetError, InvalidConfigError, require_int
+from .errors import BandEmptyError, FlatTrainingSetError, InvalidConfigError, ShapeletLongerThanSeriesError, require_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,18 +283,19 @@ def entropy(counts) -> float:
     return float(-np.add.accumulate(p * np.log2(p))[-1])
 
 
-def orderline(
-    s, train: Dataset, cfg: DistanceConfig = DEFAULT_CONFIG
-) -> list[tuple[float, int]]:
-    """Distances from every training series to s, sorted ascending.
+def orderline(s, train: Dataset, cfg: DistanceConfig = DEFAULT_CONFIG) -> list[tuple[float, int]]:
+    """Distances from every training series to s (pair_dists), sorted ascending.
 
-    Ties keep series-id order. s may be a Shapelet or a raw value array.
+    Ties keep series-id order. s may be a Shapelet or a raw value array; one
+    longer than the series raises ShapeletLongerThanSeriesError.
     """
     values = np.asarray(getattr(s, "values", s), dtype=np.float64)
-    dists = [float(window_distances(train.X[i], values, cfg).min()) for i in range(train.n)]
-    pairs = [(d, int(train.y[i])) for i, d in enumerate(dists)]
-    pairs.sort(key=lambda p: p[0])
-    return pairs
+    m = train.X.shape[1]
+    if values.ndim == 1 and len(values) > m:
+        # pair_dists would slide each series along s instead
+        raise ShapeletLongerThanSeriesError(f"query length {len(values)} > series length {m}")
+    dists = pair_dists([values], list(train.X), cfg)[0].tolist()
+    return sorted(zip(dists, map(int, train.y)), key=lambda p: p[0])
 
 
 def best_split(ol: list[tuple[float, int]]) -> tuple[float, float, float]:

@@ -65,8 +65,10 @@ def mean_std_znorm_rows(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def sliding_window_distances(t, s, cfg) -> np.ndarray:
-    """window_distances from sliding_window_view and mean_std_znorm_rows."""
+def sliding_window_dists(t, s, cfg) -> np.ndarray:
+    """Distance from s to every window of t, from sliding_window_view and
+    mean_std_znorm_rows: its minimum is the pair_dists entry of (t, s), bit
+    for bit, when s is no longer than t."""
     t = np.asarray(t, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     w = np.lib.stride_tricks.sliding_window_view(t, len(s))

@@ -12,18 +12,16 @@ from divshap.distance import (
     nearest_window_dists,
     pair_dists,
     shapelet_dist,
-    shapelet_dists,
     subsequence_dist,
-    window_distances,
     znorm_offset,
 )
-from divshap.dataset import znormalize
-from divshap.errors import LengthMismatchError, ShapeletLongerThanSeriesError
+from divshap.dataset import Dataset, znormalize
+from divshap.errors import DimensionMismatchError, LengthMismatchError, ShapeletLongerThanSeriesError
 from divshap.graph import div_topk
-from divshap.mining import MiningConfig
+from divshap.mining import MiningConfig, orderline
 from divshap.pipeline import PipelineConfig, mine_graph
 
-from conftest import bump_dataset, sliding_window_distances
+from conftest import bump_dataset, sliding_window_dists
 
 
 def naive_znorm(v):
@@ -85,8 +83,7 @@ def test_subsequence_matches_naive_scan(normalize, length_normalize):
         want = naive_subsequence_dist(t, s, normalize, length_normalize)
         got = subsequence_dist(t, s, cfg)
         assert got == pytest.approx(want, rel=1e-9)
-        fast = window_distances(t, s, cfg).min()
-        assert fast == pytest.approx(want, rel=1e-9)
+        assert shapelet_dist(t, s, cfg) == pytest.approx(want, rel=1e-9)
 
 
 def series_with_flat_stretches(rng, n, m):
@@ -155,11 +152,11 @@ def test_nearest_window_dists_batch_equals_single_queries():
         assert np.array_equal(batch, single)
 
 
-def test_window_distances_matches_scan():
+def test_sliding_window_dists_match_scan():
     rng = np.random.default_rng(5)
     t = rng.normal(size=30)
     s = rng.normal(size=7)
-    d = window_distances(t, s)
+    d = sliding_window_dists(t, s, DistanceConfig())
     assert len(d) == 24
     for start in range(24):
         want = naive_subsequence_dist(t[start : start + 7], s)
@@ -170,10 +167,18 @@ CONFIGS = [DistanceConfig(*flags) for flags in itertools.product([True, False], 
 CONFIG_IDS = ["norm-len", "norm", "len", "raw"]
 
 
+def oracle_dist(a, b, cfg) -> float:
+    """The distance of a and b from sliding_window_dists: the shorter slid
+    along the longer."""
+    t, s = (a, b) if len(a) >= len(b) else (b, a)
+    return sliding_window_dists(t, s, cfg).min()
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
-def test_window_distances_equal_sliding_window_form_on_every_scanned_pair(cfg, monkeypatch):
-    """Every pair div_topk decides, of either class, gets the distances of
-    sliding_window_view and numpy's mean/std, bit for bit."""
+def test_pair_dists_equal_sliding_window_form_on_every_scanned_pair(cfg, monkeypatch):
+    """Every pair div_topk decides, of either class, gets the distance of
+    sliding_window_view and numpy's mean/std, bit for bit, from one pair
+    and from one call over every pair."""
     pcfg = PipelineConfig(mining=MiningConfig(min_len=3, max_len=9), distance=cfg)
     _, g = mine_graph(bump_dataset(seed=2), pcfg)
     pairs, similar = [], graph_mod.similar
@@ -185,18 +190,18 @@ def test_window_distances_equal_sliding_window_form_on_every_scanned_pair(cfg, m
     monkeypatch.setattr(graph_mod, "similar", recorded)
     div_topk(g, pcfg.kappa)
     assert len(pairs) > 50
-    for a, b in pairs:
-        t, s = (a.values, b.values) if a.length >= b.length else (b.values, a.values)
-        want = sliding_window_distances(t, s, cfg)
-        assert np.array_equal(window_distances(t, s, cfg), want)
-        assert shapelet_dist(a, b, cfg) == want.min() == shapelet_dist(b, a, cfg)
+    want = np.array([oracle_dist(a.values, b.values, cfg) for a, b in pairs])
+    together = np.diag(pair_dists([a for a, _ in pairs], [b for _, b in pairs], cfg))
+    assert np.array_equal(together.view(np.uint64), want.view(np.uint64))
+    for (a, b), d in zip(pairs, want):
+        assert shapelet_dist(a, b, cfg) == d == shapelet_dist(b, a, cfg)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
-def test_window_distances_read_any_series_as_its_contiguous_float_copy(cfg):
+def test_pair_dists_read_any_sequence_as_its_contiguous_float_copy(cfg):
     """The windows are a strided view of a contiguous float64 buffer, so a
-    strided, read-only or integer series must give what its copy gives, and
-    the series itself is left as it was."""
+    strided, read-only or integer sequence, on either side, must give what
+    its copy gives, and the sequence itself is left as it was."""
     rng = np.random.default_rng(11)
     s = rng.normal(size=7)
     strided = rng.normal(size=80)[::2]
@@ -207,11 +212,12 @@ def test_window_distances_read_any_series_as_its_contiguous_float_copy(cfg):
     for t in (strided, read_only, integer):
         before = t.copy()
         copy = np.array(t, dtype=np.float64)
-        assert np.array_equal(window_distances(t, s, cfg), window_distances(copy, s, cfg))
-        assert np.array_equal(window_distances(t, s, cfg), sliding_window_distances(copy, s, cfg))
+        want = sliding_window_dists(copy, s, cfg).min()
+        assert pair_dists([t], [s], cfg)[0, 0] == pair_dists([s], [t], cfg)[0, 0] == want
+        assert pair_dists([copy], [s], cfg)[0, 0] == want
         assert np.array_equal(t, before)
-    assert len(window_distances(strided, s[:1], cfg)) == 40
-    assert len(window_distances(strided, strided, cfg)) == 1
+    assert pair_dists([strided], [s[:1]], cfg)[0, 0] == sliding_window_dists(strided, s[:1], cfg).min()
+    assert pair_dists([strided], [strided], cfg)[0, 0] == 0.0
 
 
 def test_contained_window_affine_invariance():
@@ -255,14 +261,14 @@ def pair_set(rng, n, lengths):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
-def test_shapelet_dists_equal_shapelet_dist_bit_for_bit(cfg):
+def test_pair_dists_row_equals_sliding_window_oracle_bit_for_bit(cfg):
     """Longer, shorter and equal-length vs, flat windows and a flat u."""
     rng = np.random.default_rng(20)
     for L in (2, 5, 8, 13, 24):
         for u in pair_set(rng, 2, [L]) + [np.full(L, 3.0)]:
             vs = pair_set(rng, 40, [2, L - 1 or 1, L, L + 1, 3 * L, 7, 9, 17, 40])
-            got = shapelet_dists(u, vs, cfg)
-            want = np.array([shapelet_dist(v, u, cfg) for v in vs])
+            got = pair_dists([u], vs, cfg)[0]
+            want = np.array([oracle_dist(v, u, cfg) for v in vs])
             assert got.dtype == np.float64 and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -288,8 +294,46 @@ def test_pair_dists_in_small_batches_give_the_same_bits(monkeypatch):
     assert np.array_equal(pair_dists(us, vs).view(np.uint64), want.view(np.uint64))
 
 
-def test_shapelet_dists_reject_empty_values():
-    with pytest.raises(LengthMismatchError):
-        shapelet_dists(np.ones(3), [np.ones(4), np.array([])])
-    with pytest.raises(LengthMismatchError):
-        shapelet_dists(np.array([]), [np.ones(4)])
+def test_empty_query_raises_length_mismatch():
+    series = Dataset(X=np.arange(12.0).reshape(2, 6) ** 2, y=np.array([1, 2]))
+    calls = [
+        lambda: subsequence_dist(series.X[0], []),
+        lambda: shapelet_dist([], series.X[0]),
+        lambda: shapelet_dist(series.X[0], np.array([])),
+        lambda: orderline([], series),
+        lambda: pair_dists([np.ones(3)], [np.ones(4), np.array([])]),
+        lambda: pair_dists([np.array([])], [np.ones(4)]),
+    ]
+    for call in calls:
+        with pytest.raises(LengthMismatchError):
+            call()
+
+
+def test_query_not_1d_raises_dimension_mismatch():
+    series = Dataset(X=np.arange(12.0).reshape(2, 6) ** 2, y=np.array([1, 2]))
+    square = [[1.0, 2.0], [3.0, 4.0]]
+    calls = [
+        lambda: subsequence_dist(series.X[0], square),
+        lambda: shapelet_dist(square, series.X[0]),
+        lambda: shapelet_dist(series.X[0], np.float64(2.0)),
+        lambda: orderline(square, series),
+        lambda: pair_dists([np.ones(3)], [np.ones(4), np.ones((1, 3))]),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_orderline_is_the_per_series_minimum_of_the_sliding_window_oracle(cfg):
+    """Bit for bit, for queries shorter than the series, one with a flat
+    stretch, and one as long as the series; one series has flat windows."""
+    X = bump_dataset(seed=6, per_class=5, m=20).X.copy()
+    X[2, 5:15] = 1.0
+    d = Dataset(X=X, y=np.repeat([1, 2], 5))
+    for s in (d.X[3, 4:11], np.r_[np.full(4, 2.0), d.X[7, :5]], d.X[8]):
+        got = orderline(s, d, cfg)
+        want = sorted(zip((sliding_window_dists(t, s, cfg).min() for t in d.X), d.y.tolist()), key=lambda p: p[0])
+        assert [(x.hex(), y) for x, y in got] == [(float(x).hex(), y) for x, y in want]
+    with pytest.raises(ShapeletLongerThanSeriesError):
+        orderline(np.ones(21), d, cfg)

@@ -253,6 +253,26 @@ def test_graph_dump_rows(toy_train):
     assert all(similar(g.vertices[i], g.vertices[j], g.cfg) for i, j in edges)
 
 
+@pytest.mark.parametrize("same_class_only", [True, False], ids=["same-class", "any-class"])
+def test_edges_are_the_pairs_similar_finds(same_class_only, monkeypatch):
+    """On a list of mined rows of both classes, and on a whole fresh pruned
+    table, whose rows edges() reads whole, not as CandidateTable.peek, which
+    may stop early."""
+    monkeypatch.setattr(mining, "STAGE_MIN", 2)
+    d = bump_dataset(seed=3, per_class=8, m=10)
+    table = mine_shapelets(d, MiningConfig(min_len=4, max_len=4))
+    assert table._pending is not None and table._pending.first is not None
+    listed = list(mine_shapelets(d, MiningConfig(min_len=3, max_len=6))[-60:])
+    for vertices in (table, listed):
+        g = build_graph(vertices, same_class_only=same_class_only)
+        got = g.edges()  # before any other read of the table
+        v, pairs = g.vertices, itertools.combinations(range(g.n), 2)
+        want = [(i, j) for i, j in pairs if similar(v[i], v[j], same_class_only=same_class_only)]
+        assert got == want and want
+        cross = [(i, j) for i, j in want if v[i].class_label != v[j].class_label]
+        assert bool(cross) != same_class_only
+
+
 def three_class_dataset(seed=5, per_class=10, m=24):
     """Three classes, each with its own motif at a random offset."""
     rng = np.random.default_rng(seed)

@@ -3,13 +3,15 @@
 The script is the check behind every claim that a change leaves mined
 tables (whole, and the first rows a reader gets before the whole table is
 scored) and transform features (of z-normalized and of raw windows),
-selections and saved models bit-identical, so it must cover the 15
-training sets, hash what mining and transform return, and print the same
-lines whatever the number of BLAS threads.
+selections, saved models, graph-dump's edges and the benchmark's orderline
+oracle bit-identical, so it must cover the 15 training sets, hash what
+mining, transform, the graph and orderline return, and print the same lines
+whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -53,7 +55,7 @@ def test_one_line_per_training_set_with_four_hashes(lines_by_blas_threads):
     for name, line in zip(names, lines):
         fields = line_fields(line)
         served = ["features", "raw_features", "raw_mined"] if name.endswith("/model") else []
-        assert list(fields) == ["mined", "selected", "pool", "model", "prefix"] + served
+        assert list(fields) == ["mined", "selected", "pool", "model", "prefix", "edges", "oracle"] + served
         assert all(len(v) == 64 and int(v, 16) >= 0 for v in fields.values())
     assert len({line.split()[1] for line in lines}) == len(lines)
 
@@ -144,6 +146,37 @@ def test_pool_hash_is_of_the_kappa_pool_select_k_sweeps(lines_by_blas_threads, m
     want = hashlib.sha256("\n".join(s.id for s in pool).encode()).hexdigest()
     fields = line_fields(lines_by_blas_threads["1"][2])
     assert len(pool) == cfg.kappa and fields["pool"] == want != fields["selected"]
+
+
+def test_edges_hash_is_of_the_graph_graph_dump_writes(lines_by_blas_threads, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    from divshap import PipelineConfig
+    from divshap.pipeline import mine_graph
+
+    graph = mine_graph(TINY["fit-wide"].make(0, 3)[0], PipelineConfig())[1]
+    edges = dataclasses.replace(graph, vertices=graph.vertices[:200]).edges()
+    assert edges
+    want = hashlib.sha256(str(edges).encode()).hexdigest()
+    assert line_fields(lines_by_blas_threads["1"][9])["edges"] == want
+
+
+def test_oracle_hash_is_of_the_orderlines_of_the_selection(lines_by_blas_threads, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import TINY
+
+    from divshap import PipelineConfig, fit, orderline
+
+    train = TINY["fit-long"].make(0, 2)[0]
+    model = fit(train, PipelineConfig())
+    lines = []
+    for s in model.shapelets:
+        ol = orderline(s, train, model.config.distance)
+        assert len(ol) == train.n
+        lines.append(" ".join([s.id] + [f"{d.hex()},{y}" for d, y in ol]))
+    want = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert line_fields(lines_by_blas_threads["1"][2])["oracle"] == want
 
 
 def test_lines_independent_of_blas_threads(lines_by_blas_threads):
