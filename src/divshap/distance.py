@@ -7,7 +7,8 @@ of different-length queries share a per-point scale.
 
 nearest_window_dists is the batched kernel behind mining and transform: a
 matrix product picks each query's nearest window in each series, and direct
-squared differences measure the picked window exactly. Both callers
+squared differences measure the picked window exactly, a slice of queries
+at a time, so that no caller holds the scores of a whole block. Both callers
 address a window by its series and start, and differ only in how their
 windows score (Windows or ScaledWindows). Mining scans a copy of every
 window followed by its offset |w|^2/2 (Windows.of_series), since every
@@ -96,6 +97,11 @@ class Windows:
         else:
             rows[:, L] = 0.5 * np.einsum("ij,ij->i", W, W)
         return cls(scan)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(n, windows per series, L)."""
+        return *self.scan.shape[:2], self.scan.shape[2] - 1
 
     def scores(self, Q: np.ndarray) -> np.ndarray:
         """(k, n, windows per series) pick scores of the k rows of Q, from
@@ -236,6 +242,11 @@ class ScaledWindows:
     direct: tuple[np.ndarray, np.ndarray]
     zdirect: np.ndarray
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(n, windows per series, L)."""
+        return self.view.shape
+
     def scores(self, Q: np.ndarray) -> np.ndarray:
         """(k, n, wcount) pick scores of the k rows of Q, from one banded
         product over the rows of the sums.
@@ -291,12 +302,24 @@ def nearest_window_dists(
     by direct squared differences. The distance is exact for the picked
     window; for z-normalized ScaledWindows, the pick itself is exact only
     up to the bound at RUNNING_VAR_MARGIN.
+
+    The queries are scored, picked and measured a slice at a time. Beside
+    the output, the call holds one slice's picks and either its scores or
+    its picked windows: at most SQUARE_CHUNK bytes of each, or one query's
+    if more (ScaledWindows' scores also hold the ragged end of each series'
+    last tile). A query's pick and distances do not depend on its slice.
     """
-    diff = windows.measured(windows.scores(Q).argmax(axis=2))
-    diff -= Q[:, None]
-    out = np.einsum("ijk,ijk->ij", diff, diff)
+    n, wcount, L = windows.shape
+    out = np.empty((len(Q), n))
+    step = max(1, SQUARE_CHUNK // (8 * max(1, n * max(wcount, L))))
+    for a in range(0, len(Q), step):
+        q = Q[a : a + step]
+        diff = windows.measured(windows.scores(q).argmax(axis=2))
+        diff -= q[:, None]
+        out[a : a + step] = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # before the next slice's scores
     if cfg.length_normalize:
-        out /= diff.shape[2]
+        out /= L
     return out
 
 

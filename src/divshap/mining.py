@@ -141,11 +141,12 @@ class CandidateTable(Sequence[Shapelet]):
             for column in self._rows:
                 column.flags.writeable = False
 
-    def _certify(self, need: int) -> None:
-        """Score until the first need rows are final."""
-        if self._pending is None or len(self._order) >= need:
+    def _certify(self, need: int, reach: int = 0) -> None:
+        """Score until the first need rows are final, and make final as
+        many of the first reach as that scoring allows."""
+        if self._pending is None or len(self._order) >= max(need, reach):
             return
-        self._order = self._pending.certify(need)
+        self._order = self._pending.certify(need, reach)
         if len(self._order) == len(self):
             self._pending = None
 
@@ -173,7 +174,7 @@ class CandidateTable(Sequence[Shapelet]):
         array is a read-only view of the training series. It scores as far
         as a read of row lo does, and stops early at the last row that then
         reads without scoring any more."""
-        self._certify(lo + 1)
+        self._certify(lo + 1, hi)
         c = self._order[lo:hi]
         source, start, length, threshold = (column[c] for column in self._rows[:4])
         X = self._train.X
@@ -375,25 +376,30 @@ def mine_shapelets(
 
 # Bytes one scoring thread may hold for the candidates of a length that it
 # scores against some of the series: the windows of those series (offset
-# column included) plus, per block candidate, its raw and z-normalized
-# window, its query row and -1 extension, score row and measured windows,
-# counted together though the kernel frees the score row before it
-# gathers. The best split and the gain bound, which run after that, hold
-# at most SPLIT_ROWS arrays of one row per candidate and series scored so
-# far, their input included. For the split: the sorted distances, the
-# argsort, a class's running count and what the counted classes leave,
-# the two entropy sums and one class's two terms of them, and a count that
-# is being replaced (eight in all with two classes, whose last count is
-# what the first leaves). Its later arrays fit in what these free. A block
-# gets at least half the budget, so only a window matrix above the other
-# half makes a thread exceed it; z-normalizing that matrix in place adds at
-# most dataset.SQUARE_CHUNK bytes of squares.
+# column included), the kernel's one slice of scores or of picked windows
+# (dataset.SQUARE_CHUNK bytes, or one candidate's if more; see
+# distance.nearest_window_dists), and per block candidate its raw window,
+# its query row with offset and that row extended by -1, and SPLIT_ROWS
+# rows of one entry per series scored so far and one more. The best split
+# and the gain bound, which run after the kernel, hold at most SPLIT_ROWS
+# arrays of one row per candidate and series scored so far, their input
+# included. For the split: the sorted distances, the argsort, a class's
+# running count and what the counted classes leave, the two entropy sums
+# and one class's two terms of them, and a count that is being replaced
+# (eight in all with two classes, whose last count is what the first
+# leaves). Its later arrays fit in what these free. The kernel's output is
+# one of those rows and a slice's picks fit in the others; the slice is
+# freed before the split, but is counted once beside it. A block, slice
+# included, gets at least half the budget: one slice and 1 MiB of rows. So
+# only a window matrix above the other half makes a thread exceed it;
+# z-normalizing that matrix in place adds at most SQUARE_CHUNK bytes of
+# squares.
 # generate_candidates compares windows a chunk of SCORING_BUDGET / 8 bytes
 # at a time. The threads share one ClassCounts table of (n + 1) (largest
 # class + 1) floats, outside the budget: 3.8 MiB for n = 1,000 in two
 # equal classes, 34 MiB for n = 3,000; and the bound's table of gains, at
 # most SQUARE_CHUNK bytes.
-SCORING_BUDGET = 16 * 2**20
+SCORING_BUDGET = 6 * 2**20
 SPLIT_ROWS = 10
 
 
@@ -564,9 +570,10 @@ class _PrunedScoring:
     Certifying rows for a reader completes the candidates whose bound
     reaches the cut (those that may hold a row the reader needs): each is
     scored against every series, as mining with no first pass scores it. A
-    completed row is certified once its gain exceeds every bound still open
-    by GAIN_MARGIN: no open candidate can then precede it, so certified
-    rows come in the table's order. Reading every row thus measures each
+    completed row is sure once its gain exceeds every bound still open by
+    GAIN_MARGIN: no open candidate can then precede it, so sure rows,
+    certified in key order as readers reach them, come in the table's
+    order. Reading every row thus measures each
     candidate against |S| + n series. A completed row is the row of scoring
     against every series at once, bit for bit, as completion is that
     scoring. With no first pass, every candidate is completed at once.
@@ -590,20 +597,37 @@ class _PrunedScoring:
                 "z-normalized, all are equal, so no split separates the series"
             )
 
-    def certify(self, need: int) -> np.ndarray:
+    def certify(self, need: int, reach: int = 0) -> np.ndarray:
         """The certified rows, in table order, once there are at least need
-        of them (at most every row)."""
-        need = min(len(self.source), need)
+        of them (at most every row).
+
+        Only the completed rows sure to come next that a reader reaches are
+        sorted and certified: those of the best gains up to row reach (or
+        need, if more), ties at the last gain included, and at least as many
+        as are certified already, so that rows read one at a time sort the
+        table in a number of calls logarithmic in their count. The rest
+        stay completed, and are sure again at the next call."""
+        size = len(self.source)
+        need = min(size, need)
+        reach = min(size, max(need, reach))
         gain, gap = self.scores[1], self.scores[2]
-        while len(self.certified) < need:
+        while len(self.certified) < reach:
             open_ = np.flatnonzero(self.done == BOUNDED)
             pending = np.flatnonzero(self.done == COMPLETED)
             sure = pending[gain[pending] > self.bound.max() + GAIN_MARGIN]
             if len(sure):
+                take = max(reach, 2 * len(self.certified)) - len(self.certified)
+                if take < len(sure):
+                    # gain is the first key, so no sure row below the
+                    # take-th best gain comes before those at or above it
+                    cut = -np.partition(-gain[sure], take - 1)[take - 1]
+                    sure = sure[gain[sure] >= cut]
                 self.done[sure] = CERTIFIED
                 key = (self.start[sure], self.source[sure], self.length[sure], -gap[sure], -gain[sure])
                 self.certified = np.concatenate([self.certified, sure[np.lexsort(key)]])
                 continue
+            if len(self.certified) >= need:
+                break
             # the want-th best of the gains and bounds left: an open
             # candidate of lower bound holds none of the want rows next
             want = need - len(self.certified)
@@ -640,8 +664,9 @@ class _PrunedScoring:
         X = self.train.X if series is None else self.train.X[series]
         windows = Windows.of_series(X, L, self.dist_cfg)
         view = sliding_window_view(self.train.X, L, axis=1)
-        free = max(SCORING_BUDGET - windows.scan.nbytes, SCORING_BUDGET // 2)
-        per_candidate = 8 * (3 * L + 2 + max(len(X) * (view.shape[1] + L), SPLIT_ROWS * (len(X) + 1)))
+        score_slice = max(SQUARE_CHUNK, 8 * len(X) * max(view.shape[1], L))
+        free = max(SCORING_BUDGET - windows.scan.nbytes, SCORING_BUDGET // 2) - score_slice
+        per_candidate = 8 * (3 * L + 2 + SPLIT_ROWS * (len(X) + 1))
         block = int(np.clip(free // per_candidate, 1, len(ids)))
         informative = False
         for lo in range(0, len(ids), block):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import divshap.distance as distance_mod
 import divshap.graph as graph_mod
 from divshap.distance import (
     DistanceConfig,
+    SeriesSums,
     Windows,
     nearest_window_dists,
     pair_dists,
@@ -15,7 +17,7 @@ from divshap.distance import (
     subsequence_dist,
     znorm_offset,
 )
-from divshap.dataset import Dataset, znormalize
+from divshap.dataset import SQUARE_CHUNK, Dataset, znormalize
 from divshap.errors import DimensionMismatchError, LengthMismatchError, ShapeletLongerThanSeriesError
 from divshap.graph import div_topk
 from divshap.mining import MiningConfig, orderline
@@ -165,6 +167,63 @@ def test_sliding_window_dists_match_scan():
 
 CONFIGS = [DistanceConfig(*flags) for flags in itertools.product([True, False], repeat=2)]
 CONFIG_IDS = ["norm-len", "norm", "len", "raw"]
+
+
+WINDOW_KINDS = {
+    "Windows": lambda X, L, cfg: Windows.of_series(X, L, cfg),
+    "ScaledWindows": lambda X, L, cfg: SeriesSums.of(X, cfg).windows(L),
+}
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+def test_nearest_window_dists_in_slices_of_one_query_give_the_same_bits(monkeypatch, kind, cfg):
+    """The kernel scores, picks and measures its queries a slice at a
+    time. With SQUARE_CHUNK at one byte every query is a slice of its own,
+    and every distance keeps its bits. One series against twelve queries
+    narrows the band's tiles to one start (band_tiles), against six for a
+    single query; the other sets have flat stretches, a query as long as
+    the series, no series, or no query."""
+    rng = np.random.default_rng(24)
+    scored = []
+    cls = getattr(distance_mod, kind)
+    score = cls.scores
+    monkeypatch.setattr(cls, "scores", lambda self, q: scored.append(len(q)) or score(self, q))
+    for n, m, L, k in ((6, 24, 5, 9), (1, 40, 4, 12), (2, 30, 30, 5), (0, 12, 4, 3), (5, 12, 4, 0)):
+        X = series_with_flat_stretches(rng, n, m)
+        windows = WINDOW_KINDS[kind](X, L, cfg)
+        # a third of the queries are windows of the series, when there are any
+        picks = [X[j % n, j % (m - L + 1) :][:L] for j in range(k // 3 if n else 0)]
+        raw = np.vstack([rng.normal(size=(k - len(picks), L)), *picks])
+        Q = naive_windows(raw, L, cfg) if k else raw
+        scored.clear()
+        monkeypatch.setattr(distance_mod, "SQUARE_CHUNK", 2**40)
+        whole = nearest_window_dists(Q, windows, cfg)
+        monkeypatch.setattr(distance_mod, "SQUARE_CHUNK", 1)
+        sliced = nearest_window_dists(Q, windows, cfg)
+        assert scored == [k] * (k > 0) + [1] * k, (n, m, L, k)
+        assert whole.shape == sliced.shape == (k, n)
+        assert np.array_equal(whole.view(np.uint64), sliced.view(np.uint64)), (n, m, L, k)
+
+
+def test_nearest_window_dists_holds_one_square_chunk_of_scores():
+    """A block of fit-wide's size: 700 queries of length 12 against the
+    windows of 60 series of length 48. Its scores (12.4 MB) were once held
+    whole; the call now holds its output, and at most one SQUARE_CHUNK of
+    scores or of picked windows at a time, with a slice's picks."""
+    rng = np.random.default_rng(25)
+    n, m, L, k = 60, 48, 12, 700
+    windows = Windows.of_series(rng.normal(size=(n, m)), L)
+    Q = windows.scan[rng.integers(0, n, k), rng.integers(0, m - L + 1, k), :L].copy()
+    nearest_window_dists(Q, windows)  # warm up
+    tracemalloc.start()
+    try:
+        nearest_window_dists(Q, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * k * n * (m - L + 1) > 5 * SQUARE_CHUNK
+    assert peak <= 8 * k * n + 8 * k * n * L + SQUARE_CHUNK, peak
 
 
 def oracle_dist(a, b, cfg) -> float:

@@ -385,9 +385,9 @@ def test_select_k_completes_the_rows_div_topk_completes(monkeypatch):
 
 
 def test_batch_div_topk_peak_memory_on_fit_long_draw_1(monkeypatch):
-    """Past the read of row 0, which certifies the table for div_topk too,
-    the scan holds at most two SQUARE_CHUNKs: a batch of windows and one of
-    their differences, on top of rows read as views of the series."""
+    """Past the read of row 0, div_topk's first read too, the scan holds
+    at most two SQUARE_CHUNKs: a batch of windows and one of their
+    differences, on top of rows read as views of the series."""
     train = seed_0_draw("fit-long", 1, monkeypatch)
     cfg = PipelineConfig()
     table = mine_shapelets(train, MiningConfig(normalize=cfg.distance))
@@ -400,3 +400,39 @@ def test_batch_div_topk_peak_memory_on_fit_long_draw_1(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(pool) == cfg.kappa and peak <= 2 * SQUARE_CHUNK
+
+
+def test_batch_div_topk_on_a_fresh_fit_long_table_holds_two_square_chunks(monkeypatch):
+    """With no read of row 0 first, the scan's first block certifies the
+    rows of fit-long draw 1, a table mined with no first pass: only the
+    sure rows up to that block's cut are sorted, not all 76,380 (2.62
+    SQUARE_CHUNKs when every row was sorted at once). The scan peeks the
+    same whole blocks, and keeps the same rows, as on a table certified
+    whole beforehand."""
+    train = seed_0_draw("fit-long", 1, monkeypatch)
+    cfg = PipelineConfig()
+    calls = []
+    peek = mining.CandidateTable.peek
+
+    def counted(self, lo, hi):
+        out = peek(self, lo, hi)
+        calls.append((lo, hi, len(out[0])))
+        return out
+
+    monkeypatch.setattr(mining.CandidateTable, "peek", counted)
+    whole = mine_shapelets(train, MiningConfig(normalize=cfg.distance))
+    whole.columns
+    want = [s.id for s in batch_div_topk(build_graph(whole, cfg.distance), cfg.kappa)]
+    want_calls = calls[:]
+    calls.clear()
+    g = build_graph(mine_shapelets(train, MiningConfig(normalize=cfg.distance)), cfg.distance)
+    assert g.vertices._pending.first is None
+    tracemalloc.start()
+    try:
+        pool = batch_div_topk(g, cfg.kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.id for s in pool] == want and calls == want_calls
+    assert all(n == hi - lo for lo, hi, n in calls)
+    assert peak <= 2 * SQUARE_CHUNK, peak / SQUARE_CHUNK
