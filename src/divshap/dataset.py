@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     FoldCountTooLargeError,
+    LeaveOneOutFoldsWarning,
     NonNumericFieldError,
     RaggedRowError,
     UnknownLabelError,
@@ -252,7 +253,7 @@ def stratified_folds(d: Dataset, f: int, seed: int) -> np.ndarray:
 
     Deterministic for a fixed seed; per-class fold counts differ by at most
     one. A class with fewer than f members spreads one member per fold
-    (leave-one-out on that class) and a warning is recorded. f below 2
+    (leave-one-out on that class) and a LeaveOneOutFoldsWarning is raised. f below 2
     raises InvalidConfigError.
     """
     require_int("fold count", f, 2)
@@ -266,6 +267,7 @@ def stratified_folds(d: Dataset, f: int, seed: int) -> np.ndarray:
             warnings.warn(
                 f"class {d.label_names.get(int(c), c)} has {len(idx)} members "
                 f"for {f} folds; falling back to leave-one-out on them",
+                LeaveOneOutFoldsWarning,
                 stacklevel=2,
             )
         perm = rng.permutation(idx)

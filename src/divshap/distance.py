@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import FLAT_STD, SQUARE_CHUNK, znorm_rows, znormalize
 from .errors import DimensionMismatchError, LengthMismatchError, ShapeletLongerThanSeriesError, require_bool
@@ -112,8 +112,16 @@ class Windows:
 
     def measured(self, nearest: np.ndarray) -> np.ndarray:
         """(k, n, L) values of the picked windows, a fresh array; nearest[j, i]
-        is the start of query j's pick in series i."""
-        return self.scan[np.arange(nearest.shape[1]), nearest, :-1]
+        is the start of query j's pick in series i.
+
+        nearest is overwritten with the flat row index of each pick, which
+        gathers them faster than a (series, start) pair of index arrays.
+        ndarray.take would first copy every window of the strided view,
+        and a fresh index array the size of nearest raised a fit's peak
+        RSS."""
+        n, wcount, L = self.shape
+        nearest += np.arange(0, n * wcount, wcount)
+        return self.scan.reshape(-1, L + 1)[nearest, :L]
 
 
 # A window variance taken from prefix sums is trusted only when it exceeds
@@ -173,7 +181,8 @@ class SeriesSums:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if not cfg.normalize_windows:
             return cls(X, X, None, None)
-        centered = X - X.mean(axis=1, keepdims=True)
+        # X.mean(axis=1), bit for bit, without np.mean's wrapper
+        centered = X - np.add.reduce(X, axis=1, keepdims=True) / X.shape[1]
         s1, s2 = np.zeros((2, len(X), X.shape[1] + 1))
         np.cumsum(centered, axis=1, out=s1[:, 1:])
         np.cumsum(centered * centered, axis=1, out=s2[:, 1:])
@@ -190,7 +199,7 @@ class SeriesSums:
         |z(w)|^2 = L: scale is 1/sd and offset L/2. A window whose running
         variance could be off by more than 1/RUNNING_VAR_MARGIN of itself,
         or which is close to flat, is z-normalized directly instead, as
-        Windows.of_series would.
+        Windows.of_series would; when no window is, none is gathered.
         """
         m = self.series.shape[1]
         if L > m:
@@ -202,7 +211,7 @@ class SeriesSums:
         view.flags.writeable = False
         if self.s1 is None:
             offset = 0.5 * np.einsum("ijk,ijk->ij", view, view)
-            return ScaledWindows(self, view, None, offset, (np.empty(0, np.intp),) * 2, np.empty((0, L)))
+            return ScaledWindows(self, view, None, offset, NO_DIRECT, np.empty((0, L)))
         mean = self.s1[:, L:] - self.s1[:, :wcount]
         mean /= L
         var = self.s2[:, L:] - self.s2[:, :wcount]
@@ -212,12 +221,19 @@ class SeriesSums:
         # squares; the squared mean can add a further sqrt(m/L) of that
         bound = 3 * m * np.finfo(np.float64).eps * self.s2[:, -1:] * np.sqrt(m / L) / L
         direct = var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)
-        var[direct] = 1.0
+        where, zdirect = NO_DIRECT, np.empty((0, L))
+        if direct.any():
+            var[direct] = 1.0
+            # np.nonzero(direct) at a tenth of its cost on a 2-D mask
+            where = np.divmod(np.flatnonzero(direct), wcount)
+            zdirect = view[where]
+            znorm_rows(zdirect, out=zdirect)
         scale = np.divide(1.0, np.sqrt(var, out=var), out=var)
-        # np.nonzero(direct) at a tenth of its cost on a 2-D mask
-        i, start = np.divmod(np.flatnonzero(direct), wcount)
-        zdirect = view[i, start]
-        return ScaledWindows(self, view, scale, 0.5 * L, (i, start), znorm_rows(zdirect, out=zdirect))
+        return ScaledWindows(self, view, scale, 0.5 * L, where, zdirect)
+
+
+# The empty (series, start) pair of windows with no direct z-normalization.
+NO_DIRECT = (np.empty(0, np.intp), np.empty(0, np.intp))
 
 
 @dataclass(frozen=True)
@@ -266,10 +282,12 @@ class ScaledWindows:
         if tiles > 1:
             padded = np.zeros((n, tiles * B + L - 1))
             padded[:, :m] = rows
-            rows = as_strided(padded, (n, tiles, width), (padded.strides[0], 8 * B, 8)).reshape(n * tiles, width)
+            strides = (padded.strides[0], 8 * B, 8)
+            rows = np.ndarray((n, tiles, width), dtype=np.float64, buffer=padded, strides=strides).reshape(n * tiles, width)
         band = np.zeros((k, width, B))
         # view[q, b, t] is band[q, b + t, b]: b steps B + 1 values, t one row
-        as_strided(band, (k, B, L), (8 * width * B, 8 * (B + 1), 8 * B))[...] = Q[:, None]
+        strides = (8 * width * B, 8 * (B + 1), 8 * B)
+        np.ndarray((k, B, L), dtype=np.float64, buffer=band, strides=strides)[...] = Q[:, None]
         score = np.matmul(rows, band).reshape(k, n, tiles * B)[:, :, :wcount]
         if self.scale is not None:
             score *= self.scale
@@ -281,10 +299,18 @@ class ScaledWindows:
 
     def measured(self, nearest: np.ndarray) -> np.ndarray:
         """(k, n, L) values of the picked windows, a fresh array, as
-        Windows.measured gives them."""
-        rows = self.view[np.arange(nearest.shape[1]), nearest]
+        Windows.measured gives them, and nearest overwritten as it does.
+
+        The series laid end to end are read as the rows of one view, one
+        row per start, so that window (i, j) is row i m + j (rows that
+        cross into the next series are never read)."""
+        n, wcount, L = self.shape
+        m = wcount + L - 1
+        nearest += np.arange(0, n * m, m)
+        runs = np.ndarray((max(0, n * m - L + 1), L), dtype=np.float64, buffer=self.sums.series, strides=(8, 8))
+        rows = runs[nearest]
         if self.scale is not None:
-            flat = rows.reshape(-1, rows.shape[2])  # a view of the fresh rows
+            flat = rows.reshape(-1, L)  # a view of the fresh rows
             znorm_rows(flat, out=flat)
         return rows
 

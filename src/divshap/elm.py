@@ -21,8 +21,23 @@ from .errors import (
     require_int,
 )
 
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), z clamped to [-500, 500], computed in z's own
+    array: each step is the one 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    takes, bit for bit."""
+    np.maximum(-500.0, z, out=z)
+    np.minimum(500.0, z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+# Each activation maps the fresh pre-activation array it is given, and may
+# overwrite it.
 ACTIVATIONS = {
-    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
+    "sigmoid": _sigmoid,
     "tanh": np.tanh,
     "hardlimit": lambda z: (z >= 0).astype(np.float64),
 }
@@ -92,7 +107,9 @@ def hidden_output(h: HiddenLayer, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"{X.shape[1]} input features, layer expects {h.W.shape[1]}"
         )
-    return ACTIVATIONS[h.activation](X @ h.W.T + h.b)
+    z = X @ h.W.T
+    z += h.b
+    return ACTIVATIONS[h.activation](z)
 
 
 def pinv_solve(H: np.ndarray, T: np.ndarray, ridge: float = 0.0) -> np.ndarray:

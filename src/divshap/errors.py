@@ -1,4 +1,5 @@
-"""Exception types raised across the divshap modules, require_int and require_bool."""
+"""Exception types raised across the divshap modules, the warning categories
+they warn with, require_int and require_bool."""
 
 import numbers
 
@@ -69,6 +70,16 @@ class ModelFormatError(DivshapError):
 
 class InvalidConfigError(DivshapError):
     """A configuration value is outside the values it may take."""
+
+
+class NoUsableFoldsWarning(UserWarning):
+    """No cross-validation fold leaves two classes to fit on, so the k sweep
+    scores training accuracy instead."""
+
+
+class LeaveOneOutFoldsWarning(UserWarning):
+    """A class has fewer members than folds, so its members are spread one
+    per fold (leave-one-out on that class); every fold may still be usable."""
 
 
 def require_int(name: str, value, minimum: int) -> None:

@@ -24,11 +24,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import FLAT_STD, SQUARE_CHUNK, Dataset
+from .dataset import FLAT_STD, SQUARE_CHUNK, Dataset, znorm_rows
 from .distance import (
     DEFAULT_CONFIG,
     DistanceConfig,
@@ -79,6 +80,14 @@ class Shapelet:
     @property
     def id(self) -> str:
         return f"s{self.source_series}_{self.start}_{self.length}"
+
+    @cached_property
+    def znormed(self) -> np.ndarray:
+        """The values z-normalized as znorm_rows gives them, computed on
+        first use and kept, read-only, for every later transform."""
+        z = znorm_rows(self.values[None])[0]
+        z.flags.writeable = False
+        return z
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from . import elm
 from .dataset import Dataset, recode_labels, stratified_folds, znorm_rows
 from .distance import DistanceConfig
-from .errors import EmptyInputError, InvalidConfigError, LengthMismatchError, ModelFormatError
+from .errors import EmptyInputError, InvalidConfigError, LengthMismatchError, ModelFormatError, NoUsableFoldsWarning
 from .errors import SingleClassTrainingError, require_bool, require_int
 from .graph import DiversityGraph, batch_div_topk, build_graph
 from .mining import MiningConfig, Shapelet, mine_shapelets
@@ -112,15 +112,15 @@ def prepare_series(d: Dataset, cfg: PipelineConfig) -> Dataset:
 def _eval_splits(train: Dataset, ev: EvalConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs of row masks (rows an ELM is fitted on, rows it is scored on):
     one per stratified fold whose fit side holds two classes in mode "cv";
-    the training set scored on itself in mode "train", or, warned once, in
-    mode "cv" when no fold is usable."""
+    the training set scored on itself in mode "train", or, warned once
+    (NoUsableFoldsWarning), in mode "cv" when no fold is usable."""
     if ev.mode == "cv":
         folds = stratified_folds(train, min(ev.folds, train.n), ev.seed)
         splits = [(folds != f, folds == f) for f in np.unique(folds)]
         splits = [(tr, val) for tr, val in splits if len(np.unique(train.y[tr])) >= 2]
         if splits:
             return splits
-        warnings.warn("no usable CV folds; falling back to training accuracy")
+        warnings.warn("no usable CV folds; falling back to training accuracy", NoUsableFoldsWarning)
     everything = np.ones(train.n, dtype=bool)
     return [(everything, everything)]
 
@@ -239,7 +239,7 @@ def predict_pipeline(model: PipelineModel, test: Dataset) -> tuple[np.ndarray, f
     test = prepare_series(recode_labels(test, model.label_names), model.config)
     feats = model.scaling.apply(transform(test, model.shapelets, model.config.distance).X)
     pred = elm.predict(model.elm_model, feats)
-    return pred, float((pred == test.y).mean())
+    return pred, np.count_nonzero(pred == test.y) / test.n
 
 
 def _config_from_dict(cls, d: dict):

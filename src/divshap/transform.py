@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, znorm_rows
+from .dataset import Dataset
 from .distance import DEFAULT_CONFIG, DistanceConfig, SeriesSums, nearest_window_dists
 from .mining import Shapelet
 
@@ -24,11 +24,18 @@ class Scaling:
         return cls(mins=X.min(axis=0), maxs=X.max(axis=0))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Scale columns to [0, 1] with clamping; degenerate columns map to 0."""
+        """Scale columns to [0, 1] with clamping; degenerate columns map to 0.
+
+        The clamp is np.clip's, bit for bit, in place: maximum(0, x), then
+        minimum(1, x), which keep a NaN and the sign of a zero as it does."""
         span = self.maxs - self.mins
-        safe = np.where(span > 0, span, 1.0)
-        scaled = np.clip((X - self.mins) / safe, 0.0, 1.0)
-        return np.where(span > 0, scaled, 0.0)
+        live = span > 0
+        scaled = X - self.mins
+        scaled /= np.where(live, span, 1.0)
+        if not live.all():
+            scaled[:, ~live] = 0.0
+        np.maximum(0.0, scaled, out=scaled)
+        return np.minimum(1.0, scaled, out=scaled)
 
 
 @dataclass(frozen=True)
@@ -53,15 +60,17 @@ def transform(
     only the picked windows are measured exactly. z-normalized windows are
     scored from the mean-centred series, weighted by 1/sd from prefix sums,
     so their pick is approximate within the bound at
-    distance.RUNNING_VAR_MARGIN.
+    distance.RUNNING_VAR_MARGIN. A z-normalized query is the shapelet's
+    Shapelet.znormed, computed once per shapelet, not once per call.
     """
     sums = SeriesSums.of(d.X, cfg)
     out = np.zeros((d.n, len(shapelets)))
     for L in {s.length for s in shapelets}:
         cols = [j for j, s in enumerate(shapelets) if s.length == L]
-        queries = np.array([shapelets[j].values for j in cols])
         if cfg.normalize_windows:
-            znorm_rows(queries, out=queries)
+            queries = np.array([shapelets[j].znormed for j in cols])
+        else:
+            queries = np.array([shapelets[j].values for j in cols])
         out[:, cols] = nearest_window_dists(queries, sums.windows(L), cfg).T
     return FeatureMatrix(X=out)
 

@@ -35,3 +35,16 @@ def test_draw_medians_take_fit_i_as_draw_i_mod_draws():
 def test_draw_medians_skip_a_run_that_failed_an_operation():
     report = {"failed": 1, "sizes": {"draws": 2}, "fit_times_s": [1.0, 2.0, 3.0]}
     assert ab_pairs.draw_medians(report) is None
+
+
+def test_draw_medians_of_predicts_take_predict_i_as_batch_i_mod_draws():
+    report = {
+        "failed": 0,
+        "sizes": {"draws": 2},
+        "fit_times_s": [9.0, 8.0],
+        "predict_times_s": [1.0, 4.0, 3.0, 2.0, 2.0],
+    }
+    assert ab_pairs.draw_medians(report, "predict_times_s") == [2.0, 3.0]
+    assert ab_pairs.draw_medians(report) == [9.0, 8.0]
+    report["failed"] = 1
+    assert ab_pairs.draw_medians(report, "predict_times_s") is None

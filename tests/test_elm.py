@@ -192,6 +192,23 @@ def test_model_dict_roundtrip():
     assert np.array_equal(model.beta, loaded.beta)
 
 
+def test_sigmoid_in_place_matches_the_clip_expression_bit_for_bit():
+    """The sigmoid computes in its argument's array; every value, past the
+    clamp at |z| = 500, at it, at zero of either sign and in between, is the
+    bits of 1 / (1 + exp(-clip(z, -500, 500)))."""
+    rng = np.random.default_rng(4)
+    edges = [-1e300, -1000.0, -500.5, -500.0, -499.9, -0.0, 0.0, 499.9, 500.0, 500.5, 1000.0, 1e300]
+    z = np.concatenate([rng.normal(scale=20.0, size=197), rng.uniform(-2e3, 2e3, size=47), edges]).reshape(16, 16)
+    want = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    given = z.copy()
+    got = elm.ACTIVATIONS["sigmoid"](given)
+    assert got is given
+    assert got.tobytes() == want.tobytes()
+    h = elm.random_hidden_layer(16, 7, seed=3)
+    X = 40.0 * z
+    assert elm.hidden_output(h, X).tobytes() == (1.0 / (1.0 + np.exp(-np.clip(X @ h.W.T + h.b, -500, 500)))).tobytes()
+
+
 def test_activations_tanh_hardlimit():
     h = elm.HiddenLayer(W=np.array([[2.0]]), b=np.array([-1.0]), activation="tanh", seed=0)
     assert elm.hidden_output(h, np.array([[0.5]]))[0, 0] == pytest.approx(0.0)

@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 from divshap import elm
-from divshap.dataset import Dataset
+from divshap.dataset import Dataset, stratified_folds
 from divshap.distance import DistanceConfig
 from divshap.errors import (
     DivshapError,
     EmptyInputError,
     FlatTrainingSetError,
     InvalidConfigError,
+    LeaveOneOutFoldsWarning,
     LengthMismatchError,
     ModelFormatError,
+    NoUsableFoldsWarning,
     SingleClassTrainingError,
     ValueRangeError,
 )
@@ -394,6 +396,26 @@ def test_cv_without_usable_folds_warns_once_and_scores_training_accuracy():
     assert [str(w.message) for w in caught].count("no usable CV folds; falling back to training accuracy") == 1
     train = fit(d, small_cfg(evaluation=EvalConfig(mode="train", repeats=2)))
     assert cv.k_sweep_report == train.k_sweep_report
+
+
+def test_fold_warnings_each_raise_their_own_category():
+    """One series per class gives both warnings: stratified_folds' leave-
+    one-out fallback for each class, then _eval_splits' fallback to
+    training accuracy. Each is a UserWarning of its own category, so a
+    reader can count the fold fallbacks alone."""
+    d = bump_dataset(seed=0, per_class=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit(d, small_cfg())
+    kinds = Counter(w.category for w in caught)
+    assert kinds[NoUsableFoldsWarning] == 1 and kinds[LeaveOneOutFoldsWarning] == 2, kinds
+    for w in caught:
+        no_folds = str(w.message).startswith("no usable CV folds")
+        assert w.category is (NoUsableFoldsWarning if no_folds else LeaveOneOutFoldsWarning)
+    assert not issubclass(NoUsableFoldsWarning, LeaveOneOutFoldsWarning)
+    assert not issubclass(LeaveOneOutFoldsWarning, NoUsableFoldsWarning)
+    with pytest.warns(LeaveOneOutFoldsWarning):
+        stratified_folds(d, 2, seed=0)
 
 
 @pytest.mark.parametrize("mode, splits", [("cv", 5), ("train", 1)])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import divshap.distance as distance_mod
+import divshap.mining as mining_mod
+import divshap.pipeline as pipeline_mod
 from divshap.dataset import FLAT_STD, Dataset, znorm_rows, znormalize
 from divshap.distance import (
     RUNNING_VAR_MARGIN,
@@ -16,7 +18,7 @@ from divshap.distance import (
 )
 from divshap.errors import ShapeletLongerThanSeriesError
 from divshap.mining import MiningConfig, Shapelet, generate_candidates
-from divshap.pipeline import EvalConfig, PipelineConfig, fit
+from divshap.pipeline import EvalConfig, PipelineConfig, fit, predict_pipeline
 from divshap.transform import (
     FeatureMatrix,
     Scaling,
@@ -177,26 +179,31 @@ def window_copy_pick(Q, X):
     centred window, its product with the z-normalized queries Q, x scale -
     offset, and the rows zdirect of the windows z-normalized directly
     written into the copy. scale, offset and the mask direct are (series,
-    start) arrays, and zdirect lists its rows in (series, start) order."""
+    start) arrays, and zdirect lists its rows in (series, start) order. The
+    prefix sums of the centred series and of their squares are its own,
+    one per array, so it reads nothing of SeriesSums."""
     k, L = Q.shape
-    sums = SeriesSums.of(X)
-    n, m = sums.series.shape
+    n, m = X.shape
     wcount = m - L + 1
-    mean = (sums.s1[:, L:] - sums.s1[:, :wcount]) / L
-    var = (sums.s2[:, L:] - sums.s2[:, :wcount]) / L - mean * mean
-    bound = 3 * m * np.finfo(np.float64).eps * sums.s2[:, -1:] * np.sqrt(m / L) / L
+    centered = X - X.mean(axis=1, keepdims=True)
+    zero = np.zeros((n, 1))
+    s1 = np.concatenate([zero, np.cumsum(centered, axis=1)], axis=1)
+    s2 = np.concatenate([zero, np.cumsum(centered * centered, axis=1)], axis=1)
+    mean = (s1[:, L:] - s1[:, :wcount]) / L
+    var = (s2[:, L:] - s2[:, :wcount]) / L - mean * mean
+    bound = 3 * m * np.finfo(np.float64).eps * s2[:, -1:] * np.sqrt(m / L) / L
     direct = var < np.maximum(RUNNING_VAR_MARGIN * bound, (2 * FLAT_STD) ** 2)
     view = np.lib.stride_tricks.sliding_window_view
-    scan = view(sums.rows, L, axis=1).copy()
+    scan = view(centered, L, axis=1).copy()
     scale = 1.0 / np.sqrt(np.where(direct, 1.0, var))
     offset = np.full((n, wcount), 0.5 * L)
-    scan[direct] = znorm_rows(view(sums.series, L, axis=1)[direct])
+    scan[direct] = znorm_rows(view(X, L, axis=1)[direct])
     offset[direct] = znorm_offset(scan[direct])
     score = (Q @ scan.reshape(n * wcount, L).T).reshape(k, n, wcount)
     score *= scale
     score -= offset
     nearest = score.argmax(axis=2)
-    picked = view(sums.series, L, axis=1)[np.arange(n), nearest].reshape(k * n, L)
+    picked = view(X, L, axis=1)[np.arange(n), nearest].reshape(k * n, L)
     diff = znorm_rows(picked).reshape(k, n, L) - Q[:, None]
     dist = np.einsum("ijk,ijk->ij", diff, diff) / L
     return nearest, dist, scale, offset, direct, scan[direct]
@@ -322,6 +329,62 @@ def test_banded_pick_on_read_only_and_integer_series():
         # integer queries tie exactly, so the first maximum must be kept
         assert_raw_pick_matches_window_copy(series, np.vstack([Q, X[1, 3:9], np.ones(6)]))
     assert np.array_equal(X, frozen)
+
+
+def test_banded_pick_on_walk_rows_mixed_with_noise_rows():
+    """Drifting-walk rows, whose short windows go direct, interleaved with
+    white-noise rows, whose windows here do not: at L = 4 the batch takes
+    the direct path for walk rows only; at L = 10 and 32, and for the noise
+    rows alone, it has no direct window and gathers none. Every case gives
+    the window copy's pick bit for bit."""
+    rng = np.random.default_rng(38)
+    X = rng.normal(size=(8, 128))
+    X[::2] = np.cumsum(rng.normal(100.0, 1.0, size=(4, 128)), axis=1)
+    for L in (4, 10, 32):
+        Q = znorm_rows(rng.normal(size=(3, L)))
+        for batch, direct in ((X, L == 4), (X[1::2], False)):
+            windows = SeriesSums.of(batch).windows(L)
+            series = np.unique(windows.direct[0])
+            if direct:
+                assert np.array_equal(series, [0, 2, 4, 6]), L
+            else:
+                assert len(series) == len(windows.direct[1]) == len(windows.zdirect) == 0, L
+                assert windows.zdirect.shape == (0, L)
+            assert_pick_matches_window_copy(batch, Q)
+
+
+def test_shapelet_caches_its_znormalized_values_read_only():
+    rng = np.random.default_rng(39)
+    for values in (3.0 * rng.normal(size=9) + 2.0, np.full(5, 4.0), rng.normal(size=1)):
+        s = make_shapelet(values)
+        z = s.znormed
+        assert z is s.znormed
+        assert not z.flags.writeable
+        assert z.tobytes() == znorm_rows(values[None])[0].tobytes()
+        with pytest.raises(ValueError):
+            z[0] = 1.0
+
+
+def test_predict_without_direct_windows_znormalizes_once_per_length(monkeypatch):
+    """After a first predict has cached the model's queries, a predict of a
+    batch with no direct window runs znorm_rows only on each length's
+    picked windows: once per length, as each length is one slice."""
+    model = fit(bump_dataset(seed=0), PipelineConfig(mining=MiningConfig(min_len=5, max_len=12), evaluation=EvalConfig(repeats=2)))
+    lengths = {s.length for s in model.shapelets}
+    test = bump_dataset(seed=1)
+    for L in lengths:
+        assert len(SeriesSums.of(test.X).windows(L).zdirect) == 0, L
+    predict_pipeline(model, test)
+    calls = []
+
+    def counted(w, out=None):
+        calls.append(w.shape)
+        return znorm_rows(w, out=out)
+
+    for module in (distance_mod, mining_mod, pipeline_mod):
+        monkeypatch.setattr(module, "znorm_rows", counted)
+    predict_pipeline(model, test)
+    assert len(calls) == len(lengths), calls
 
 
 def test_banded_pick_rejects_long_query():
@@ -473,6 +536,29 @@ def test_scaling_clamps_out_of_range():
     test = _fm([[9.0, -1.0]])
     scaled = apply_scaling(test, scaling)
     assert scaled.X[:, 0].tolist() == [1.0, 0.0]
+
+
+def test_scaling_apply_matches_the_clip_and_where_expression_bit_for_bit():
+    """apply clamps in place; on values inside, at and far outside the
+    training range, zeros of either sign, and constant columns (one held
+    at zero, one elsewhere), it gives the bits of
+    where(span > 0, clip((X - mins) / where(span > 0, span, 1), 0, 1), 0),
+    and leaves X as it was."""
+    rng = np.random.default_rng(6)
+    train = rng.uniform(-3.0, 5.0, size=(20, 6))
+    train[:, 2] = 7.5
+    train[:, 4] = 0.0
+    train[0, 5] = 0.0
+    train[1:, 5] = np.abs(train[1:, 5])
+    X = np.vstack([rng.uniform(-40.0, 40.0, size=(30, 6)), train, np.zeros((1, 6)), np.full((1, 6), -0.0)])
+    for scaling in (Scaling.fit(train), Scaling.fit(train[:, [0, 1, 3, 5]])):
+        cols = X[:, : len(scaling.mins)].copy()
+        span = scaling.maxs - scaling.mins
+        want = np.clip((cols - scaling.mins) / np.where(span > 0, span, 1.0), 0.0, 1.0)
+        want = np.where(span > 0, want, 0.0)
+        before = cols.copy()
+        assert scaling.apply(cols).tobytes() == want.tobytes()
+        assert np.array_equal(cols, before)
 
 
 def test_scaling_train_maps_into_unit_interval():
