@@ -19,7 +19,11 @@ an offset. A raw window's offset |w|^2/2 is summed from the series in
 place. For z-normalized windows the series are mean-centred and each score
 is weighted by 1/sd from prefix sums; only the windows picked are
 z-normalized, and the pick is approximate within the bound given at
-RUNNING_VAR_MARGIN.
+RUNNING_VAR_MARGIN. Its sibling nearest_window_scores serves mining's
+first pass, which reads only the order of a query's distances: a distance
+is |q|^2 less twice the pick score, so it returns each series' largest
+pick score, with no pick and no measure. Both slice their queries by one
+rule (_query_slices).
 pair_dists is the one pair kernel, behind the greedy scan fit runs
 (graph.batch_div_topk), the graph's edges, shapelet_dist and the orderline
 oracle: it slides the shorter of each pair along the longer, as row
@@ -30,7 +34,9 @@ early-abandoning scalar loop on numpy's own mean and std, is its oracle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -315,6 +321,14 @@ class ScaledWindows:
         return rows
 
 
+def _query_slices(Q: np.ndarray, windows: Windows | ScaledWindows):
+    """The slices of the rows of Q that a window kernel scores at a time:
+    at most SQUARE_CHUNK bytes of scores each, or one query's if more."""
+    n, wcount, L = windows.shape
+    step = max(1, SQUARE_CHUNK // (8 * max(1, n * max(wcount, L))))
+    return (slice(a, a + step) for a in range(0, len(Q), step))
+
+
 def nearest_window_dists(
     Q: np.ndarray, windows: Windows | ScaledWindows, cfg: DistanceConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
@@ -329,23 +343,45 @@ def nearest_window_dists(
     window; for z-normalized ScaledWindows, the pick itself is exact only
     up to the bound at RUNNING_VAR_MARGIN.
 
-    The queries are scored, picked and measured a slice at a time. Beside
-    the output, the call holds one slice's picks and either its scores or
-    its picked windows: at most SQUARE_CHUNK bytes of each, or one query's
-    if more (ScaledWindows' scores also hold the ragged end of each series'
-    last tile). A query's pick and distances do not depend on its slice.
+    The queries are scored, picked and measured a slice at a time
+    (_query_slices). Beside the output, the call holds one slice's picks
+    and either its scores or its picked windows: at most SQUARE_CHUNK bytes
+    of each, or one query's if more (ScaledWindows' scores also hold the
+    ragged end of each series' last tile). A query's pick and distances do
+    not depend on its slice.
     """
     n, wcount, L = windows.shape
     out = np.empty((len(Q), n))
-    step = max(1, SQUARE_CHUNK // (8 * max(1, n * max(wcount, L))))
-    for a in range(0, len(Q), step):
-        q = Q[a : a + step]
+    for rows in _query_slices(Q, windows):
+        q = Q[rows]
         diff = windows.measured(windows.scores(q).argmax(axis=2))
         diff -= q[:, None]
-        out[a : a + step] = np.einsum("ijk,ijk->ij", diff, diff)
+        out[rows] = np.einsum("ijk,ijk->ij", diff, diff)
         del diff  # before the next slice's scores
     if cfg.length_normalize:
         out /= L
+    return out
+
+
+def nearest_window_scores(Q: np.ndarray, windows: Windows | ScaledWindows) -> np.ndarray:
+    """(queries, n) largest pick score of each row of Q in each of the n
+    series of windows: the score of the window nearest_window_dists picks,
+    with no pick and no measure.
+
+    One np.maximum.reduceat at the series starts takes each series' largest
+    entry of a slice's (queries, n * wcount) scores; on short rows it costs
+    half an argmax. The queries are sliced as nearest_window_dists slices
+    them, so the call holds one slice's scores beside its output. Unlike a
+    measured distance, a score's last bits may depend on its slice
+    (ScaledWindows' tiles narrow with a slice's queries).
+    """
+    n, wcount, L = windows.shape
+    out = np.empty((len(Q), n))
+    starts = np.arange(0, n * wcount, wcount)
+    for rows in _query_slices(Q, windows):
+        score = windows.scores(Q[rows])
+        np.maximum.reduceat(score.reshape(len(score), -1), starts, axis=1, out=out[rows])
+        del score  # before the next slice's scores
     return out
 
 
@@ -419,23 +455,27 @@ def pair_dists(us, vs, cfg: DistanceConfig = DEFAULT_CONFIG) -> np.ndarray:
     longer side itself, gives the same squares whichever side is subtracted.
     """
     us, vs = [_sequence(u) for u in us], [_sequence(v) for v in vs]
-    lu, lv = (np.array([len(x) for x in xs], dtype=np.intp) for xs in (us, vs))
     # each side in length order, so that its rows of a length, and those
-    # longer, are slices
-    pu, pv = np.argsort(lu, kind="stable"), np.argsort(lv, kind="stable")
-    lu, lv = lu[pu], lv[pv]
+    # longer, are slices; the lengths are few and grouped in Python, as
+    # numpy's per-call cost outweighs them
+    pu = sorted(range(len(us)), key=lambda i: len(us[i]))
+    pv = sorted(range(len(vs)), key=lambda j: len(vs[j]))
     us, vs = [us[i] for i in pu], [vs[j] for j in pv]
+    lu, lv = [len(u) for u in us], [len(v) for v in vs]
     out = np.empty((len(us), len(vs)))
-    for L in np.union1d(lu, lv).tolist():
-        u0, u1 = np.searchsorted(lu, [L, L + 1]).tolist()
-        v0, v1 = np.searchsorted(lv, [L, L + 1]).tolist()
+    for L in sorted({*lu, *lv}):
+        u0, u1 = bisect_left(lu, L), bisect_right(lu, L)
+        v0, v1 = bisect_left(lv, L), bisect_right(lv, L)
         if v1 > v0 and u0 < len(us):
             out[u0:, v0:v1] = _window_mins(us[u0:], vs[v0:v1], L, cfg).T
         if u1 > u0 and v1 < len(vs):
             out[u0:u1, v1:] = _window_mins(vs[v1:], us[u0:u1], L, cfg)
-    unsorted = np.empty_like(out)
-    unsorted[np.ix_(pu, pv)] = out
-    return unsorted
+    # back to the callers' order, gathering only a side that was reordered
+    if pu != sorted(pu):
+        out = out[np.argsort(pu)]
+    if pv != sorted(pv):
+        out = out[:, np.argsort(pv)]
+    return out
 
 
 def _window_mins(longs: list, shorts: list, L: int, cfg: DistanceConfig) -> np.ndarray:
@@ -452,8 +492,8 @@ def _window_mins(longs: list, shorts: list, L: int, cfg: DistanceConfig) -> np.n
     short's).
     """
     out = np.empty((len(shorts), len(longs)))
-    counts = np.array([len(t) for t in longs]) - L + 1
-    per = max(1, SQUARE_CHUNK // (8 * L * int(counts.max())))
+    counts = [len(t) - L + 1 for t in longs]
+    per = max(1, SQUARE_CHUNK // (8 * L * max(counts)))
     for lo in range(0, len(longs), per):
         wc = counts[lo : lo + per]
         # sliding_window_view's view of each long, without its per-call
@@ -463,7 +503,7 @@ def _window_mins(longs: list, shorts: list, L: int, cfg: DistanceConfig) -> np.n
         if cfg.normalize_windows:
             znorm_rows(rows, out=rows)
         windows, queries = rows[: -len(shorts)], rows[-len(shorts) :]
-        first = np.cumsum(wc) - wc
+        first = list(accumulate(wc[:-1], initial=0))
         step = max(1, SQUARE_CHUNK // (8 * windows.size))
         for a in range(0, len(queries), step):
             diff = (windows - queries[a : a + step, None]).reshape(-1, L)

@@ -6,17 +6,19 @@ information-gain split of its orderline: the sorted distances from the
 candidate to all training series. When each class is large enough,
 every candidate is first scored against a quarter of each class's series,
 and against all of them only as far as a reader of the table reaches: the
-distances to the quarter bound the gain (after the optimistic gain of Ye &
-Keogh, KDD 2009), and a row is shown once its gain beats every bound still
-open, as a diversified top-k stops on bounds (Qin, Yu & Chang, PVLDB
-2012). Every row shown is the row that scoring every candidate against
-every series gives, bit for bit. The batched split reads each split's
-entropy from a table of p log2 p terms over integer class counts
-(ClassCounts), so it takes no logarithm per candidate. Generation, scoring
-and the best-first ordering work on the columns of a CandidateTable; a
-Shapelet object is built only when its row is read, and the greedy scan of
-the diversity graph reads its blocks of rows as arrays (CandidateTable.peek)
-and builds only the Shapelets it keeps.
+order of the distances to the quarter bounds the gain (after the optimistic
+gain of Ye & Keogh, KDD 2009), and a row is shown once its gain beats every
+bound still open, as a diversified top-k stops on bounds (Qin, Yu & Chang,
+PVLDB 2012). The first pass reads that order from the pick scores, and
+measures only the rows whose scores may tie. Every row shown is the row
+that scoring every candidate against every series gives, bit for bit. The
+batched split reads each split's entropy from a table of p log2 p terms
+over integer class counts (ClassCounts), so it takes no logarithm per
+candidate. Generation, scoring and the best-first ordering work on the
+columns of a CandidateTable; a Shapelet object is built only when its row
+is read, and the greedy scan of the diversity graph reads its blocks of
+rows as arrays (CandidateTable.peek) and builds only the Shapelets it
+keeps.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .distance import (
     DistanceConfig,
     Windows,
     nearest_window_dists,
+    nearest_window_scores,
     pair_dists,
 )
 from .errors import BandEmptyError, FlatTrainingSetError, InvalidConfigError, ShapeletLongerThanSeriesError, require_int
@@ -387,7 +390,9 @@ def mine_shapelets(
 # scores against some of the series: the windows of those series (offset
 # column included), the kernel's one slice of scores or of picked windows
 # (dataset.SQUARE_CHUNK bytes, or one candidate's if more; see
-# distance.nearest_window_dists), and per block candidate its raw window,
+# distance.nearest_window_dists; a first-pass block holds no picks or
+# picked windows, only nearest_window_scores' slice of scores, but for the
+# few rows whose scores may tie), and per block candidate its raw window,
 # its query row with offset and that row extended by -1, and SPLIT_ROWS
 # rows of one entry per series scored so far and one more. The best split
 # and the gain bound, which run after the kernel, hold at most SPLIT_ROWS
@@ -396,18 +401,20 @@ def mine_shapelets(
 # running count and what the counted classes leave, the two entropy sums
 # and one class's two terms of them, and a count that is being replaced
 # (eight in all with two classes, whose last count is what the first
-# leaves). Its later arrays fit in what these free. The kernel's output is
-# one of those rows and a slice's picks fit in the others; the slice is
-# freed before the split, but is counted once beside it. A block, slice
-# included, gets at least half the budget: one slice and 1 MiB of rows. So
-# only a window matrix above the other half makes a thread exceed it;
-# z-normalizing that matrix in place adds at most SQUARE_CHUNK bytes of
-# squares.
+# leaves). For the bound: the keys, their sorted copy and the test of its
+# gaps, then the argsort, the sorted keys, the strides gathered, the
+# prefixes and their gains (seven at most). Its later arrays fit in what
+# these free. The kernel's output is one of those rows and a slice's picks
+# fit in the others; the slice is freed before the split, but is counted
+# once beside it. A block, slice included, gets at least half the budget:
+# one slice and 1 MiB of rows. So only a window matrix above the other half
+# makes a thread exceed it; z-normalizing that matrix in place adds at most
+# SQUARE_CHUNK bytes of squares.
 # generate_candidates compares windows a chunk of SCORING_BUDGET / 8 bytes
 # at a time. The threads share one ClassCounts table of (n + 1) (largest
 # class + 1) floats, outside the budget: 3.8 MiB for n = 1,000 in two
-# equal classes, 34 MiB for n = 3,000; and the bound's table of gains, at
-# most SQUARE_CHUNK bytes.
+# equal classes, 34 MiB for n = 3,000; and the bound's corner-maxed table
+# of gains, at most SQUARE_CHUNK bytes.
 SCORING_BUDGET = 6 * 2**20
 SPLIT_ROWS = 10
 
@@ -545,7 +552,9 @@ def _batch_best_split(
 # STAGE_MIN series: the bound of so few series prunes too little to pay for
 # its pass. A second pass over half of each class, and keeping the first
 # pass's distances for completion, both made fit-wide's fit slower than
-# this one pass (ROADMAP item 3).
+# this one pass: passes over a quarter, a half and all of each class took
+# 0.414 s a fit against 0.365 s for this pass and completion, and kept
+# distances cost 0.75 MB of peak RSS per MiB kept.
 FIRST_SHARE = 0.25
 STAGE_MIN = 8
 # A completed gain is certified when it exceeds every uncompleted bound by
@@ -563,7 +572,7 @@ def _first_series(counts: ClassCounts, bounded: bool) -> np.ndarray | None:
     one class, or some class gives fewer than STAGE_MIN series. As the pass
     takes at least STAGE_MIN series of each class, and the bound's table of
     gains at most SQUARE_CHUNK bytes, a first pass comes with at most four
-    classes, whose bound reads 2^4 corners."""
+    classes, whose 2^4 corners _corner_max folds into the table once."""
     want = np.floor(FIRST_SHARE * counts.total + 0.5).astype(np.intp)
     if not bounded or len(want) < 2 or want.min() < STAGE_MIN:
         return None
@@ -574,16 +583,18 @@ class _PrunedScoring:
     """The scores behind a mined CandidateTable, completed only as far as a
     reader needs.
 
-    The first pass scores every candidate against the series of
-    _first_series, S, and keeps only _gain_bound's bound on its gain.
-    Certifying rows for a reader completes the candidates whose bound
-    reaches the cut (those that may hold a row the reader needs): each is
-    scored against every series, as mining with no first pass scores it. A
-    completed row is sure once its gain exceeds every bound still open by
-    GAIN_MARGIN: no open candidate can then precede it, so sure rows,
-    certified in key order as readers reach them, come in the table's
-    order. Reading every row thus measures each
-    candidate against |S| + n series. A completed row is the row of scoring
+    The first pass scores and orders: it scores every candidate against
+    the series of _first_series, S, orders each row by its pick scores
+    (_order_keys), measures only the rows that may tie, and keeps only
+    _gain_bound's bound on its gain. Certifying rows for a reader completes
+    the candidates whose bound reaches the cut (those that may hold a row
+    the reader needs): each is scored against every series, as mining with
+    no first pass scores it. A completed row is sure once its gain exceeds
+    every bound still open by GAIN_MARGIN: no open candidate can then
+    precede it, so sure rows, certified in key order as readers reach them,
+    come in the table's order. Reading every row thus scores each candidate
+    against |S| + n series, and measures it against n (and the rows that
+    may tie against |S| more). A completed row is the row of scoring
     against every series at once, bit for bit, as completion is that
     scoring. With no first pass, every candidate is completed at once.
     """
@@ -593,8 +604,12 @@ class _PrunedScoring:
         self.source, self.start, self.length = source, start, length
         size = len(source)
         self.counts = ClassCounts.of(train.y)
-        self.gains = _gain_table(self.counts)
-        self.first = _first_series(self.counts, self.gains is not None)
+        gains = _gain_table(self.counts)
+        self.first = _first_series(self.counts, gains is not None)
+        # the bound reads only the corner-maxed table, built once
+        if self.first is not None:
+            gains = _corner_max(gains, self.counts.label[self.first], self.counts.total)
+        self.table = gains
         self.scores = np.zeros((3, size))
         self.bound = np.full(size, np.inf)
         self.done = np.full(size, BOUNDED, dtype=np.int8)
@@ -689,14 +704,57 @@ class _PrunedScoring:
                 queries = Windows.of_series(view[source, start], L, self.dist_cfg).scan[:, 0]
             # a z-normalized window is all zeros, and so has offset 0, when flat
             informative = informative or bool(queries[:, L].any())
-            dist = nearest_window_dists(queries[:, :L], windows, self.dist_cfg)
             if series is None:
+                dist = nearest_window_dists(queries[:, :L], windows, self.dist_cfg)
                 self.scores[:, part] = _batch_best_split(dist, self.counts)
                 self.bound[part] = -np.inf
                 self.done[part] = COMPLETED
             else:
-                self.bound[part] = _gain_bound(dist, self.counts.label[series], self.counts.total, self.gains)
+                keys = _order_keys(queries, windows, self.dist_cfg)
+                self.bound[part] = _gain_bound(keys, self.counts.label[series], self.counts.total, self.table)
         return informative
+
+
+# Scores that sort a row's series as its measured distances sort them.
+# For a query q and a window w of Windows.of_series, with its offset o,
+# let t(w) = q.w - |w|^2/2, exactly; |q - w|^2 = |q|^2 - 2 t(w). With
+# u = 2^-53 and g = (L + 6) u / (1 - (L + 6) u), the rounding of:
+# - the score, a sum of the L + 1 products q_j w_j and -o in any order, is
+#   at most g (|q| |w| + o), and o is within g |w|^2 / 2 of |w|^2 / 2 (a
+#   rounded sum of L squares for raw windows; L/2 for z-normalized ones,
+#   whose |w|^2 the few roundings of znorm_rows keep within g L of L), so
+#   each score is within E = 1.5 g (|q|^2 + A) of t(w), A = max |w|^2;
+# - the measure, L rounded differences squared and summed, is at most
+#   g d for a distance d <= (|q| + |w|)^2 <= 2 (|q|^2 + A).
+# The kernel measures the window of largest computed score, whose t lies
+# within 2E of the largest t, and so within 3E of the largest computed
+# score s: its distance is |q|^2 - 2 s, within 6E before its measure. Two
+# series whose scores differ by D > 0 then measure at least
+# 2 D - 12 E - 4 g (|q|^2 + A) apart, in the order of their scores; after
+# the division by L they stay strictly ordered when that exceeds
+# u (d_i + d_j) <= g (|q|^2 + A). D > 11.5 g (|q|^2 + A) is enough for
+# both. The margin is 16 g (|q|^2 + A), with |q|^2 and A read as twice the
+# offsets (each within g of its sum of squares, which 16 for 11.5 covers),
+# and infinite, so that every row is measured, when those overflow. Raw
+# windows, whose |w| has no bound, are covered through A.
+def _order_keys(queries: np.ndarray, windows: Windows, cfg: DistanceConfig) -> np.ndarray:
+    """(queries, n) sort keys for _gain_bound of each query row (values,
+    then offset, as windows.scan holds them) against the series of
+    windows: each largest pick score negated, as ascending distance is
+    descending score, or, in a row where two scores lie within the margin
+    above and so might tie or swap once measured, the measured distances.
+    Every key sorts, and ties, as nearest_window_dists' distances would."""
+    L = windows.shape[2]
+    keys = nearest_window_scores(queries[:, :L], windows)
+    np.negative(keys, out=keys)
+    g = (L + 6) * 2.0**-53 / (1 - (L + 6) * 2.0**-53)
+    margin = 32 * g * (queries[:, L] + windows.scan[:, :, L].max(initial=0.0))
+    sk = np.sort(keys, axis=1)
+    clear = sk[:, 1:] - sk[:, :-1] > margin[:, None]
+    near = np.flatnonzero(~clear.all(axis=1))  # a NaN gap is not clear either
+    if len(near):
+        keys[near] = nearest_window_dists(queries[near, :L], windows, cfg)
+    return keys
 
 
 def _gain_table(counts: ClassCounts) -> np.ndarray | None:
@@ -726,34 +784,50 @@ def _gain_table(counts: ClassCounts) -> np.ndarray | None:
     return np.append(gains, -np.inf)
 
 
-def _gain_bound(dist: np.ndarray, label: np.ndarray, total: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Per row of dist, the distances to a subset S of the series whose
-    class indices are label, a bound on the gain of the best split of the
-    row's full orderline, over classes of sizes total; gains is
-    _gain_table's.
+def _corner_max(gains: np.ndarray, label: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """_gain_table's gains maxed over the corners that _gain_bound reads
+    for a subset S of the series whose class indices are label: entry p is
+    the largest of gains[min(p + shift, last)] over the corner shifts, the
+    positions that move all of some classes' series outside S to the left.
+    max is exact, so each entry has the bits of the largest gain it reads."""
+    unknown = (total - np.bincount(label, minlength=len(total))) * _strides(total)
+    corners = np.array(list(itertools.product((0, 1), repeat=len(total))))
+    table = gains.copy()
+    for shift in np.unique(corners @ unknown).tolist():
+        if shift:  # entries past the end would read the last, -inf
+            np.maximum(table[:-shift], gains[shift:], out=table[:-shift])
+    return table
+
+
+def _strides(total: np.ndarray) -> np.ndarray:
+    """The step in _gain_table's positions of one more series of each class
+    on the left."""
+    return np.r_[np.cumprod((total + 1)[:0:-1])[::-1], 1]
+
+
+def _gain_bound(keys: np.ndarray, label: np.ndarray, total: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row of keys, sort keys of a subset S of the series whose class
+    indices are label (the distances to them, or any keys that sort and tie
+    as those do), a bound on the gain of the best split of the row's full
+    orderline, over classes of sizes total; table is _corner_max's, for
+    label.
 
     A valid split of the full orderline leaves on its left a prefix of S's
     sorted distances, cut at p = 0, p = |S| or where they rise, and between
     0 and u_k of the u_k series of class k outside S. Gain is convex in the
     left class counts, since each side's size times its entropy is concave,
     so its maximum over that box is at a vertex: the series outside S of
-    each class all left or all right. Each prefix and vertex is one
-    position of gains.
+    each class all left or all right. Each prefix is one position of table,
+    which holds the best of its vertices.
     """
-    c, s = dist.shape
-    strides = np.r_[np.cumprod((total + 1)[:0:-1])[::-1], 1]
-    order = np.argsort(dist, axis=1)
-    sd = np.take_along_axis(dist, order, axis=1)
+    c, s = keys.shape
+    order = np.argsort(keys, axis=1)
+    sd = np.take_along_axis(keys, order, axis=1)
     prefix = np.zeros((c, s + 1), dtype=np.intp)
-    np.cumsum(strides[label][order], axis=1, out=prefix[:, 1:])
+    np.cumsum(_strides(total)[label][order], axis=1, out=prefix[:, 1:])
     del order
-    # a cut between equal distances is no split: it reads past the table,
-    # and reads clipped to the table's end read its last entry, -inf
-    prefix[:, 1:s][sd[:, 1:] <= sd[:, :-1]] = len(gains) - 1
+    # a cut between equal distances is no split: it reads the table's last
+    # entry, -inf
+    prefix[:, 1:s][sd[:, 1:] <= sd[:, :-1]] = len(table) - 1
     del sd
-    unknown = (total - np.bincount(label, minlength=len(total))) * strides
-    corners = np.array(list(itertools.product((0, 1), repeat=len(total))))
-    best = np.full(c, -np.inf)
-    for shift in np.unique(corners @ unknown).tolist():
-        np.maximum(best, gains.take(prefix + shift, mode="clip").max(axis=1), out=best)
-    return best
+    return table.take(prefix).max(axis=1)

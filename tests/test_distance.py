@@ -12,6 +12,7 @@ from divshap.distance import (
     SeriesSums,
     Windows,
     nearest_window_dists,
+    nearest_window_scores,
     pair_dists,
     shapelet_dist,
     subsequence_dist,
@@ -204,6 +205,25 @@ def test_nearest_window_dists_in_slices_of_one_query_give_the_same_bits(monkeypa
         assert scored == [k] * (k > 0) + [1] * k, (n, m, L, k)
         assert whole.shape == sliced.shape == (k, n)
         assert np.array_equal(whole.view(np.uint64), sliced.view(np.uint64)), (n, m, L, k)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+def test_nearest_window_scores_are_the_largest_scores_whole_and_in_slices(monkeypatch, kind, cfg):
+    """Each query's largest pick score per series: the maximum of the
+    windows.scores of its slice, bit for bit, whether all queries are one
+    slice or each is its own; the sets have flat stretches, a query as long
+    as the series, no series, or no query."""
+    rng = np.random.default_rng(27)
+    for n, m, L, k in ((6, 24, 5, 9), (1, 40, 4, 12), (2, 30, 30, 5), (0, 12, 4, 3), (5, 12, 4, 0)):
+        X = series_with_flat_stretches(rng, n, m)
+        windows = WINDOW_KINDS[kind](X, L, cfg)
+        Q = naive_windows(rng.normal(size=(k, L)), L, cfg) if k else np.empty((0, L))
+        for chunk, rows in ((2**40, [slice(0, k)] if k else []), (1, [slice(j, j + 1) for j in range(k)])):
+            want = np.vstack([np.empty((0, n))] + [windows.scores(Q[r]).max(axis=2, initial=-np.inf) for r in rows])
+            monkeypatch.setattr(distance_mod, "SQUARE_CHUNK", chunk)
+            got = nearest_window_scores(Q, windows)
+            assert got.shape == (k, n) and np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, m, L, k)
 
 
 def test_nearest_window_dists_holds_one_square_chunk_of_scores():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -21,15 +22,17 @@ from divshap.mining import (
     MiningConfig,
     Shapelet,
     _batch_best_split,
+    _corner_max,
     _gain_bound,
     _gain_table,
+    _order_keys,
     best_split,
     entropy,
     generate_candidates,
     mine_shapelets,
     orderline,
 )
-from divshap.distance import DistanceConfig, subsequence_dist
+from divshap.distance import DistanceConfig, Windows, subsequence_dist
 from divshap.pipeline import EvalConfig, PipelineConfig, fit
 
 from conftest import REPO_ROOT, bump_dataset, xor_dataset
@@ -740,6 +743,12 @@ def subset_block(n_classes, seed, rows=300):
     return dist, y, subset
 
 
+def bound_of(keys, label, counts):
+    """_gain_bound of keys to the series of class indices label, with the
+    corner-maxed table of counts for them."""
+    return _gain_bound(keys, label, counts.total, _corner_max(_gain_table(counts), label, counts.total))
+
+
 @pytest.mark.parametrize("n_classes", [2, 3, 5, 7])
 def test_gain_bound_is_at_least_the_full_gain(n_classes):
     """On every row, the bound from the distances to a subset of the
@@ -749,11 +758,105 @@ def test_gain_bound_is_at_least_the_full_gain(n_classes):
         dist, y, subset = subset_block(n_classes, seed)
         counts = ClassCounts.of(y)
         gain = _batch_best_split(dist, counts)[1]
-        bound = _gain_bound(dist[:, subset], counts.label[subset], counts.total, _gain_table(counts))
+        bound = bound_of(dist[:, subset], counts.label[subset], counts)
         assert (bound >= gain).all(), (seed, np.min(bound - gain))
         # a subset of every series bounds each row by its own gain
-        whole = _gain_bound(dist, counts.label, counts.total, _gain_table(counts))
+        whole = bound_of(dist, counts.label, counts)
         assert np.array_equal(whole, gain)
+
+
+def per_shift_bound(dist, label, total, gains):
+    """The bound as _gain_bound took it before its corner-maxed table: the
+    prefixes of each row's sorted distances, and one gather of gains, and
+    one max, per distinct corner shift, each read clipped to the table's
+    end."""
+    c, s = dist.shape
+    strides = np.r_[np.cumprod((total + 1)[:0:-1])[::-1], 1]
+    order = np.argsort(dist, axis=1)
+    sd = np.take_along_axis(dist, order, axis=1)
+    prefix = np.zeros((c, s + 1), dtype=np.intp)
+    np.cumsum(strides[label][order], axis=1, out=prefix[:, 1:])
+    prefix[:, 1:s][sd[:, 1:] <= sd[:, :-1]] = len(gains) - 1
+    unknown = (total - np.bincount(label, minlength=len(total))) * strides
+    corners = np.array(list(itertools.product((0, 1), repeat=len(total))))
+    best = np.full(c, -np.inf)
+    for shift in np.unique(corners @ unknown).tolist():
+        np.maximum(best, gains.take(prefix + shift, mode="clip").max(axis=1), out=best)
+    return best
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_corner_maxed_table_gives_the_per_shift_bounds_bit_for_bit(n_classes):
+    """One gather of the corner-maxed table per bound reads what a gather
+    per corner shift read, on tie-heavy blocks and subsets stratified,
+    arbitrary or of one class."""
+    for seed in range(9):
+        dist, y, subset = subset_block(n_classes, seed)
+        counts = ClassCounts.of(y)
+        label = counts.label[subset]
+        want = per_shift_bound(dist[:, subset], label, counts.total, _gain_table(counts))
+        assert np.array_equal(bound_of(dist[:, subset], label, counts).view(np.uint64), want.view(np.uint64)), seed
+
+
+def series_with_ties(rng, n, m, scale, shift):
+    """n random series of length m, times scale plus shift, with a flat
+    stretch in each and a stretch of series 0 copied into series 1, so that
+    some queries score two series alike."""
+    X = rng.normal(size=(n, m))
+    for row in X:
+        start = int(rng.integers(0, m - 8))
+        row[start : start + 8] = row[start]
+    X[1, 5:17] = X[0, 20:32]
+    return X * scale + shift
+
+
+@pytest.mark.parametrize("length_normalize", [True, False])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_order_keys_bound_equals_the_bound_of_measured_distances(normalize, length_normalize, monkeypatch):
+    """The bound from _order_keys equals _gain_bound on the distances
+    nearest_window_dists measures, bit for bit on every row, for
+    z-normalized and raw windows, of series at their own scale and at a
+    large one. A row with keys from scores sorts in the order of its
+    distances, which hold no tie; rows whose scores lie within the tie
+    margin, as those of the copied stretch and of flat windows do, take the
+    measured path, and some do."""
+    cfg = DistanceConfig(normalize_windows=normalize, length_normalize=length_normalize)
+    measured = []
+    measure = mining.nearest_window_dists
+    monkeypatch.setattr(mining, "nearest_window_dists", lambda q, w, c: measured.append(len(q)) or measure(q, w, c))
+    rng = np.random.default_rng(26)
+    for scale, shift in ((1.0, 0.0), (1e3, 1e4)):
+        X = series_with_ties(rng, 14, 40, scale, shift)
+        y = rng.permutation(np.arange(14) % 3)
+        counts = ClassCounts.of(y)
+        subset = np.r_[0:4, rng.choice(np.arange(4, 14), 4, replace=False)]
+        for L in (3, 6, 12):
+            windows = Windows.of_series(X[subset], L, cfg)
+            every = Windows.of_series(X, L, cfg).scan.reshape(-1, L + 1)
+            queries = np.vstack([every, Windows.of_series(rng.normal(size=(20, L)) * scale + shift, L, cfg).scan[:, 0]])
+            before = sum(measured)
+            keys = _order_keys(queries, windows, cfg)
+            dist = measure(queries[:, :L], windows, cfg)
+            assert sum(measured) - before < len(queries)
+            label = counts.label[subset]
+            got, want = bound_of(keys, label, counts), bound_of(dist, label, counts)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            scored = ~np.all(keys == dist, axis=1)
+            sd = np.sort(dist[scored], axis=1)
+            assert (sd[:, 1:] > sd[:, :-1]).all()
+            assert np.array_equal(np.argsort(keys[scored], axis=1), np.argsort(dist[scored], axis=1))
+    assert sum(measured) > 0
+
+
+def test_mine_workers_give_identical_columns_with_a_first_pass():
+    """Two classes of 32 give a first pass over 8 + 8 series; one and two
+    workers mine the same columns, bit for bit."""
+    d = bump_dataset(seed=3, per_class=32, m=24)
+    cfg = MiningConfig(min_len=3, max_len=10)
+    one, two = mine_shapelets(d, cfg), mine_shapelets(d, cfg, workers=2)
+    assert one._pending.first is not None and len(one._pending.first) == 16
+    for a, b in zip(one.columns, two.columns, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def assert_lazy_reads_equal_forced(d, cfg, monkeypatch):
@@ -858,23 +961,28 @@ def test_no_first_pass_when_the_gain_table_exceeds_square_chunk():
 def test_reading_a_fit_wide_table_measures_each_candidate_against_a_quarter_and_then_every_series(monkeypatch):
     """Every row of a fresh table of the benchmark's fit-wide draw 0, read in
     turn, costs one first pass against 16 of the 60 series and one
-    completion against all 60, and no distance is measured twice: 44,100 x
-    (16 + 60) = 3,351,600 (candidate, series) cells."""
+    completion against all 60, and no candidate is scored against a series
+    twice: 44,100 x (16 + 60) = 3,351,600 (candidate, series) cells. The
+    first pass only scores its 705,600 cells (nearest_window_scores): no
+    row of this draw has two scores within the tie margin, so only
+    completion measures, 44,100 x 60 = 2,646,000 cells."""
     monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
     from workloads import WORKLOADS
 
     train = WORKLOADS["fit-wide"].make(0, 0)[0]
-    cells = []
-    measure = mining.nearest_window_dists
+    cells = {"nearest_window_scores": [], "nearest_window_dists": []}
+    for name, kernel in [(name, getattr(mining, name)) for name in cells]:
 
-    def counted(queries, windows, cfg):
-        cells.append(len(queries) * len(windows.scan))
-        return measure(queries, windows, cfg)
+        def counted(queries, windows, *cfg, kernel=kernel, name=name):
+            cells[name].append(len(queries) * len(windows.scan))
+            return kernel(queries, windows, *cfg)
 
-    monkeypatch.setattr(mining, "nearest_window_dists", counted)
+        monkeypatch.setattr(mining, name, counted)
     table = mine_shapelets(train, MiningConfig(normalize=PipelineConfig().distance))
     first = len(table._pending.first)
-    assert first == 16 and sum(cells) == len(table) * first
+    scored, measured = (cells[name] for name in cells)
+    assert first == 16 and sum(scored) == len(table) * first == 705_600 and sum(measured) == 0
     for i in range(len(table)):
         table[i]
-    assert sum(cells) == len(table) * (first + train.n) == 3_351_600
+    assert sum(scored) + sum(measured) == len(table) * (first + train.n) == 3_351_600
+    assert sum(measured) == len(table) * train.n == 2_646_000
