@@ -32,6 +32,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineModel,
     _fit_from_graph,
+    accuracy,
     mine_graph,
     predict_pipeline,
     prepare_series,
@@ -71,11 +72,6 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _accuracy(pred: np.ndarray, y: np.ndarray) -> float | None:
-    """Share of pred equal to y; None for no rows, as in predict_pipeline."""
-    return float((pred == y).mean()) if len(y) else None
-
-
 def baseline_1nn(train_X: np.ndarray, train_y: np.ndarray, test_X: np.ndarray, test_y: np.ndarray) -> float | None:
     """1NN accuracy on rows of raw series or of features, under squared
     euclidean distance; ties go to the lower training row, and no test rows
@@ -89,7 +85,7 @@ def baseline_1nn(train_X: np.ndarray, train_y: np.ndarray, test_X: np.ndarray, t
     _, e = np.frexp(max(np.abs(tx).max(initial=0.0), np.abs(vx).max(initial=0.0)))
     tx, vx = np.ldexp(tx, -e), np.ldexp(vx, -e)
     d2 = (vx * vx).sum(axis=1)[:, None] + (tx * tx).sum(axis=1)[None, :] - 2.0 * vx @ tx.T
-    return _accuracy(train_y[d2.argmin(axis=1)], test_y)
+    return accuracy(train_y[d2.argmin(axis=1)], test_y)
 
 
 def raw_elm_accuracy(train: Dataset, test: Dataset, cfg: elm.ELMConfig) -> float | None:
@@ -97,7 +93,7 @@ def raw_elm_accuracy(train: Dataset, test: Dataset, cfg: elm.ELMConfig) -> float
     the training split; None for an empty test split."""
     scaling = Scaling.fit(train.X)
     model = elm.train(scaling.apply(train.X), train.y, cfg)
-    return _accuracy(elm.predict(model, scaling.apply(test.X)), test.y)
+    return accuracy(elm.predict(model, scaling.apply(test.X)), test.y)
 
 
 def run_experiment(

@@ -149,8 +149,9 @@ def parse_ucr(text: str, *, name: str = "") -> Dataset:
     """Parse the text of a flat time-series file into a Dataset.
 
     The delimiter (comma vs whitespace) is detected from the first data
-    line. Raises RaggedRowError on inconsistent field counts,
-    NonNumericFieldError on unparseable samples, and EmptyInputError when no
+    line; a comma-separated line may end in one trailing comma. Raises
+    RaggedRowError on inconsistent field counts, NonNumericFieldError on
+    unparseable samples or an empty field, and EmptyInputError when no
     series are found.
     """
     rows: list[list[str]] = []
@@ -160,7 +161,11 @@ def parse_ucr(text: str, *, name: str = "") -> Dataset:
             continue
         if not rows:
             sep = "," if "," in line else None  # None splits on whitespace
-        fields = [f.strip() for f in line.split(sep) if f.strip()]
+        fields = [f.strip() for f in line.split(sep)]
+        if sep and not fields[-1]:
+            fields.pop()  # one trailing comma is accepted
+        if not all(fields):
+            raise NonNumericFieldError(f"line {lineno}: empty field")
         if rows and len(fields) != len(rows[0]):
             raise RaggedRowError(
                 f"line {lineno}: expected {len(rows[0])} fields, found {len(fields)}"

@@ -7,11 +7,11 @@ in score order, so every selection is the best-scored candidate compatible
 with the ones already kept. The graph is an immutable record of vertices
 and distance settings; it stores no edges.
 
-fit runs batch_div_topk, which compares the kept shapelets with a block of
-candidates at once (distance.pair_dists), and DiversityGraph.edges measures
-every pair of its vertices in one call. div_topk, similar and
-independence_violations are their scalar references: one shapelet_dist per
-pair, and the same selection and edges.
+fit runs batch_div_topk and DiversityGraph.edges lists the edges; both ask
+one predicate, _similar, which measures many pairs at once
+(distance.pair_dists) and handles class labels itself. div_topk, similar
+and independence_violations are their scalar references: one
+shapelet_dist per pair, and the same selection and edges.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ class DiversityGraph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) with i < j, in order, from one _similar call
         on whole rows (_rows; CandidateTable.peek may stop early)."""
-        values, label, threshold = _rows(self.vertices)
-        rows = (values, label if self.same_class_only else np.zeros_like(label), threshold)
-        i, j = np.nonzero(np.triu(_similar(rows, rows, self.cfg), 1))
+        rows = _rows(self.vertices)
+        i, j = np.nonzero(np.triu(_similar(rows, rows, self.cfg, self.same_class_only), 1))
         return list(zip(i.tolist(), j.tolist()))
 
 
@@ -119,12 +118,12 @@ def batch_div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
     """div_topk's selection, the same objects, from batched pair checks.
 
     The vertices are read in blocks, in order (BLOCK_ROWS). The shapelets
-    kept before a block meet all its rows of their class at once
-    (_similar), and a row similar to one of them is closed. The open rows
-    are then kept in order, and each row kept meets the open rows after it
-    in its block (pair_dists) before the next is taken. A row is thus
-    kept exactly when div_topk keeps it: it is similar to no shapelet kept
-    before it, by bit-identical distances against the same thresholds.
+    kept before a block meet all its rows at once (_similar), and a row
+    similar to one of them is closed. The open rows are then kept in order,
+    and each row kept meets the open rows after it in its block (_similar
+    again) before the next is taken. A row is thus kept exactly when
+    div_topk keeps it: it is similar to no shapelet kept before it, by
+    bit-identical distances against the same thresholds.
 
     A block's rows are read as arrays (_peek), and only a kept row's
     Shapelet is built. On a pruned CandidateTable a block scores as far as
@@ -139,9 +138,7 @@ def batch_div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
     i = 0
     while i < g.n and len(kept) < k:
         values, label, threshold = _peek(vertices, i, i + min(max(i, BLOCK_ROWS[0]), BLOCK_ROWS[1]))
-        if not g.same_class_only:
-            label = np.zeros_like(label)
-        open_ = ~_similar(seen, (values, label, threshold), g.cfg).any(axis=0)
+        open_ = ~_similar(seen, (values, label, threshold), g.cfg, g.same_class_only).any(axis=0)
         for r in range(len(values)):
             if open_[r]:
                 kept.append(vertices[i + r])
@@ -150,9 +147,9 @@ def batch_div_topk(g: DiversityGraph, k: int) -> list[Shapelet]:
                 if len(kept) == k:
                     break
                 rest = np.flatnonzero(open_[r + 1 :]) + r + 1
-                rest = rest[label[rest] == label[r]]
-                dist = pair_dists([values[r]], [values[j] for j in rest], g.cfg)[0]
-                open_[rest[dist <= np.minimum(threshold[r], threshold[rest])]] = False
+                after = ([values[j] for j in rest], label[rest], threshold[rest])
+                near = _similar(([values[r]], label[[r]], threshold[[r]]), after, g.cfg, g.same_class_only)[0]
+                open_[rest[near]] = False
         i += len(values)
     return kept
 
@@ -172,12 +169,14 @@ def _rows(shapelets: Sequence[Shapelet]) -> tuple[list[np.ndarray], np.ndarray, 
     return [s.values for s in shapelets], label, np.array([s.split_threshold for s in shapelets])
 
 
-def _similar(us: tuple, vs: tuple, cfg: DistanceConfig) -> np.ndarray:
-    """similar(v, u, cfg) for every row u of us and v of vs, each given as
-    (values, class labels, split thresholds), from one pair_dists call per
-    class the two share; rows of different labels are never similar."""
+def _similar(us: tuple, vs: tuple, cfg: DistanceConfig, same_class_only: bool) -> np.ndarray:
+    """similar(v, u, cfg, same_class_only) for every row u of us and v of
+    vs, each (values, class labels, split thresholds), from one pair_dists
+    call per class the two share, or one call with same_class_only off."""
     (uv, ul, ut), (vv, vl, vt) = us, vs
     ul, ut = np.asarray(ul, dtype=np.int64), np.asarray(ut, dtype=np.float64)
+    if not same_class_only:
+        ul, vl = np.zeros_like(ul), np.zeros_like(vl)
     near = np.zeros((len(uv), len(vv)), dtype=bool)
     for c in np.intersect1d(ul, vl).tolist():
         a, b = np.flatnonzero(ul == c), np.flatnonzero(vl == c)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -138,8 +138,8 @@ class CandidateTable(Sequence[Shapelet]):
 
     A table that mine_shapelets returns may hold only a certified prefix of
     its rows (see _PrunedScoring): len() is always the candidate count, and
-    reading a row or a slice scores only as far as it reaches. columns, the
-    column attributes, == and negative indices score the whole table.
+    reading a row or a slice scores only as far as it reaches. columns, ==
+    and negative indices score the whole table.
     """
 
     def __init__(self, train: Dataset, source, start, length, threshold, gain, gap, *, pending=None):
@@ -172,13 +172,6 @@ class CandidateTable(Sequence[Shapelet]):
             for column in self._columns:
                 column.flags.writeable = False
         return self._columns
-
-    source = property(lambda self: self.columns[0])
-    start = property(lambda self: self.columns[1])
-    length = property(lambda self: self.columns[2])
-    threshold = property(lambda self: self.columns[3])
-    gain = property(lambda self: self.columns[4])
-    gap = property(lambda self: self.columns[5])
 
     def peek(self, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """(values, class labels, split thresholds) of rows lo to hi - 1, as
@@ -769,19 +762,9 @@ def _gain_table(counts: ClassCounts) -> np.ndarray | None:
     n = len(counts.label)
     left = np.indices(shape).reshape(len(shape), -1)
     nl = left.sum(axis=0)
-    nr = n - nl
-    h, stride = counts.h.ravel(), counts.h.shape[1]
-    h_left = h.take(nl * stride + left[0])
-    h_right = h.take(nr * stride + counts.total[0] - left[0])
-    for k in range(1, len(shape)):
-        h_left += h.take(nl * stride + left[k])
-        h_right += h.take(nr * stride + counts.total[k] - left[k])
-    gains = h_left
-    gains *= nl / n
-    np.subtract(entropy(counts.total), gains, out=gains)
-    h_right *= nr / n
-    gains -= h_right
-    return np.append(gains, -np.inf)
+    h_left = reduce(np.add, (counts.h[nl, a] for a in left))
+    h_right = reduce(np.add, (counts.h[n - nl, t - a] for t, a in zip(counts.total, left)))
+    return np.append(entropy(counts.total) - nl / n * h_left - (n - nl) / n * h_right, -np.inf)
 
 
 def _corner_max(gains: np.ndarray, label: np.ndarray, total: np.ndarray) -> np.ndarray:

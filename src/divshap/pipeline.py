@@ -109,6 +109,11 @@ def prepare_series(d: Dataset, cfg: PipelineConfig) -> Dataset:
     return Dataset(X=znorm_rows(d.X), y=d.y, label_names=d.label_names, name=d.name)
 
 
+def accuracy(pred: np.ndarray, y: np.ndarray) -> float | None:
+    """Share of pred equal to y; None for no rows."""
+    return np.count_nonzero(pred == y) / len(y) if len(y) else None
+
+
 def _eval_splits(train: Dataset, ev: EvalConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs of row masks (rows an ELM is fitted on, rows it is scored on):
     one per stratified fold whose fit side holds two classes in mode "cv";
@@ -155,7 +160,7 @@ def select_k(
         for rep in range(cfg.evaluation.repeats):
             elm_cfg = dataclasses.replace(cfg.elm, seed=_sweep_elm_seed(cfg.evaluation.seed, k, rep))
             accs = [
-                float((elm.predict(elm.train(X_tr[:, :k], y_tr, elm_cfg), X_val[:, :k]) == y_val).mean())
+                accuracy(elm.predict(elm.train(X_tr[:, :k], y_tr, elm_cfg), X_val[:, :k]), y_val)
                 for X_tr, y_tr, X_val, y_val in splits
             ]
             per_repeat.append(float(np.mean(accs)))
@@ -182,8 +187,11 @@ def mine_graph(
     the candidates under the pipeline's distance settings, and wrap them in
     the diversity graph. Returns the prepared training set and the graph.
     Mining returns after its first pass; the graph's readers score the
-    rows they reach (mine_shapelets).
+    rows they reach (mine_shapelets). A training set of fewer than two
+    classes raises SingleClassTrainingError before anything is mined.
     """
+    if len(train.classes) < 2:
+        raise SingleClassTrainingError("pipeline training needs at least two classes")
     train = prepare_series(train, cfg)
     mining_cfg = dataclasses.replace(cfg.mining, normalize=cfg.distance)
     all_shapelets = mine_shapelets(train, mining_cfg, workers=workers)
@@ -197,8 +205,6 @@ def fit(train: Dataset, cfg: PipelineConfig | None = None, *, workers: int = 1) 
     from the training split alone.
     """
     cfg = cfg or PipelineConfig()
-    if len(train.classes) < 2:
-        raise SingleClassTrainingError("pipeline training needs at least two classes")
     train, graph = mine_graph(train, cfg, workers=workers)
     return _fit_from_graph(graph, train, cfg)
 
@@ -239,7 +245,7 @@ def predict_pipeline(model: PipelineModel, test: Dataset) -> tuple[np.ndarray, f
     test = prepare_series(recode_labels(test, model.label_names), model.config)
     feats = model.scaling.apply(transform(test, model.shapelets, model.config.distance).X)
     pred = elm.predict(model.elm_model, feats)
-    return pred, np.count_nonzero(pred == test.y) / test.n
+    return pred, accuracy(pred, test.y)
 
 
 def _config_from_dict(cls, d: dict):

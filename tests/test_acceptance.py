@@ -292,10 +292,15 @@ def test_criterion_9_classification_time_direction():
         raw_te = raw_scaling.apply(test.X)
         raw_model = elm.train(raw_scaling.apply(train.X), train.y, elm.ELMConfig(seed=0))
 
-        reps = 120
-        t_feat = time_predict(model.elm_model, feats, repetitions=reps)
-        t_raw = time_predict(raw_model, raw_te, repetitions=reps)
-        print(f"predict time over {reps} reps: transformed {t_feat:.4f}s vs raw {t_raw:.4f}s")
+        # Interleaved rounds, and each side's fastest: a stall of the machine
+        # slows the rounds it falls in, not one whole side.
+        reps = 40
+        rounds = [
+            (time_predict(model.elm_model, feats, repetitions=reps), time_predict(raw_model, raw_te, repetitions=reps))
+            for _ in range(7)
+        ]
+        t_feat, t_raw = (min(side) for side in zip(*rounds))
+        print(f"fastest of 7 rounds of {reps} predicts: transformed {t_feat:.4f}s vs raw {t_raw:.4f}s")
         assert t_feat <= t_raw
 
 

@@ -15,9 +15,10 @@ from divshap.bench import (
     run_experiment,
     sweep_csv,
 )
+from divshap.dataset import Dataset
 from divshap.distance import DistanceConfig
 from divshap.elm import ELMConfig
-from divshap.errors import EmptyInputError
+from divshap.errors import EmptyInputError, SingleClassTrainingError
 from divshap.mining import MiningConfig
 from divshap.pipeline import EvalConfig, PipelineConfig, fit, mine_graph, predict_pipeline
 
@@ -154,6 +155,19 @@ def test_run_experiment_scans_the_mined_graph_once(toy_train, toy_test, monkeypa
     assert len(pool) == cfg.kappa and len(mined) == report.notes["n_candidates"]
     assert [s.id for s in first] == [s.id for s in pool]
     assert again == first and second == first
+
+
+def test_run_experiment_rejects_one_class_as_fit_does_before_mining(monkeypatch):
+    """A one-class training set ends in fit's error, raised by mine_graph,
+    the stage both start with: nothing is mined and no fold warning is
+    raised on the way."""
+    d = bump_dataset(seed=0, per_class=10, m=48)
+    one = Dataset(X=d.X[d.y == 1], y=d.y[d.y == 1], name="one_class")
+    monkeypatch.setattr(pipeline_mod, "mine_shapelets", lambda *args, **kw: pytest.fail("mined"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingleClassTrainingError, match="pipeline training needs at least two classes"):
+            run_experiment(one, one, fast_cfg())
 
 
 def test_run_experiment_deterministic_accuracies(toy_train, toy_test):

@@ -91,6 +91,19 @@ def test_cli_mine_dump(data_files, tmp_path):
     assert len(lines) == 26
 
 
+@pytest.mark.parametrize(
+    "command", [["mine-dump", "--out", "c.csv"], ["graph-dump", "--vertices-out", "v.csv", "--edges-out", "e.csv"]]
+)
+def test_cli_dumps_reject_a_one_class_training_file_as_fit_does(command, tmp_path, capsys, monkeypatch):
+    d = bump_dataset(seed=0)
+    path = tmp_path / "one_TRAIN.txt"
+    with open(path, "w") as fh:
+        write_ucr(Dataset(X=d.X[d.y == 1], y=d.y[d.y == 1]), fh)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--train", str(path)]) == 1
+    assert "error: pipeline training needs at least two classes" in capsys.readouterr().err
+
+
 def test_cli_graph_dump(data_files, tmp_path):
     train, _ = data_files
     v_out = tmp_path / "vertices.csv"

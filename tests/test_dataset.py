@@ -53,6 +53,27 @@ def test_parse_rejects_non_numeric():
         parse_ucr("1,0.5,nan")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,0.5,0.6,0.7\n2,0.5,,0.6,0.7\n",  # the values after it would shift
+        "1,0.5,0.6,0.7\n2,0.5,,0.7\n",  # the field count would read 3
+        "1,0.5,0.6\n2,0.5, ,\n",  # blank, before a trailing comma
+        "1,0.5,0.6\n2,0.5,0.6,,\n",  # two trailing commas
+        "1,0.5,0.6\n,0.5,0.6\n",  # no label
+    ],
+)
+def test_parse_rejects_an_empty_field_and_names_its_line(text):
+    with pytest.raises(NonNumericFieldError, match="line 2: empty field"):
+        parse_ucr(text)
+
+
+def test_parse_accepts_one_trailing_comma_per_line():
+    d = parse_ucr("1,0.5,0.3,\n2,0.1,0.2,\n")
+    assert np.array_equal(d.X, parse_ucr("1,0.5,0.3\n2,0.1,0.2\n").X)
+    assert d.y.tolist() == [1, 2]
+
+
 def test_parse_empty_and_label_only():
     with pytest.raises(EmptyInputError):
         parse_ucr("   \n\n")

@@ -225,7 +225,7 @@ def test_generate_matches_scalar_oracle(monkeypatch):
             for band in ((2, 7), (4, 4)):
                 cfg = MiningConfig(min_len=band[0], max_len=band[1], length_stride=ls, position_stride=ps)
                 table = generate_candidates(d, cfg)
-                got = list(zip(table.source.tolist(), table.start.tolist(), table.length.tolist()))
+                got = list(zip(*(c.tolist() for c in table.columns[:3])))
                 assert got == scalar_candidates(d, cfg), (budget, ls, ps, band)
 
 
@@ -586,7 +586,7 @@ def test_mine_peak_memory_on_long_series_within_window_matrix_and_half_budget():
     d = bump_dataset(seed=0, per_class=10, m=512)
     cfg = MiningConfig(length_stride=32)
     table = generate_candidates(d, cfg)
-    largest = max(8 * d.n * (d.m - L + 1) * (L + 1) for L in np.unique(table.length))
+    largest = max(8 * d.n * (d.m - L + 1) * (L + 1) for L in np.unique(table.columns[2]))
     assert largest > SCORING_BUDGET / 2
     tracemalloc.start()
     try:
@@ -796,6 +796,41 @@ def test_corner_maxed_table_gives_the_per_shift_bounds_bit_for_bit(n_classes):
         label = counts.label[subset]
         want = per_shift_bound(dist[:, subset], label, counts.total, _gain_table(counts))
         assert np.array_equal(bound_of(dist[:, subset], label, counts).view(np.uint64), want.view(np.uint64)), seed
+
+
+def per_class_gain_table(counts):
+    """_gain_table as it was built before its per-class gathers: a loop over
+    the classes of in-place takes from the raveled h, then the gains in
+    place, as _batch_best_split takes them."""
+    shape = counts.total + 1
+    n = len(counts.label)
+    left = np.indices(shape).reshape(len(shape), -1)
+    nl = left.sum(axis=0)
+    nr = n - nl
+    h, stride = counts.h.ravel(), counts.h.shape[1]
+    h_left = h.take(nl * stride + left[0])
+    h_right = h.take(nr * stride + counts.total[0] - left[0])
+    for k in range(1, len(shape)):
+        h_left += h.take(nl * stride + left[k])
+        h_right += h.take(nr * stride + counts.total[k] - left[k])
+    gains = h_left
+    gains *= nl / n
+    np.subtract(entropy(counts.total), gains, out=gains)
+    h_right *= nr / n
+    gains -= h_right
+    return np.append(gains, -np.inf)
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
+def test_gain_table_equals_the_per_class_loop_bit_for_bit(n_classes):
+    """The gathers summed in class order and the one expression give the
+    loop's bits, signs of zero included, on classes of equal and unequal
+    sizes."""
+    rng = np.random.default_rng(n_classes)
+    for sizes in ([5] * n_classes, rng.integers(1, 12, size=n_classes).tolist()):
+        counts = ClassCounts.of(np.repeat(np.arange(n_classes), sizes))
+        got, want = _gain_table(counts), per_class_gain_table(counts)
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64)), sizes
 
 
 def series_with_ties(rng, n, m, scale, shift):

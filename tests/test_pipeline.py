@@ -29,6 +29,7 @@ from divshap.pipeline import (
     EvalConfig,
     PipelineConfig,
     _sweep_elm_seed,
+    accuracy,
     fit,
     load_pipeline,
     predict_pipeline,
@@ -104,6 +105,18 @@ def test_fit_single_class_rejected():
     d = Dataset(X=np.random.default_rng(0).normal(size=(4, 16)), y=np.zeros(4, dtype=int))
     with pytest.raises(SingleClassTrainingError):
         fit(d, small_cfg())
+
+
+def test_accuracy_is_the_float_mean_of_agreements_bit_for_bit():
+    """A count of agreements over n has the bits of the float64 mean of the
+    bool array, at every size and share; no rows give None."""
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 130), *rng.integers(130, 2001, size=60).tolist(), 2000]:
+        y = rng.integers(0, 3, size=n)
+        pred = np.where(rng.random(n) < rng.random(), y, rng.integers(0, 3, size=n))
+        got, want = accuracy(pred, y), float((pred == y).mean())
+        assert isinstance(got, float) and np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), n
+    assert accuracy(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)) is None
 
 
 def test_fit_beats_majority_baseline(toy_train):
