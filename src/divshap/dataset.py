@@ -155,6 +155,7 @@ def parse_ucr(text: str, *, name: str = "") -> Dataset:
     series are found.
     """
     rows: list[list[str]] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -171,6 +172,7 @@ def parse_ucr(text: str, *, name: str = "") -> Dataset:
                 f"line {lineno}: expected {len(rows[0])} fields, found {len(fields)}"
             )
         rows.append(fields)
+        linenos.append(lineno)
 
     if not rows:
         raise EmptyInputError("no data lines in input")
@@ -178,14 +180,14 @@ def parse_ucr(text: str, *, name: str = "") -> Dataset:
         raise EmptyInputError("rows contain a label but no samples")
 
     X = np.empty((len(rows), len(rows[0]) - 1), dtype=np.float64)
-    for i, r in enumerate(rows):
+    for i, (lineno, r) in enumerate(zip(linenos, rows)):
         for j, tok in enumerate(r[1:]):
             try:
                 X[i, j] = float(tok)
             except ValueError as exc:
-                raise NonNumericFieldError(f"row {i}: bad field {tok!r}") from exc
+                raise NonNumericFieldError(f"line {lineno}: bad field {tok!r}") from exc
             if not np.isfinite(X[i, j]):
-                raise NonNumericFieldError(f"row {i}: non-finite field {tok!r}")
+                raise NonNumericFieldError(f"line {lineno}: non-finite field {tok!r}")
 
     codes, names = _code_labels([r[0] for r in rows])
     return Dataset(X=X, y=np.asarray(codes), label_names=names, name=name)

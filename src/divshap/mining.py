@@ -10,15 +10,17 @@ order of the distances to the quarter bounds the gain (after the optimistic
 gain of Ye & Keogh, KDD 2009), and a row is shown once its gain beats every
 bound still open, as a diversified top-k stops on bounds (Qin, Yu & Chang,
 PVLDB 2012). The first pass reads that order from the pick scores, and
-measures only the rows whose scores may tie. Every row shown is the row
-that scoring every candidate against every series gives, bit for bit. The
-batched split reads each split's entropy from a table of p log2 p terms
-over integer class counts (ClassCounts), so it takes no logarithm per
-candidate. Generation, scoring and the best-first ordering work on the
-columns of a CandidateTable; a Shapelet object is built only when its row
-is read, and the greedy scan of the diversity graph reads its blocks of
-rows as arrays (CandidateTable.peek) and builds only the Shapelets it
-keeps.
+measures only the rows whose scores may tie. Completion reads the order
+against all the series from the pick scores too, which gives each row's
+exact gain, and measures and splits only the rows whose gain a reader can
+reach. Every row shown is the row that scoring every candidate against
+every series gives, bit for bit. The batched split reads each split's
+entropy from a table of p log2 p terms over integer class counts
+(ClassCounts), so it takes no logarithm per candidate. Generation,
+scoring and the best-first ordering work on the columns of a
+CandidateTable; a Shapelet object is built only when its row is read, and
+the greedy scan of the diversity graph reads its blocks of rows as arrays
+(CandidateTable.peek) and builds only the Shapelets it keeps.
 """
 
 from __future__ import annotations
@@ -394,9 +396,13 @@ def mine_shapelets(
 # running count and what the counted classes leave, the two entropy sums
 # and one class's two terms of them, and a count that is being replaced
 # (eight in all with two classes, whose last count is what the first
-# leaves). For the bound: the keys, their sorted copy and the test of its
-# gaps, then the argsort, the sorted keys, the strides gathered, the
-# prefixes and their gains (seven at most). Its later arrays fit in what
+# leaves). For the bound, of the first pass or of completion's exact gains
+# (whose keys are against every series, as its split's distances are): the
+# keys, their sorted copy and the test of its gaps, then the argsort, the
+# sorted keys, the strides gathered, the prefixes and their gains (seven at
+# most), freed before the rows that reach the cut are measured and split;
+# a completion block's query rows are gathered from its window matrix, once
+# for the keys and once for the measure. Its later arrays fit in what
 # these free. The kernel's output is one of those rows and a slice's picks
 # fit in the others; the slice is freed before the split, but is counted
 # once beside it. A block, slice included, gets at least half the budget:
@@ -406,8 +412,9 @@ def mine_shapelets(
 # generate_candidates compares windows a chunk of SCORING_BUDGET / 8 bytes
 # at a time. The threads share one ClassCounts table of (n + 1) (largest
 # class + 1) floats, outside the budget: 3.8 MiB for n = 1,000 in two
-# equal classes, 34 MiB for n = 3,000; and the bound's corner-maxed table
-# of gains, at most SQUARE_CHUNK bytes.
+# equal classes, 34 MiB for n = 3,000; and the two tables of gains, the
+# plain one of exact gains and the first pass's corner-maxed one, each at
+# most SQUARE_CHUNK bytes.
 SCORING_BUDGET = 6 * 2**20
 SPLIT_ROWS = 10
 
@@ -554,8 +561,10 @@ STAGE_MIN = 8
 # more than this; a bound and a gain are sums of the same terms and differ
 # from the exact maximum by a few units in the last place.
 GAIN_MARGIN = 1e-12
-# The states of a candidate in _PrunedScoring.done.
-BOUNDED, COMPLETED, CERTIFIED = 0, 1, 2
+# The states of a candidate in _PrunedScoring.done: its gain bounded by the
+# first pass, exact from its pick scores against every series, measured and
+# split in full, or certified in the table's order.
+BOUNDED, EXACT, COMPLETED, CERTIFIED = 0, 1, 2, 3
 
 
 def _first_series(counts: ClassCounts, bounded: bool) -> np.ndarray | None:
@@ -579,17 +588,23 @@ class _PrunedScoring:
     The first pass scores and orders: it scores every candidate against
     the series of _first_series, S, orders each row by its pick scores
     (_order_keys), measures only the rows that may tie, and keeps only
-    _gain_bound's bound on its gain. Certifying rows for a reader completes
-    the candidates whose bound reaches the cut (those that may hold a row
-    the reader needs): each is scored against every series, as mining with
-    no first pass scores it. A completed row is sure once its gain exceeds
-    every bound still open by GAIN_MARGIN: no open candidate can then
-    precede it, so sure rows, certified in key order as readers reach them,
-    come in the table's order. Reading every row thus scores each candidate
-    against |S| + n series, and measures it against n (and the rows that
-    may tie against |S| more). A completed row is the row of scoring
-    against every series at once, bit for bit, as completion is that
-    scoring. With no first pass, every candidate is completed at once.
+    _gain_bound's bound on its gain (BOUNDED). Certifying rows for a reader
+    advances the candidates whose bound reaches the cut (those that may
+    hold a row the reader needs). A BOUNDED one is first keyed the same way
+    against every series, which, with no series outside S, gives its exact
+    gain (EXACT): its split's, bit for bit, or 0.0 where that is less. Only
+    a candidate whose exact gain still reaches the cut is completed:
+    measured and split against every series, as mining with no first pass
+    scores it (COMPLETED). A completed row is sure once its gain exceeds
+    every bound still open, exact gains included, by GAIN_MARGIN: no open
+    candidate can then precede it, so sure rows, certified in key order as
+    readers reach them, come in the table's order (CERTIFIED). A candidate
+    is keyed at most once and completed at most once, so reading every row
+    scores each candidate against at most |S| + n series and measures it
+    against n (and the rows that may tie against their series once more);
+    a read of every row at once keys none. A completed row is the row of
+    scoring against every series at once, bit for bit, as completion is
+    that scoring. With no first pass, every candidate is completed at once.
     """
 
     def __init__(self, train: Dataset, source, start, length, dist_cfg: DistanceConfig, workers: int):
@@ -597,12 +612,12 @@ class _PrunedScoring:
         self.source, self.start, self.length = source, start, length
         size = len(source)
         self.counts = ClassCounts.of(train.y)
-        gains = _gain_table(self.counts)
-        self.first = _first_series(self.counts, gains is not None)
-        # the bound reads only the corner-maxed table, built once
+        # exact gains read the plain table and the first pass's bounds the
+        # corner-maxed one, each built once
+        self.gains = _gain_table(self.counts)
+        self.first = _first_series(self.counts, self.gains is not None)
         if self.first is not None:
-            gains = _corner_max(gains, self.counts.label[self.first], self.counts.total)
-        self.table = gains
+            self.table = _corner_max(self.gains, self.counts.label[self.first], self.counts.total)
         self.scores = np.zeros((3, size))
         self.bound = np.full(size, np.inf)
         self.done = np.full(size, BOUNDED, dtype=np.int8)
@@ -622,14 +637,15 @@ class _PrunedScoring:
         sorted and certified: those of the best gains up to row reach (or
         need, if more), ties at the last gain included, and at least as many
         as are certified already, so that rows read one at a time sort the
-        table in a number of calls logarithmic in their count. The rest
-        stay completed, and are sure again at the next call."""
+        table in a number of calls logarithmic in their count; a reader
+        that names no reach past need is scored for that many rows too. The
+        rest stay completed, and are sure again at the next call."""
         size = len(self.source)
         need = min(size, need)
         reach = min(size, max(need, reach))
         gain, gap = self.scores[1], self.scores[2]
         while len(self.certified) < reach:
-            open_ = np.flatnonzero(self.done == BOUNDED)
+            open_ = np.flatnonzero(self.done <= EXACT)
             pending = np.flatnonzero(self.done == COMPLETED)
             sure = pending[gain[pending] > self.bound.max() + GAIN_MARGIN]
             if len(sure):
@@ -645,25 +661,34 @@ class _PrunedScoring:
                 continue
             if len(self.certified) >= need:
                 break
+            # a reader that names no block past need (rows read one at a
+            # time) is scored for as many rows as certification takes:
+            # completing only the rows that reach its cut took a round for
+            # almost every row
+            target = need if reach > need else min(size, max(need, 2 * len(self.certified)))
             # the want-th best of the gains and bounds left: an open
-            # candidate of lower bound holds none of the want rows next
-            want = need - len(self.certified)
+            # candidate of lower bound holds none of the want rows next; a
+            # round that completes every open candidate keys none of them
+            want = target - len(self.certified)
             cut = -np.partition(-np.concatenate([gain[pending], self.bound[open_]]), want - 1)[want - 1]
-            self.advance(open_[self.bound[open_] >= cut - GAIN_MARGIN])
+            self.advance(open_[self.bound[open_] >= cut - GAIN_MARGIN], cut=cut if target < size else -np.inf)
         return self.certified
 
-    def advance(self, ids: np.ndarray, series: np.ndarray | None = None) -> list[bool]:
+    def advance(self, ids: np.ndarray, series: np.ndarray | None = None, cut: float = -np.inf) -> list[bool]:
         """Score each candidate of ids, ascending, against series, which
         bounds its gain, or, when series is None, against every series,
-        which completes it. Returns, per length, whether any of its
-        candidates is not flat. Threads score the lengths, whose candidates
-        are disjoint, so their writes to the score arrays need no lock."""
+        which completes it: then a candidate still BOUNDED first gets its
+        exact gain from its pick scores (EXACT), and only those whose exact
+        gain reaches cut - GAIN_MARGIN are measured and split. Returns, per
+        length, whether any candidate it scored is not flat. Threads score
+        the lengths, whose candidates are disjoint, so their writes to the
+        score arrays need no lock."""
         # candidates are in length order, so each length is a run of ids
         runs = np.searchsorted(ids, np.flatnonzero(np.r_[True, self.length[1:] != self.length[:-1], True]))
         runs = [(a, b) for a, b in zip(runs[:-1], runs[1:]) if b > a]
 
         def run(bounds: tuple[int, int]) -> bool:
-            return self._score_length(ids[bounds[0] : bounds[1]], series)
+            return self._score_length(ids[bounds[0] : bounds[1]], series, cut)
 
         if self.workers > 1 and len(runs) > 1:
             # imported here: concurrent.futures (with logging) took 5-6 ms
@@ -674,9 +699,9 @@ class _PrunedScoring:
                 return list(pool.map(run, runs))
         return [run(r) for r in runs]
 
-    def _score_length(self, ids: np.ndarray, series: np.ndarray | None) -> bool:
-        """advance for candidates ids of one length. True if any of them is
-        not flat."""
+    def _score_length(self, ids: np.ndarray, series: np.ndarray | None, cut: float) -> bool:
+        """advance for candidates ids of one length. True if any of those it
+        scored is not flat."""
         L = int(self.length[ids[0]])
         X = self.train.X if series is None else self.train.X[series]
         windows = Windows.of_series(X, L, self.dist_cfg)
@@ -688,6 +713,18 @@ class _PrunedScoring:
         informative = False
         for lo in range(0, len(ids), block):
             part = ids[lo : lo + block]
+            if series is None and cut > -np.inf:
+                # S is every series, so the bound of the plain table is the
+                # gain _batch_best_split gives, or 0.0 (the cuts p = 0 and
+                # p = n) where that is less
+                keyed = part[self.done[part] == BOUNDED]
+                keys = _order_keys(windows.scan[self.source[keyed], self.start[keyed]], windows, self.dist_cfg)
+                self.bound[keyed] = _gain_bound(keys, self.counts.label, self.counts.total, self.gains)
+                self.done[keyed] = EXACT
+                del keys
+                part = part[self.bound[part] >= cut - GAIN_MARGIN]
+                if not len(part):
+                    continue
             source, start = self.source[part], self.start[part]
             if series is None:
                 queries = windows.scan[source, start]
@@ -805,7 +842,9 @@ def _gain_bound(keys: np.ndarray, label: np.ndarray, total: np.ndarray, table: n
     """
     c, s = keys.shape
     order = np.argsort(keys, axis=1)
-    sd = np.take_along_axis(keys, order, axis=1)
+    # the keys in that order, for the ties below; a sort of its own took
+    # less than half the time of take_along_axis on rows of 60 keys
+    sd = np.sort(keys, axis=1)
     prefix = np.zeros((c, s + 1), dtype=np.intp)
     np.cumsum(_strides(total)[label][order], axis=1, out=prefix[:, 1:])
     del order

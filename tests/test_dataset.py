@@ -68,6 +68,21 @@ def test_parse_rejects_an_empty_field_and_names_its_line(text):
         parse_ucr(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# c\n1,0.5,0.6\n\n2,0.5,abc\n", "line 4: bad field 'abc'"),
+        ("# c\n1,0.5,0.6\n\n2,0.5,inf\n", "line 4: non-finite field 'inf'"),
+        ("# c\n1,0.5,0.6\n\n2,0.5\n", "line 4: expected 3 fields, found 2"),
+    ],
+)
+def test_parse_names_a_bad_sample_by_its_file_line_as_a_short_row(text, message):
+    """Comments and blank lines count as lines, so a message names the line
+    an editor shows, whatever is wrong on it."""
+    with pytest.raises((NonNumericFieldError, RaggedRowError), match=f"^{message}$"):
+        parse_ucr(text)
+
+
 def test_parse_accepts_one_trailing_comma_per_line():
     d = parse_ucr("1,0.5,0.3,\n2,0.1,0.2,\n")
     assert np.array_equal(d.X, parse_ucr("1,0.5,0.3\n2,0.1,0.2\n").X)

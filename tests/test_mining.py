@@ -883,6 +883,42 @@ def test_order_keys_bound_equals_the_bound_of_measured_distances(normalize, leng
     assert sum(measured) > 0
 
 
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+def test_exact_gain_from_pick_scores_equals_the_split_of_measured_distances(n_classes, monkeypatch):
+    """Completion keys a candidate against every series before it measures
+    it: _gain_bound of _order_keys, with the plain gain table, since S is
+    every series. That exact gain is _batch_best_split's gain of the
+    measured distances, bit for bit, on every row with a valid split, for
+    z-normalized and raw windows; on a row with none (all distances equal,
+    as for a flat query against series that each hold a flat stretch) it
+    reads only the cuts p = 0 and p = |S|, and is within GAIN_MARGIN of the
+    split's 0. A whole series held twice ties every row, so some rows take
+    the measured path."""
+    measured = []
+    measure = mining.nearest_window_dists
+    monkeypatch.setattr(mining, "nearest_window_dists", lambda q, w, c: measured.append(len(q)) or measure(q, w, c))
+    rng = np.random.default_rng(28 + n_classes)
+    n = 7 * n_classes
+    X = series_with_ties(rng, n, 36, 1.0, 0.0)
+    X[3] = X[2]
+    counts = ClassCounts.of(rng.permutation(np.arange(n) % n_classes))
+    gains = _gain_table(counts)
+    no_split = 0
+    for cfg in (DistanceConfig(), DistanceConfig(normalize_windows=False, length_normalize=False)):
+        for L in (3, 7, 12):
+            windows = Windows.of_series(X, L, cfg)
+            queries = windows.scan.reshape(-1, L + 1)
+            exact = _gain_bound(_order_keys(queries, windows, cfg), counts.label, counts.total, gains)
+            dist = measure(queries[:, :L], windows, cfg)
+            gain = _batch_best_split(dist, counts)[1]
+            sd = np.sort(dist, axis=1)
+            valid = (sd[:, 1:] > sd[:, :-1]).any(axis=1)
+            assert np.array_equal(exact[valid].view(np.uint64), gain[valid].view(np.uint64)), (cfg, L)
+            assert (np.abs(exact[~valid] - gain[~valid]) <= mining.GAIN_MARGIN).all()
+            no_split += int((~valid).sum())
+    assert no_split > 0 and sum(measured) > 0
+
+
 def test_mine_workers_give_identical_columns_with_a_first_pass():
     """Two classes of 32 give a first pass over 8 + 8 series; one and two
     workers mine the same columns, bit for bit."""
@@ -993,31 +1029,101 @@ def test_no_first_pass_when_the_gain_table_exceeds_square_chunk():
     assert table._pending.first is None
 
 
-def test_reading_a_fit_wide_table_measures_each_candidate_against_a_quarter_and_then_every_series(monkeypatch):
-    """Every row of a fresh table of the benchmark's fit-wide draw 0, read in
-    turn, costs one first pass against 16 of the 60 series and one
-    completion against all 60, and no candidate is scored against a series
-    twice: 44,100 x (16 + 60) = 3,351,600 (candidate, series) cells. The
-    first pass only scores its 705,600 cells (nearest_window_scores): no
-    row of this draw has two scores within the tie margin, so only
-    completion measures, 44,100 x 60 = 2,646,000 cells."""
-    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
-    from workloads import WORKLOADS
+def count_work(monkeypatch):
+    """Wrap mining's window kernels and its split; the returned dict maps
+    nearest_window_scores and nearest_window_dists to {series: query rows}
+    of their calls, and _batch_best_split to the rows it split."""
+    work = {"nearest_window_scores": {}, "nearest_window_dists": {}, "_batch_best_split": 0}
+    for name in ("nearest_window_scores", "nearest_window_dists"):
+        kernel = getattr(mining, name)
 
-    train = WORKLOADS["fit-wide"].make(0, 0)[0]
-    cells = {"nearest_window_scores": [], "nearest_window_dists": []}
-    for name, kernel in [(name, getattr(mining, name)) for name in cells]:
-
-        def counted(queries, windows, *cfg, kernel=kernel, name=name):
-            cells[name].append(len(queries) * len(windows.scan))
+        def counted(queries, windows, *cfg, kernel=kernel, rows=work[name]):
+            rows[len(windows.scan)] = rows.get(len(windows.scan), 0) + len(queries)
             return kernel(queries, windows, *cfg)
 
         monkeypatch.setattr(mining, name, counted)
+    split = mining._batch_best_split
+
+    def counted_split(dist, counts):
+        work["_batch_best_split"] += len(dist)
+        return split(dist, counts)
+
+    monkeypatch.setattr(mining, "_batch_best_split", counted_split)
+    return work
+
+
+def cells(rows):
+    """(query, series) cells of a kernel's {series: query rows}."""
+    return sum(n * r for n, r in rows.items())
+
+
+def fit_wide_draw0(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import WORKLOADS
+
+    return WORKLOADS["fit-wide"].make(0, 0)[0]
+
+
+def test_reading_a_fit_wide_table_measures_each_candidate_against_a_quarter_and_then_every_series(monkeypatch):
+    """Every row of a fresh table of the benchmark's fit-wide draw 0, read in
+    turn, costs one first pass against 16 of the 60 series, one exact gain
+    from the pick scores against all 60 (the key stage) and one completion
+    against all 60: no candidate is keyed twice or completed twice. The
+    first pass and the keys only score, 44,100 x (16 + 60) = 3,351,600
+    (candidate, series) cells (nearest_window_scores): no row of this draw
+    has two scores within the tie margin, so only completion measures,
+    44,100 x 60 = 2,646,000 cells. Each read past the certified rows is
+    scored for as many rows as are certified, so the read takes a number of
+    completion rounds logarithmic in the row count, not one per few rows."""
+    train = fit_wide_draw0(monkeypatch)
+    work = count_work(monkeypatch)
     table = mine_shapelets(train, MiningConfig(normalize=PipelineConfig().distance))
     first = len(table._pending.first)
-    scored, measured = (cells[name] for name in cells)
-    assert first == 16 and sum(scored) == len(table) * first == 705_600 and sum(measured) == 0
+    scored, measured = work["nearest_window_scores"], work["nearest_window_dists"]
+    assert first == 16 and scored == {16: len(table)} and cells(scored) == 705_600 and not measured
+    rounds = []
+    advance = mining._PrunedScoring.advance
+    monkeypatch.setattr(mining._PrunedScoring, "advance", lambda *a, **k: rounds.append(1) or advance(*a, **k))
     for i in range(len(table)):
         table[i]
-    assert sum(scored) + sum(measured) == len(table) * (first + train.n) == 3_351_600
-    assert sum(measured) == len(table) * train.n == 2_646_000
+    assert len(rounds) <= np.log2(len(table)) + 1
+    # each candidate keyed at most once and completed at most once
+    assert scored == {16: len(table), train.n: len(table)} and work["_batch_best_split"] == len(table)
+    assert cells(scored) == len(table) * (first + train.n) == 3_351_600
+    assert measured == {train.n: len(table)} and cells(measured) == 2_646_000
+
+
+def test_reading_every_column_of_a_fit_wide_table_completes_each_candidate_with_no_keys(monkeypatch):
+    """A read of the whole table completes every candidate at once: no key
+    stage scores any, so the first pass's 705,600 cells are the only ones
+    scored, and completion measures 44,100 x 60 = 2,646,000."""
+    train = fit_wide_draw0(monkeypatch)
+    work = count_work(monkeypatch)
+    table = mine_shapelets(train, MiningConfig(normalize=PipelineConfig().distance))
+    table.columns
+    assert work["nearest_window_scores"] == {16: 44_100} and cells(work["nearest_window_scores"]) == 705_600
+    assert work["nearest_window_dists"] == {60: 44_100} and cells(work["nearest_window_dists"]) == 2_646_000
+    assert work["_batch_best_split"] == 44_100
+
+
+def test_a_fit_wide_fit_splits_only_the_rows_it_certifies(monkeypatch):
+    """A fit of fit-wide draw 0 keys 12,507 candidates against every series,
+    and only the 1,551 whose exact gain reaches a cut are measured and
+    split: exactly the rows the fit certifies. Two workers certify the same
+    rows with the same counts."""
+    from divshap.pipeline import _fit_from_graph, mine_graph
+
+    train = fit_wide_draw0(monkeypatch)
+    cfg = PipelineConfig()
+    seen = []
+    for workers in (1, 2):
+        work = count_work(monkeypatch)
+        prepared, graph = mine_graph(train, cfg, workers=workers)
+        _fit_from_graph(graph, prepared, cfg)
+        certified = graph.vertices._order
+        assert work["nearest_window_scores"] == {16: 44_100, 60: 12_507}
+        assert work["_batch_best_split"] == len(certified) == 1_551
+        assert work["nearest_window_dists"] == {60: 1_551}
+        seen.append((certified.tobytes(), work))
+        monkeypatch.undo()
+    assert seen[0] == seen[1]
