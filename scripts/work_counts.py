@@ -9,8 +9,12 @@ fit-wide and the serving-model training set of each of the three workloads
 (``--tiny``: the same sets at the smoke test's sizes). Each set is fitted once
 as ``fit`` fits it (``mine_graph`` then ``_fit_from_graph``, library
 defaults, one worker), with these kernels wrapped to count what goes
-through them:
+through them, after the first pass the mined table took:
 
+- ``first``: the series of mining's first pass (``_PrunedScoring.first``):
+  ``none`` for no first pass (every candidate measured and split at mine
+  time), ``all`` for every series (each candidate keyed to its exact gain),
+  or their count (a quarter of each class, which bounds each gain);
 - ``scored`` and ``measured``: (query, series) cells through mining's
   ``nearest_window_scores`` (pick scores only) and ``nearest_window_dists``
   (picked and measured);
@@ -34,11 +38,12 @@ import argparse
 import sys
 from pathlib import Path
 
-COUNTS = ("scored", "measured", "split", "rounds", "certified", "pairs")
+COUNTS = ("first", "scored", "measured", "split", "rounds", "certified", "pairs")
 
 
-def counted_fit(train) -> dict[str, int]:
-    """{count name: count} of one fit of train, in COUNTS order."""
+def counted_fit(train) -> dict[str, int | str]:
+    """{count name: count} of one fit of train, in COUNTS order; first is
+    a word or a count."""
     from divshap import PipelineConfig, graph, mining
     from divshap.pipeline import _fit_from_graph, mine_graph
 
@@ -68,10 +73,12 @@ def counted_fit(train) -> dict[str, int]:
     try:
         cfg = PipelineConfig()
         prepared, mined = mine_graph(train, cfg)
+        first = mined.vertices._pending.first
         _fit_from_graph(mined, prepared, cfg)
     finally:
         for module, name, kernel in wrapped:
             setattr(module, name, kernel)
+    counts["first"] = "none" if first is None else "all" if len(first) == train.n else len(first)
     counts["rounds"] = len(advances) - len(set(map(id, advances)))
     counts["certified"] = len(mined.vertices._order)
     return counts

@@ -233,6 +233,12 @@ def znorm_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     SQUARE_CHUNK bytes at a time; each row's sum is the same sum of the
     same squares.
     """
+    return znorm_rows_flat(w, out)[0]
+
+
+def znorm_rows_flat(w: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """znorm_rows, and a bool per row: whether it was flat, and so zeroed.
+    A row that is not flat keeps an entry of magnitude 1 or more."""
     L = w.shape[1]
     out = np.subtract(w, np.add.reduce(w, axis=1, keepdims=True) / L, out=out)
     sd = np.empty((len(out), 1))
@@ -247,7 +253,7 @@ def znorm_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out[flat] = 0.0
     else:
         out /= sd
-    return out
+    return out, flat
 
 
 def znormalize(values: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import FLAT_STD, SQUARE_CHUNK, znorm_rows, znormalize
+from .dataset import FLAT_STD, SQUARE_CHUNK, znorm_rows, znorm_rows_flat, znormalize
 from .errors import DimensionMismatchError, LengthMismatchError, ShapeletLongerThanSeriesError, require_bool
 
 
@@ -98,8 +98,7 @@ class Windows:
         rows = scan.reshape(-1, L + 1)  # a view: one row per window
         W = rows[:, :L]
         if cfg.normalize_windows:
-            znorm_rows(W, out=W)
-            rows[:, L] = znorm_offset(W)
+            rows[:, L] = np.where(znorm_rows_flat(W, out=W)[1], 0.0, 0.5 * L)
         else:
             rows[:, L] = 0.5 * np.einsum("ij,ij->i", W, W)
         return cls(scan)

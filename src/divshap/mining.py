@@ -3,18 +3,22 @@
 Candidates are every subsequence of every training series inside a length
 band (defaults m/11 .. m/2). Each candidate is scored by the best
 information-gain split of its orderline: the sorted distances from the
-candidate to all training series. When each class is large enough,
-every candidate is first scored against a quarter of each class's series,
-and against all of them only as far as a reader of the table reaches: the
-order of the distances to the quarter bounds the gain (after the optimistic
-gain of Ye & Keogh, KDD 2009), and a row is shown once its gain beats every
+candidate to all training series. When each class holds STAGE_MIN series
+or more, a first pass scores every candidate against some of the series,
+and candidates are measured and split against all of them only as far as
+a reader of the table reaches; a row is shown once its gain beats every
 bound still open, as a diversified top-k stops on bounds (Qin, Yu & Chang,
-PVLDB 2012). The first pass reads that order from the pick scores, and
-measures only the rows whose scores may tie. Completion reads the order
-against all the series from the pick scores too, which gives each row's
-exact gain, and measures and splits only the rows whose gain a reader can
-reach. Every row shown is the row that scoring every candidate against
-every series gives, bit for bit. The batched split reads each split's
+PVLDB 2012). The pass takes a quarter of each class's series when that
+gives STAGE_MIN of each: the order of the distances to the quarter bounds
+the gain (after the optimistic gain of Ye & Keogh, KDD 2009). Otherwise it
+takes every series, and the order gives each candidate's exact gain. The
+pass reads that order from the pick scores, and measures only the rows
+whose scores may tie. Completion reads the order against all the series
+from the pick scores too, where the pass did not, and measures and splits
+only the rows whose exact gain a reader can reach. With a class of fewer
+than STAGE_MIN series, every candidate is measured and split at once.
+Every row shown is the row that scoring every candidate against every
+series gives, bit for bit. The batched split reads each split's
 entropy from a table of p log2 p terms over integer class counts
 (ClassCounts), so it takes no logarithm per candidate. Generation,
 scoring and the best-first ordering work on the columns of a
@@ -360,17 +364,21 @@ def mine_shapelets(
     candidate c. The order is (gain desc, gap desc, length asc, source
     series asc, start asc), a total order, so output is deterministic for
     fixed inputs. The call returns after the first pass (_PrunedScoring):
-    every candidate scored against a quarter of each class's series, which
-    bounds its gain, or, when the classes are too small for that, scored in
-    full. Reading rows scores the candidates of highest bound against every
-    series until the rows read are certain; the rows are those of scoring
-    every candidate in full. A Shapelet is built only when a caller reads
-    its row, so a greedy scan that stops early builds, and mostly scores,
-    only the prefix it read.
+    every candidate scored from its pick scores against a quarter of each
+    class's series, which bounds its gain, or, when a quarter gives fewer
+    than STAGE_MIN series of some class, against every series, which gives
+    its exact gain; or, when some class holds fewer than STAGE_MIN series,
+    measured and split in full. Reading rows measures and splits the
+    candidates of highest bound against every series until the rows read
+    are certain; the rows are those of scoring every candidate in full. A
+    Shapelet is built only when a caller reads its row, so a greedy scan
+    that stops early builds, and mostly scores, only the prefix it read.
 
     workers threads score the lengths. They pay only when BLAS runs one
-    thread (OPENBLAS_NUM_THREADS=1); with more, they slow mining down.
+    thread (OPENBLAS_NUM_THREADS=1); with more, they slow mining down. A
+    count that is not an integer of at least 1 raises InvalidConfigError.
     """
+    require_int("workers", workers, 1)
     cfg = cfg or MiningConfig()
     table = generate_candidates(train, cfg)
     if not len(table):
@@ -402,10 +410,10 @@ def mine_shapelets(
 # sorted keys, the strides gathered, the prefixes and their gains (seven at
 # most), freed before the rows that reach the cut are measured and split;
 # a completion block's query rows are gathered from its window matrix, once
-# for the keys and once for the measure. Its later arrays fit in what
-# these free. The kernel's output is one of those rows and a slice's picks
-# fit in the others; the slice is freed before the split, but is counted
-# once beside it. A block, slice included, gets at least half the budget:
+# for the keys and once for the measure, as are those of a first pass over
+# every series, once. Its later arrays fit in what these free. The kernel's
+# output is one of those rows and a slice's picks fit in the others; the
+# slice is freed before the split, but is counted once beside it. A block, slice included, gets at least half the budget:
 # one slice and 1 MiB of rows. So only a window matrix above the other half
 # makes a thread exceed it; z-normalizing that matrix in place adds at most
 # SQUARE_CHUNK bytes of squares.
@@ -548,13 +556,21 @@ def _batch_best_split(
 
 # Share of each class's series that the first pass scores every candidate
 # against, before completion scores the candidates a reader needs against
-# all of them. There is a first pass only when each class gives at least
-# STAGE_MIN series: the bound of so few series prunes too little to pay for
-# its pass. A second pass over half of each class, and keeping the first
-# pass's distances for completion, both made fit-wide's fit slower than
-# this one pass: passes over a quarter, a half and all of each class took
-# 0.414 s a fit against 0.365 s for this pass and completion, and kept
-# distances cost 0.75 MB of peak RSS per MiB kept.
+# all of them. The pass takes that share only when each class gives at
+# least STAGE_MIN series: the bound of so few series prunes too little to
+# pay for its pass. When a share gives fewer but each class holds at least
+# STAGE_MIN, the pass takes every series, which keys each candidate's exact
+# gain: the predict-batch serving set (classes of 16, m = 80) then splits
+# 316 rows instead of 62,560, and its fit fell from 0.534-0.548 s to
+# 0.404-0.420 s (best of 3, one CPU). Below STAGE_MIN every candidate is
+# measured and split at once: fit-long (classes of 5) certifies 2-19% of
+# its rows, which keys would pick again with a second product after a
+# window rebuild, and keying it moved its fit 0.503 -> 0.529 s (+5.2%, 1 of
+# 4 benchmark pairs won). A second pass over half of each class, and
+# keeping the first pass's distances for completion, both made fit-wide's
+# fit slower than this one pass: passes over a quarter, a half and all of
+# each class took 0.414 s a fit against 0.365 s for this pass and
+# completion, and kept distances cost 0.75 MB of peak RSS per MiB kept.
 FIRST_SHARE = 0.25
 STAGE_MIN = 8
 # A completed gain is certified when it exceeds every uncompleted bound by
@@ -569,15 +585,21 @@ BOUNDED, EXACT, COMPLETED, CERTIFIED = 0, 1, 2, 3
 
 def _first_series(counts: ClassCounts, bounded: bool) -> np.ndarray | None:
     """The series of the first pass, in class order: of each class, in
-    index order, the first round(FIRST_SHARE * size) series. None, for no
-    first pass, when the gains cannot be bounded (bounded false), there is
-    one class, or some class gives fewer than STAGE_MIN series. As the pass
-    takes at least STAGE_MIN series of each class, and the bound's table of
-    gains at most SQUARE_CHUNK bytes, a first pass comes with at most four
-    classes, whose 2^4 corners _corner_max folds into the table once."""
+    index order, the first round(FIRST_SHARE * size) series. When some
+    class gives fewer than STAGE_MIN series that way but every class holds
+    at least STAGE_MIN, every series, in index order: the pass then keys
+    each candidate's exact gain. None, for no first pass, when the gains
+    cannot be bounded (bounded false), there is one class, or some class
+    holds fewer than STAGE_MIN series. As a quarter pass takes at least
+    STAGE_MIN series of each class, and the bound's table of gains at most
+    SQUARE_CHUNK bytes, a quarter pass comes with at most four classes,
+    whose 2^4 corners _corner_max folds into the table once; a pass over
+    every series shifts no corner."""
     want = np.floor(FIRST_SHARE * counts.total + 0.5).astype(np.intp)
-    if not bounded or len(want) < 2 or want.min() < STAGE_MIN:
+    if not bounded or len(want) < 2 or counts.total.min() < STAGE_MIN:
         return None
+    if want.min() < STAGE_MIN:
+        return np.arange(len(counts.label))
     return np.concatenate([np.flatnonzero(counts.label == k)[:w] for k, w in enumerate(want)])
 
 
@@ -588,7 +610,8 @@ class _PrunedScoring:
     The first pass scores and orders: it scores every candidate against
     the series of _first_series, S, orders each row by its pick scores
     (_order_keys), measures only the rows that may tie, and keeps only
-    _gain_bound's bound on its gain (BOUNDED). Certifying rows for a reader
+    _gain_bound's bound on its gain (BOUNDED), or, when S is every series,
+    its exact gain (EXACT, as below). Certifying rows for a reader
     advances the candidates whose bound reaches the cut (those that may
     hold a row the reader needs). A BOUNDED one is first keyed the same way
     against every series, which, with no series outside S, gives its exact
@@ -602,9 +625,11 @@ class _PrunedScoring:
     is keyed at most once and completed at most once, so reading every row
     scores each candidate against at most |S| + n series and measures it
     against n (and the rows that may tie against their series once more);
-    a read of every row at once keys none. A completed row is the row of
-    scoring against every series at once, bit for bit, as completion is
-    that scoring. With no first pass, every candidate is completed at once.
+    a read of every row at once keys none past the first pass. A completed
+    row is the row of scoring against every series at once, bit for bit,
+    as completion is that scoring. With no first pass, every candidate is
+    completed at once; with one over every series, reading every row keys
+    each candidate once and completes it once.
     """
 
     def __init__(self, train: Dataset, source, start, length, dist_cfg: DistanceConfig, workers: int):
@@ -616,13 +641,15 @@ class _PrunedScoring:
         # corner-maxed one, each built once
         self.gains = _gain_table(self.counts)
         self.first = _first_series(self.counts, self.gains is not None)
-        if self.first is not None:
+        if self.first is not None:  # over every series, a copy of gains
             self.table = _corner_max(self.gains, self.counts.label[self.first], self.counts.total)
         self.scores = np.zeros((3, size))
         self.bound = np.full(size, np.inf)
         self.done = np.full(size, BOUNDED, dtype=np.int8)
         self.certified = np.empty(0, dtype=np.intp)
         informative = self.advance(np.arange(size), self.first)
+        if self.first is not None and len(self.first) == len(train.y):
+            self.done[:] = EXACT  # the bounds are exact gains
         if dist_cfg.normalize_windows and not any(informative):
             raise FlatTrainingSetError(
                 f"every candidate window has standard deviation below {FLAT_STD}; "
@@ -703,7 +730,9 @@ class _PrunedScoring:
         """advance for candidates ids of one length. True if any of those it
         scored is not flat."""
         L = int(self.length[ids[0]])
-        X = self.train.X if series is None else self.train.X[series]
+        # the windows of every series hold each candidate's query
+        every = series is None or len(series) == len(self.train.X)
+        X = self.train.X if every else self.train.X[series]
         windows = Windows.of_series(X, L, self.dist_cfg)
         view = sliding_window_view(self.train.X, L, axis=1)
         score_slice = max(SQUARE_CHUNK, 8 * len(X) * max(view.shape[1], L))
@@ -726,7 +755,7 @@ class _PrunedScoring:
                 if not len(part):
                     continue
             source, start = self.source[part], self.start[part]
-            if series is None:
+            if every:
                 queries = windows.scan[source, start]
             else:
                 # a row of length L is its one window, z-normalized as

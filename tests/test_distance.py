@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import divshap.distance as distance_mod
 import divshap.graph as graph_mod
@@ -18,7 +19,7 @@ from divshap.distance import (
     subsequence_dist,
     znorm_offset,
 )
-from divshap.dataset import SQUARE_CHUNK, Dataset, znormalize
+from divshap.dataset import SQUARE_CHUNK, Dataset, znorm_rows, znorm_rows_flat, znormalize
 from divshap.errors import DimensionMismatchError, LengthMismatchError, ShapeletLongerThanSeriesError
 from divshap.graph import div_topk
 from divshap.mining import MiningConfig, orderline
@@ -141,6 +142,26 @@ def test_windows_of_series_is_window_matrix_and_offset_column(normalize):
         assert np.array_equal(scan[:, :, :L], W.reshape(*shape, L))
         offset = znorm_offset(W) if normalize else 0.5 * np.einsum("ij,ij->i", W, W)
         assert np.array_equal(scan[:, :, L], offset.reshape(shape))
+
+
+def test_windows_of_series_takes_its_flat_rows_from_the_znormalization():
+    """The offsets come from the rows znorm_rows_flat zeroed, not from a
+    second read of every window; the scan is byte for byte the window
+    matrix z-normalized by znorm_rows with znorm_offset's offsets. The rows
+    mix flat windows (a constant stretch, and variation far below FLAT_STD)
+    with windows of variation just above FLAT_STD and ordinary ones."""
+    rng = np.random.default_rng(21)
+    X = series_with_flat_stretches(rng, 5, 40)
+    X[1, 10:22] = 3.0 + 1e-12 * rng.normal(size=12)
+    X[2, 5:17] = 1.0 + 3e-8 * np.sign(rng.normal(size=12))
+    for L in (3, 8, 12):
+        W = sliding_window_view(X, L, axis=1).reshape(-1, L).copy()
+        z, flat = znorm_rows_flat(W.copy())
+        assert z.tobytes() == znorm_rows(W).tobytes()
+        assert np.array_equal(flat, ~z.any(axis=1))
+        assert 0 < flat.sum() < len(flat), L
+        want = np.concatenate([z, znorm_offset(z)[:, None]], axis=1)
+        assert Windows.of_series(X, L).scan.tobytes() == want.tobytes(), L
 
 
 def test_nearest_window_dists_batch_equals_single_queries():

@@ -930,10 +930,10 @@ def test_mine_workers_give_identical_columns_with_a_first_pass():
         assert a.tobytes() == b.tobytes()
 
 
-def assert_lazy_reads_equal_forced(d, cfg, monkeypatch):
+def assert_lazy_reads_equal_forced(d, cfg, monkeypatch, stage_min=2):
     """Fresh tables read row by row, by slices and through div_topk give
     the rows of a table first scored in full."""
-    monkeypatch.setattr(mining, "STAGE_MIN", 2)
+    monkeypatch.setattr(mining, "STAGE_MIN", stage_min)
     forced = mine_shapelets(d, cfg)
     forced.columns
     n = len(forced)
@@ -952,15 +952,26 @@ def assert_lazy_reads_equal_forced(d, cfg, monkeypatch):
         assert div_topk(graph, kappa) == div_topk(build_graph(forced, cfg.normalize), kappa)
 
 
-@pytest.mark.parametrize("kind", ["bump", "xor", "three-class"])
-def test_lazy_table_reads_equal_a_table_scored_in_full(kind, monkeypatch):
+@pytest.mark.parametrize(
+    "kind, stage_min",
+    [
+        pytest.param(kind, stage_min, id=kind if stage_min == 2 else f"{kind}-stage{stage_min}")
+        for stage_min in (2, mining.STAGE_MIN)
+        for kind in ("bump", "xor", "three-class")
+    ],
+)
+def test_lazy_table_reads_equal_a_table_scored_in_full(kind, stage_min, monkeypatch):
+    """At STAGE_MIN 2 each class's quarter gives a bounded first pass; at
+    the default, classes of 8 to 12 give a first pass over every series,
+    whose bounds are exact gains."""
     if kind == "bump":
         d = bump_dataset(seed=4, per_class=12, m=24)
     elif kind == "xor":
         d = xor_dataset(seed=4, per_cell=6, m=24)
     else:
         d = motif_dataset((8, 9, 10), m=20, seed=5)
-    assert_lazy_reads_equal_forced(d, MiningConfig(min_len=3, max_len=9), monkeypatch)
+    assert_lazy_reads_equal_forced(d, MiningConfig(min_len=3, max_len=9), monkeypatch, stage_min)
+    assert (len(mine_shapelets(d, MiningConfig(min_len=3, max_len=9))._pending.first) == d.n) == (stage_min > 2)
 
 
 def test_select_k_scores_fewer_than_half_of_a_fit_wide_table(monkeypatch):
@@ -1009,13 +1020,16 @@ def classes_of(*sizes):
 
 
 def test_first_pass_takes_a_rounded_quarter_of_each_class():
-    """Two classes of 30 give 8 + 8 series, since round(7.5) rounds up;
-    a class of 29 gives 7, too few, and one class is not bounded."""
+    """Two classes of 30 give 8 + 8 series, since round(7.5) rounds up; a
+    class of 29 gives 7, too few for a quarter, but holds STAGE_MIN, so
+    the pass takes every series; a class of 7 gives no pass, and one class
+    is not bounded."""
     counts = classes_of(30, 30)
     first = mining._first_series(counts, True)
     assert np.array_equal(first, np.r_[0:8, 30:38])
     assert mining._first_series(counts, False) is None
-    assert mining._first_series(classes_of(29, 30), True) is None
+    assert np.array_equal(mining._first_series(classes_of(29, 30), True), np.arange(59))
+    assert mining._first_series(classes_of(7, 30), True) is None
     assert mining._first_series(classes_of(60), True) is None
 
 
@@ -1062,6 +1076,28 @@ def fit_wide_draw0(monkeypatch):
     from workloads import WORKLOADS
 
     return WORKLOADS["fit-wide"].make(0, 0)[0]
+
+
+def serving_set(monkeypatch, workload):
+    """The training set of a benchmark workload's serving model."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    from workloads import WORKLOADS
+
+    return WORKLOADS[workload].model_data()[0]
+
+
+@pytest.mark.parametrize("workload, first", [("fit-long", None), ("fit-wide", 16), ("predict-batch", 32)])
+def test_each_benchmark_serving_set_takes_its_first_pass(workload, first, monkeypatch):
+    """fit-long's classes of 5 hold fewer than STAGE_MIN series, so its set
+    has no first pass; fit-wide's classes of 30 give a quarter, 8 + 8; and
+    predict-batch's classes of 16 give too few for a quarter, so its pass
+    takes all 32 series."""
+    train = serving_set(monkeypatch, workload)
+    counts = ClassCounts.of(train.y)
+    got = mining._first_series(counts, _gain_table(counts) is not None)
+    assert (None if got is None else len(got)) == first
+    if first == train.n:
+        assert np.array_equal(got, np.arange(train.n))
 
 
 def test_reading_a_fit_wide_table_measures_each_candidate_against_a_quarter_and_then_every_series(monkeypatch):
@@ -1124,6 +1160,32 @@ def test_a_fit_wide_fit_splits_only_the_rows_it_certifies(monkeypatch):
         assert work["nearest_window_scores"] == {16: 44_100, 60: 12_507}
         assert work["_batch_best_split"] == len(certified) == 1_551
         assert work["nearest_window_dists"] == {60: 1_551}
+        seen.append((certified.tobytes(), work))
+        monkeypatch.undo()
+    assert seen[0] == seen[1]
+
+
+def test_a_serving_fit_keyed_against_every_series_splits_only_the_rows_it_certifies(monkeypatch):
+    """The predict-batch serving set (xor, classes of 16, m = 80) gives a
+    first pass over all 32 series: mining scores its 62,560 candidates
+    against them, which gives each its exact gain, and splits none. The fit
+    then measures and splits only the rows it certifies, and keys none
+    again. Two workers certify the same rows with the same counts."""
+    from divshap.pipeline import _fit_from_graph, mine_graph
+
+    train = serving_set(monkeypatch, "predict-batch")
+    cfg = PipelineConfig()
+    seen = []
+    for workers in (1, 2):
+        work = count_work(monkeypatch)
+        prepared, graph = mine_graph(train, cfg, workers=workers)
+        assert len(graph.vertices._pending.first) == train.n == 32
+        assert work["nearest_window_scores"] == {32: 62_560} and work["_batch_best_split"] == 0
+        _fit_from_graph(graph, prepared, cfg)
+        certified = graph.vertices._order
+        assert work["nearest_window_scores"] == {32: 62_560}
+        assert work["_batch_best_split"] == len(certified) == 316
+        assert work["nearest_window_dists"] == {32: 316}
         seen.append((certified.tobytes(), work))
         monkeypatch.undo()
     assert seen[0] == seen[1]

@@ -306,6 +306,21 @@ def test_pipeline_config_rejects_kappa_below_one(kappa):
         PipelineConfig(kappa=kappa)
 
 
+@pytest.mark.parametrize("workers", [0, -1, 2.5, True])
+def test_fit_rejects_a_worker_count_below_one_before_mining(workers, monkeypatch):
+    """Before, each of these mined: 0 and -1 silently ran one thread, and
+    2.5 and True were read as numbers."""
+    import divshap.mining
+
+    def mined(*args, **kwargs):
+        raise AssertionError("candidates generated")
+
+    monkeypatch.setattr(divshap.mining, "generate_candidates", mined)
+    d = Dataset(X=np.random.default_rng(0).normal(size=(8, 12)), y=np.repeat([0, 1], 4))
+    with pytest.raises(InvalidConfigError, match="workers"):
+        fit(d, workers=workers)
+
+
 @pytest.mark.parametrize(
     "build",
     [

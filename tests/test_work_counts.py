@@ -13,7 +13,7 @@ import sys
 
 from conftest import REPO_ROOT
 
-from divshap import graph, mining
+from divshap import graph, mining, pipeline
 
 spec = importlib.util.spec_from_file_location("work_counts", REPO_ROOT / "scripts" / "work_counts.py")
 work_counts = importlib.util.module_from_spec(spec)
@@ -66,9 +66,12 @@ def test_counts_equal_those_of_independent_wrappers(monkeypatch):
 
     monkeypatch.setattr(mining._PrunedScoring, "certify", counted_certify)
     monkeypatch.setattr(mining._PrunedScoring, "advance", counted_advance)
+    tables, mine = [], pipeline.mine_shapelets
+    monkeypatch.setattr(pipeline, "mine_shapelets", lambda *a, **k: tables.append(mine(*a, **k)) or tables[-1])
     got = work_counts.counted_fit(train)
     assert list(got) == list(work_counts.COUNTS)
     want = {
+        "first": len(tables[0]._pending.first),
         "scored": cells["nearest_window_scores"],
         "measured": cells["nearest_window_dists"],
         "split": sum(split_rows),
@@ -77,7 +80,7 @@ def test_counts_equal_those_of_independent_wrappers(monkeypatch):
         "pairs": sum(pairs),
     }
     assert got == want
-    assert min(want.values()) > 0 and want["split"] < len(mining.generate_candidates(train, mining.MiningConfig()))
+    assert want["first"] == 4 and min(want.values()) > 0 and want["split"] < len(mining.generate_candidates(train, mining.MiningConfig()))
     # counted_fit puts back what it wrapped
     assert mining._PrunedScoring.advance is counted_advance and mining._PrunedScoring.certify is counted_certify
 
@@ -98,3 +101,6 @@ def test_one_line_per_training_set_with_the_counts_of_its_fit(monkeypatch):
         train = next(t for n, t, _ in sets if n == name)
         counts = work_counts.counted_fit(train)
         assert line == " ".join([name] + [f"{k}={v}" for k, v in counts.items()])
+    # classes of 3 take no first pass; of 8 (fit-wide, and predict-batch's
+    # xor of 4 a cell), too few for a quarter, every series
+    assert [line.split()[1] for line in (lines[0], lines[6], lines[-1])] == ["first=none", "first=all", "first=all"]
